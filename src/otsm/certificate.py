@@ -88,14 +88,36 @@ def _symmetrized_multipliers(problem, point):
     return lams, lams_sym, taus
 
 
-def _certificate_from(problem, point, lams_sym, taus):
-    dims = problem.dims
+def _certificate_from(stilde, point, lams_sym, taus):
+    """Turn an assembled ``stilde`` into L* in place and return it."""
+    dims = point.dims
     off = dims.offsets()
-    full = -assemble_stilde(problem)
+    full = np.negative(stilde, out=stilde)
     for i in range(dims.m):
         o = point.blocks[i]
         blk = o @ lams_sym[i] @ o.T + taus[i] * (np.eye(dims.dims[i]) - o @ o.T)
         full[off[i] : off[i + 1], off[i] : off[i + 1]] += (blk + blk.T) / 2.0
+    return full
+
+
+def _deflate_in_place(full, obar):
+    """Overwrite L* with ``P L* P + s Q Q^T``, where ``P = I - Q Q^T``.
+
+    ``Q`` is an orthonormal basis of the stacked point's column space (a
+    thin QR of the D x r point, which need only be orthonormal to the
+    blocks' validation tolerance) and ``s`` the largest Gershgorin row
+    sum of L*.  On the complement of ``Q`` the result acts as the reduced
+    matrix ``Operp^T L* Operp``; on ``Q`` it is ``s``, which bounds every
+    eigenvalue of L* and hence of the reduced matrix (interlacing), so the
+    smallest eigenvalue of the result is that of the reduced matrix.  With
+    ``W = L* Q`` and ``C = Q^T W`` the result is ``L* - Q V^T - V Q^T``
+    for ``V = W - Q (C + s I) / 2``: two rank-r updates, O(D^2 r).
+    """
+    shift = float(np.abs(full).sum(axis=1).max())
+    q, _ = np.linalg.qr(obar)
+    w = full @ q
+    v = w - q @ ((q.T @ w + shift * np.eye(q.shape[1])) / 2.0)
+    full -= np.hstack([q, v]) @ np.hstack([v, q]).T
     return full
 
 
@@ -110,7 +132,7 @@ def certificate_matrix(problem, point) -> np.ndarray:
     """
     _check_match(problem, point)
     _, lams_sym, taus = _symmetrized_multipliers(problem, point)
-    return _certificate_from(problem, point, lams_sym, taus)
+    return _certificate_from(assemble_stilde(problem), point, lams_sym, taus)
 
 
 def reduced_certificate(problem, point) -> np.ndarray:
@@ -154,7 +176,9 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     Verdict logic: if ``min(taus) < -tol_tau`` the point cannot be a
     global maximizer (CERTIFIED_NOT_GLOBAL); otherwise if
     ``lambda_min(L*) >= -tol_psd`` it is one (CERTIFIED_GLOBAL); otherwise
-    INCONCLUSIVE.
+    INCONCLUSIVE.  ``lmin_reduced``, the smallest eigenvalue of L*
+    restricted to the complement of the stacked point, is reported for
+    diagnosis only; the verdict does not read it.
 
     Default tolerances scale with the measured stationarity error at the
     point: ``tol_psd = 1e-6 * (1 + ||stilde||_2) + 100 * r_stat`` and
@@ -163,17 +187,25 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     stationary points this reduces to the bases; at solver output
     converged to mean-change ``tol`` it absorbs the O(tol)-scale
     eigenvalue error of the approximate point.
+
+    Cost: ``stilde`` is assembled once and three dense symmetric
+    eigenvalue problems are solved, one each for ``stilde`` (its extreme
+    eigenvalues give ``||stilde||_2`` and the dual bound), L* and L*
+    deflated on the stacked point (for ``lmin_reduced``).  No SVD or
+    complete QR of a D x D matrix is formed.
     """
     _check_match(problem, point)
     lams, lams_sym, taus = _symmetrized_multipliers(problem, point)
     asymmetry = max(float(np.linalg.norm(lam - lam.T)) for lam in lams)
-    full = _certificate_from(problem, point, lams_sym, taus)
+    stilde = assemble_stilde(problem)
+    s_eigs = np.linalg.eigvalsh(stilde)
+    full = _certificate_from(stilde, point, lams_sym, taus)
     lmin_full = float(np.linalg.eigvalsh(full)[0])
 
     if tol_psd is None or tol_tau is None:
         stat = stationarity(problem, point)
         r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-        snorm = float(np.linalg.norm(assemble_stilde(problem), 2))
+        snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
         if tol_psd is None:
             tol_psd = _PSD_BASE * (1.0 + snorm) + _RESIDUAL_FACTOR * r_stat
         if tol_tau is None:
@@ -183,15 +215,9 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
             f"tolerances must be nonnegative, got tol_psd={tol_psd!r}, tol_tau={tol_tau!r}"
         )
 
-    # Reduced test on the complement of the stacked point.  Per-block
-    # orthonormality makes the stacked gram identity hold automatically,
-    # so the completion never fails here.
+    # D - r >= r >= 1, so the reduced matrix is never empty.
     obar = point.stack() / np.sqrt(problem.dims.m)
-    q, _ = np.linalg.qr(obar, mode="complete")
-    operp = q[:, problem.dims.r :]
-    reduced = operp.T @ full @ operp
-    reduced = (reduced + reduced.T) / 2.0
-    lmin_reduced = float(np.linalg.eigvalsh(reduced)[0]) if reduced.size else 0.0
+    lmin_reduced = float(np.linalg.eigvalsh(_deflate_in_place(full, obar))[0])
 
     if min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
@@ -205,12 +231,16 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
         taus=tuple(taus),
         lmin_full=lmin_full,
         lmin_reduced=lmin_reduced,
-        dual_bound=dual_upper_bound(problem),
+        dual_bound=_dual_bound(problem.dims, float(s_eigs[-1])),
         verdict=verdict,
         asymmetry=asymmetry,
         tol_psd=float(tol_psd),
         tol_tau=float(tol_tau),
     )
+
+
+def _dual_bound(dims, lam_max) -> float:
+    return 0.5 * dims.m * dims.r * lam_max
 
 
 def dual_upper_bound(problem) -> float:
@@ -221,6 +251,5 @@ def dual_upper_bound(problem) -> float:
     is involved.  Valid for every feasible point, whether or not the
     problem has been solved.
     """
-    dims = problem.dims
     lam_max = float(np.linalg.eigvalsh(assemble_stilde(problem))[-1])
-    return 0.5 * dims.m * dims.r * lam_max
+    return _dual_bound(problem.dims, lam_max)

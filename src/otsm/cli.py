@@ -40,11 +40,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 
 import numpy as np
 
+from ._fileio import atomic_write_text
 from .builders import ViewData, build_maxdiff
 from .certificate import Verdict, certify
 from .core import (
@@ -86,28 +86,7 @@ SOLUTION_ERROR_TOL = 1e-4
 
 
 # --------------------------------------------------------------------------
-# Atomic file plumbing
-
-
-def _atomic_write_text(path, text):
-    """Write text to path via a temporary sibling and an atomic rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    tmp_path = None
-    try:
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix="." + os.path.basename(path) + "-", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-        tmp_path = None
-    finally:
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+# JSON plumbing
 
 
 def _dump_json(payload) -> str:
@@ -256,7 +235,7 @@ def save_problem(problem: OtsmProblem, path) -> None:
             for (i, j), s in sorted(problem.sblocks.items())
         ],
     }
-    _atomic_write_text(path, _dump_json(payload))
+    atomic_write_text(path, _dump_json(payload))
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +310,7 @@ def load_solution(path, dims: BlockDims | None = None) -> BlockOrthogonal:
 def save_solution(point: BlockOrthogonal, path) -> None:
     """Write a solution file with nested row lists per block."""
     payload = {"blocks": [b.tolist() for b in point.blocks]}
-    _atomic_write_text(path, _dump_json(payload))
+    atomic_write_text(path, _dump_json(payload))
 
 
 def _solution_sibling(report_path) -> str:
@@ -401,7 +380,7 @@ def _cmd_solve(args) -> int:
     if args.trace:
         payload["objective_trace"] = list(report.objective_trace)
     save_solution(report.solution, _solution_sibling(args.out))
-    _atomic_write_text(args.out, _dump_json(payload))
+    atomic_write_text(args.out, _dump_json(payload))
     print(f"objective: {report.objective:.10g}")
     print(f"iterations: {report.iterations}")
     print(f"stop reason: {report.stop_reason.value}")
@@ -421,7 +400,7 @@ def _cmd_certify(args) -> int:
         "stationarity": _stationarity_payload(stationarity(problem, point)),
         "certificate": _certificate_payload(cert),
     }
-    _atomic_write_text(args.out, _dump_json(payload))
+    atomic_write_text(args.out, _dump_json(payload))
     print(f"certificate verdict: {cert.verdict.value}")
     print(f"smallest certificate eigenvalue: {cert.lmin_full:.6e}")
     print(f"report: {args.out}")

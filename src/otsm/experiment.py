@@ -12,12 +12,13 @@ the same grid produce identical CSV bytes.
 from __future__ import annotations
 
 import csv
+import io
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
 from .core import InternalError, ValidationError
@@ -44,6 +45,8 @@ CSV_HEADER = (
     "not_global",
     "mean_iter",
     "mean_final_objective",
+    "failures",
+    "nonconverged",
 )
 
 
@@ -281,9 +284,11 @@ def export_results(results, path) -> None:
     never leaves a partial file at the destination.
     """
     path = os.fspath(path)
-    rows = []
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
     for cell in results:
-        rows.append(
+        writer.writerow(
             (
                 str(cell.d),
                 repr(cell.sigma),
@@ -293,24 +298,11 @@ def export_results(results, path) -> None:
                 str(cell.not_global_count),
                 repr(cell.mean_iterations),
                 repr(cell.mean_final_objective),
+                str(cell.failure_count),
+                str(cell.nonconverged_count),
             )
         )
-    tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=".results-", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(rows)
-        os.replace(tmp_path, path)
-        tmp_path = None
+        atomic_write_text(path, buf.getvalue())
     except OSError as exc:
         raise ExportError(path, exc) from exc
-    finally:
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass

@@ -1,10 +1,15 @@
 import itertools
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
+from otsm.builders import synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -134,6 +139,68 @@ class TestCertify:
         report = solve(hard_problem, SolverConfig(init="spectral"))
         cert = certify(hard_problem, report.solution)
         assert cert.verdict is Verdict.CERTIFIED_GLOBAL
+
+
+@st.composite
+def small_instances(draw):
+    """A random problem with D <= 60 and a point: random or solver output."""
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = random_problem(rng, dims, r, density=draw(st.sampled_from((0.5, 1.0))))
+    if draw(st.booleans()):
+        point = solve(prob, SolverConfig(init="spectral", max_iter=200)).solution
+    else:
+        point = random_point(rng, prob)
+    return prob, point
+
+
+class TestCertifyAgainstReference:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances())
+    def test_matches_dense_reference(self, instance):
+        prob, point = instance
+        report = certify(prob, point)
+        full = certificate_matrix(prob, point)
+        assert report.lmin_full == np.linalg.eigvalsh(full)[0]
+        assert report.dual_bound == dual_upper_bound(prob)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="certificate null identity")
+            reduced = reduced_certificate(prob, point)
+        scale = 1e-10 * (1.0 + np.linalg.norm(full))
+        assert abs(report.lmin_reduced - np.linalg.eigvalsh(reduced)[0]) <= scale
+        stat = stationarity(prob, point)
+        r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
+        snorm = np.linalg.norm(assemble_stilde(prob), 2)
+        expected_tol = 1e-6 * (1.0 + snorm) + 100.0 * r_stat
+        assert report.tol_psd == pytest.approx(expected_tol, rel=1e-12)
+
+
+def test_certify_dense_linalg_calls(monkeypatch):
+    """certify runs three dense eigvalsh calls and no dense SVD, QR or norm."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    side = prob.dims.total_dim - prob.dims.r
+    dense = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            outs = out if isinstance(out, tuple) else (out,)
+            arrays = [a for a in args + outs if isinstance(a, np.ndarray) and a.ndim >= 2]
+            if any(min(a.shape[-2:]) >= side for a in arrays):
+                dense[name] += 1
+            return out
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    certify(prob, point)
+    assert dense == Counter(eigvalsh=3)
 
 
 class TestDualBound:

@@ -171,7 +171,7 @@ class TestExportResults:
         export_results([], out)
         assert out.read_bytes() == (
             b"d,sigma,init,certified,inconclusive,not_global,"
-            b"mean_iter,mean_final_objective\r\n"
+            b"mean_iter,mean_final_objective,failures,nonconverged\r\n"
         )
 
     def test_row_count(self, tmp_path):
@@ -206,6 +206,34 @@ class TestExportResults:
             assert float(row["mean_final_objective"]) == pytest.approx(
                 cell.mean_final_objective, abs=1e-12
             )
+
+    def test_failure_and_nonconverged_counts_round_trip(self, tmp_path):
+        cells = [
+            CellResult(
+                d=4,
+                sigma=0.1,
+                init=init,
+                certified_count=1,
+                inconclusive_count=0,
+                not_global_count=0,
+                failure_count=failures,
+                nonconverged_count=nonconverged,
+                mean_iterations=3.0,
+                mean_final_objective=1.0,
+                objective_gap_records=(),
+            )
+            for init, failures, nonconverged in (("identity", 2, 1), ("spectral", 0, 3))
+        ]
+        out = tmp_path / "counts.csv"
+        export_results(cells, out)
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        # The new columns come last, so earlier column positions are unchanged.
+        assert CSV_HEADER[-2:] == ("failures", "nonconverged")
+        assert [int(row["failures"]) for row in rows] == [c.failure_count for c in cells]
+        assert [int(row["nonconverged"]) for row in rows] == [
+            c.nonconverged_count for c in cells
+        ]
 
     def test_byte_determinism(self, tmp_path):
         grid = ExperimentGrid(**SMALL)
