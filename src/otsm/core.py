@@ -244,13 +244,16 @@ def _check_match(problem, point):
         )
 
 
-def _cross_sums(problem, point):
-    """Per-block coupling sums G_i = sum_{j != i} S_ij O_j."""
+def _cross_sums(problem, blocks):
+    """Per-block coupling sums G_i = sum_{j != i} S_ij O_j over the stored pairs.
+
+    ``blocks`` is any sequence of ``d_i x r`` matrices, one per block.
+    """
     dims = problem.dims
     sums = [np.zeros((d, dims.r)) for d in dims.dims]
     for (i, j), s in problem.sblocks.items():
-        sums[i] += s @ point.blocks[j]
-        sums[j] += s.T @ point.blocks[i]
+        sums[i] += s @ blocks[j]
+        sums[j] += s.T @ blocks[i]
     return sums
 
 
@@ -317,7 +320,7 @@ def lagrange_multipliers(problem, point) -> list[np.ndarray]:
     (it vanishes at stationary points).
     """
     _check_match(problem, point)
-    sums = _cross_sums(problem, point)
+    sums = _cross_sums(problem, point.blocks)
     return [point.blocks[i].T @ sums[i] for i in range(problem.dims.m)]
 
 
@@ -330,7 +333,7 @@ def stationarity(problem, point) -> StationarityReport:
     conditions.
     """
     _check_match(problem, point)
-    sums = _cross_sums(problem, point)
+    sums = _cross_sums(problem, point.blocks)
     residuals = []
     asyms = []
     for i in range(problem.dims.m):

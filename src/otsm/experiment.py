@@ -21,7 +21,7 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
-from .core import InternalError, ValidationError
+from .core import ValidationError
 from .solver import SolverConfig, StopReason, solve
 
 __all__ = [
@@ -194,11 +194,9 @@ class _RepOutcome:
 
 def _solve_and_certify(problem, init) -> _RepOutcome:
     try:
-        report = solve(
-            problem, SolverConfig(init=init, record_history=False)
-        )
+        report = solve(problem, SolverConfig(init=init))
         cert = certify(problem, report.solution)
-    except (ValidationError, InternalError, np.linalg.LinAlgError):
+    except (ValidationError, np.linalg.LinAlgError):
         return _RepOutcome(ok=False)
     return _RepOutcome(
         ok=True,
@@ -250,9 +248,12 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     For every cell and rep, one instance is generated with a seed derived
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
-    instance.  Individual solve failures are tallied per cell and never
-    abort the grid.  Results are ordered by grid position (d outermost,
-    then sigma, then init), independent of execution order.
+    instance.  A solve or certificate that rejects its data
+    (``ValidationError``) or whose decomposition fails (``LinAlgError``)
+    is tallied as a failure of its cell and does not abort the grid; an
+    :class:`~otsm.core.InternalError` signals a bug and propagates.
+    Results are ordered by grid position (d outermost, then sigma, then
+    init), independent of execution order.
     """
     results = []
     for d in grid.d_values:

@@ -26,6 +26,7 @@ from .core import (
     OtsmProblem,
     StationarityReport,
     ValidationError,
+    _cross_sums,
     assemble_stilde,
     objective,
     polar_project,
@@ -46,6 +47,8 @@ __all__ = [
 
 _STAGNATION_EPS = 1e-14
 _STAGNATION_CYCLES = 10
+#: Relative slack of the audit that no cycle lowers the objective.
+_MONOTONE_SLACK = 1e-12
 
 
 class StopReason(Enum):
@@ -70,8 +73,6 @@ class SolverConfig:
     tol: float = 1e-5
     max_iter: int = 2000
     init: str | BlockOrthogonal = "identity"
-    record_history: bool = True
-    monotonicity_slack: float = 1e-12
 
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and self.alpha > 0):
@@ -80,10 +81,6 @@ class SolverConfig:
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
         if int(self.max_iter) < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.monotonicity_slack < 0:
-            raise ValidationError(
-                f"monotonicity_slack must be nonnegative, got {self.monotonicity_slack!r}"
-            )
         if not isinstance(self.init, BlockOrthogonal) and self.init not in (
             "identity",
             "spectral",
@@ -98,11 +95,12 @@ class SolveReport:
     """Outcome of a solve.
 
     ``objective_trace[0]`` is the objective at the initial point and
-    ``objective_trace[k]`` the value after cycle k; ``mean_change_trace``
-    and ``change_sq_trace`` (the per-cycle sum of squared block changes,
-    kept for descent audits) have one entry per completed cycle.  With
-    ``record_history=False`` only the first/last entries are retained.
-    ``iterations`` counts completed cycles.
+    ``objective_trace[k]`` the value after cycle k: the start's objective
+    plus the exact gains ``tr((O_i^+ - O_i)^T G_i)`` of every block update
+    so far, where ``G_i = sum_{j != i} S_ij O_j`` (the objective is linear
+    in each block).  ``mean_change_trace`` and ``change_sq_trace`` (the
+    per-cycle sum of squared block changes, kept for descent audits) have
+    one entry per completed cycle.  ``iterations`` counts completed cycles.
     """
 
     solution: BlockOrthogonal
@@ -154,10 +152,7 @@ def step_block(problem, point, i, alpha=1000.0):
         raise ValidationError(f"block index {i} out of range for m={problem.dims.m}")
     if not alpha > 0:
         raise ValidationError(f"alpha must be positive (or inf), got {alpha!r}")
-    b = np.zeros((problem.dims.dims[i], problem.dims.r))
-    for j in range(problem.dims.m):
-        if j != i:
-            b += problem.coupling(i, j) @ point.blocks[j]
+    b = _cross_sums(problem, point.blocks)[i]
     if not math.isinf(alpha):
         b += point.blocks[i] / alpha
     return polar_project(b)
@@ -180,9 +175,13 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
 
     Notes
     -----
-    With finite alpha the objective trace is checked to be nondecreasing
-    (within ``monotonicity_slack``, relative) and each cycle is checked
-    against the descent inequality
+    A cycle updates block i to the polar factor of ``G_i + O_i/alpha``,
+    with ``G_i = stilde[rows_i] @ O`` read from the assembled coupling
+    matrix, and advances the objective by the exact gain
+    ``tr((O_i^+ - O_i)^T G_i)``; ``objective`` runs only at the start.
+    With finite alpha each cycle's gain is checked to be nonnegative
+    (within a fixed relative slack of 1e-12) and checked against the
+    descent inequality
 
         (1/(2 alpha)) sum_i ||O_i^(k+1) - O_i^k||_F^2  <=  f^(k+1) - f^k,
 
@@ -212,10 +211,8 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     finite = not math.isinf(config.alpha)
     inv_alpha = 1.0 / config.alpha if finite else 0.0
 
-    current = start.stack()
-    current = np.array(current)  # private writeable copy
-    point = start
-    f = objective(problem, point)
+    current = start.stack()  # a fresh array, updated in place
+    f = objective(problem, start)
     obj_trace = [f]
     change_trace = []
     change_sq_trace = []
@@ -224,47 +221,41 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     stagnant = 0
 
     for k in range(1, int(config.max_iter) + 1):
-        prev = current.copy()
+        gain = 0.0
+        change_sq = 0.0
+        change_sum = 0.0
         for i in range(m):
-            b = stilde[slices[i]] @ current
-            if finite:
-                b += inv_alpha * current[slices[i]]
-            p, _, qt = np.linalg.svd(b, full_matrices=False)
-            current[slices[i]] = p @ qt
-        diffs = [
-            float(np.linalg.norm(current[slices[i]] - prev[slices[i]])) for i in range(m)
-        ]
-        mean_change = sum(diffs) / m
-        change_sq = sum(d * d for d in diffs)
-        point = BlockOrthogonal([np.array(current[slices[i]]) for i in range(m)])
-        f_new = objective(problem, point)
+            rows = slices[i]
+            g = stilde[rows] @ current
+            b = g + inv_alpha * current[rows] if finite else g
+            new = polar_project(b)
+            delta = new - current[rows]
+            current[rows] = new
+            gain += float(np.sum(delta * g))
+            diff = float(np.linalg.norm(delta))
+            change_sum += diff
+            change_sq += diff * diff
+        mean_change = change_sum / m
         iterations = k
 
         if finite:
-            slack = config.monotonicity_slack * (1.0 + abs(f))
-            if f_new < f - slack:
+            if gain < -_MONOTONE_SLACK * (1.0 + abs(f)):
                 raise InternalError(
-                    f"objective decreased from {f!r} to {f_new!r} at cycle {k} "
+                    f"objective decreased by {-gain!r} from {f!r} at cycle {k} "
                     f"with finite alpha={config.alpha}; this is a bug"
                 )
-            descent_gap = 0.5 * inv_alpha * change_sq - (f_new - f)
-            if descent_gap > 1e-10 * (1.0 + abs(f_new)):
+            descent_gap = 0.5 * inv_alpha * change_sq - gain
+            if descent_gap > 1e-10 * (1.0 + abs(f + gain)):
                 raise InternalError(
                     f"descent inequality violated by {descent_gap:.3e} at cycle {k}; "
                     f"this is a bug"
                 )
 
-        if config.record_history:
-            obj_trace.append(f_new)
-            change_trace.append(mean_change)
-            change_sq_trace.append(change_sq)
-        else:
-            obj_trace = [obj_trace[0], f_new]
-            change_trace = [mean_change]
-            change_sq_trace = [change_sq]
-
-        stagnant = stagnant + 1 if abs(f_new - f) < _STAGNATION_EPS else 0
-        f = f_new
+        f += gain
+        obj_trace.append(f)
+        change_trace.append(mean_change)
+        change_sq_trace.append(change_sq)
+        stagnant = stagnant + 1 if abs(gain) < _STAGNATION_EPS else 0
         if mean_change < config.tol:
             stop = StopReason.CONVERGED
             break
@@ -272,6 +263,7 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
             stop = StopReason.STAGNATED
             break
 
+    point = BlockOrthogonal([current[rows] for rows in slices])
     return SolveReport(
         solution=point,
         objective_trace=tuple(obj_trace),
@@ -333,13 +325,10 @@ def oscillation_demo() -> OscillationTrace:
         if abs(val - 2.0) > 1e-12:
             raise InternalError(f"cycle objective is {val!r} at state {k}, expected 2")
         objectives.append(val)
-        work = [np.array(b) for b in state]
+        work = list(state)
         target = states[(k + 1) % len(states)]
         for i in range(3):
-            b = np.zeros((3, 2))
-            for j in range(3):
-                if j != i:
-                    b += problem.coupling(i, j) @ work[j]
+            b = _cross_sums(problem, work)[i]
             nuclear = float(np.sum(np.linalg.svd(b, compute_uv=False)))
             attained = float(np.sum(target[i] * b))
             gap = abs(attained - nuclear)

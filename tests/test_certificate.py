@@ -100,6 +100,24 @@ class TestReducedCertificate:
         red_eigs = np.sort(np.linalg.eigvalsh(reduced_certificate(hard_problem, point)))
         assert_allclose(full_eigs[2:], red_eigs, atol=1e-10)
 
+    def test_accepts_point_orthonormal_only_to_load_tolerance(self):
+        # A solver output perturbed by 1e-6 is loadable (orthonormality
+        # error 6.8e-6) and certify accepts it; the reduced test must too.
+        prob, _ = synth_procrustes(6, 50, 10, 3, 1.0, 1)
+        solution = solve(prob, SolverConfig(init="spectral")).solution
+        rng = np.random.default_rng(0)
+        point = BlockOrthogonal(
+            [b + 1e-6 * rng.standard_normal(b.shape) for b in solution.blocks],
+            orth_tol=1e-4,
+        )
+        assert point.orthonormality_error() > 1e-6
+        report = certify(prob, point)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="certificate null identity")
+            reduced = reduced_certificate(prob, point)
+        scale = 1e-9 * (1.0 + np.linalg.norm(certificate_matrix(prob, point)))
+        assert abs(np.linalg.eigvalsh(reduced)[0] - report.lmin_reduced) <= scale
+
 
 class TestCertify:
     def test_hard_optimum_certified(self, hard_problem):

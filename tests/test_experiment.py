@@ -6,7 +6,7 @@ import pytest
 
 from otsm.builders import synth_procrustes
 from otsm.certificate import Verdict, certify
-from otsm.core import ValidationError
+from otsm.core import InternalError, ValidationError
 from otsm.experiment import (
     CSV_HEADER,
     CellResult,
@@ -73,6 +73,22 @@ class TestRunGrid:
             assert cell.failure_count == 0
             assert 0.0 <= cell.certified_fraction <= 1.0
             assert cell.mean_iterations <= 2000
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(problem, config):
+            raise InternalError("audit fired")
+
+        monkeypatch.setattr("otsm.experiment.solve", broken)
+        with pytest.raises(InternalError, match="audit fired"):
+            run_grid(ExperimentGrid(**SMALL))
+
+    def test_rejected_data_is_tallied(self, monkeypatch):
+        def rejecting(problem, config):
+            raise ValidationError("bad instance")
+
+        monkeypatch.setattr("otsm.experiment.solve", rejecting)
+        for cell in run_grid(ExperimentGrid(**SMALL)):
+            assert cell.failure_count == cell.total_reps == 3
 
     def test_single_rep_single_init(self):
         grid = ExperimentGrid(
@@ -143,7 +159,7 @@ class TestRunGrid:
             seed = _derived_seed(3, 4, 10.0, rep)
             problem, _ = synth_procrustes(3, 20, 4, 2, 10.0, seed)
             reports = {
-                init: solve(problem, SolverConfig(init=init, record_history=False))
+                init: solve(problem, SolverConfig(init=init))
                 for init in ("identity", "spectral")
             }
             verdicts = {

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import I32, J32, make_hard_problem, random_problem
+from conftest import I32, J32, make_hard_problem, random_point, random_problem
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -45,8 +47,6 @@ class TestConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValidationError):
             SolverConfig(init="random")
-        with pytest.raises(ValidationError):
-            SolverConfig(monotonicity_slack=-1e-9)
 
 
 class TestInit:
@@ -186,13 +186,62 @@ class TestSolve:
         assert report.stop_reason is StopReason.MAX_ITER
         assert report.iterations == 5
 
-    def test_record_history_off_keeps_endpoints(self, hard_problem):
-        full = solve(hard_problem, SolverConfig(init="spectral"))
-        lean = solve(hard_problem, SolverConfig(init="spectral", record_history=False))
-        assert lean.objective == full.objective
-        assert len(lean.objective_trace) == 2
-        assert len(lean.mean_change_trace) == 1
-        assert lean.objective_trace[0] == full.objective_trace[0]
+
+@st.composite
+def sparse_instances(draw):
+    """Random problem (some pairs absent, D <= 60) and a random start."""
+    m = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.integers(1, 10), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    density = draw(st.sampled_from((0.3, 0.6, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = random_problem(rng, dims, r, scale=scale, density=density)
+    return prob, random_point(rng, prob)
+
+
+_PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestSweepAgainstPerPair:
+    @_PROPERTY
+    @given(sparse_instances(), st.sampled_from((1.0, 1000.0)))
+    def test_one_cycle_matches_successive_step_block(self, instance, alpha):
+        # The solver's sweep reads G_i from the assembled matrix; step_block
+        # sums only the stored pairs.  One cycle is m successive block steps.
+        prob, start = instance
+        report = solve(prob, SolverConfig(alpha=alpha, init=start, max_iter=1))
+        blocks = list(start.blocks)
+        for i in range(prob.dims.m):
+            blocks[i] = step_block(prob, BlockOrthogonal(blocks), i, alpha=alpha)
+        for got, want in zip(report.solution.blocks, blocks):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @_PROPERTY
+    @given(sparse_instances(), st.sampled_from(("identity", "spectral", "random")))
+    def test_accumulated_objective_matches_recomputation(self, instance, init):
+        prob, start = instance
+        config = SolverConfig(init=start if init == "random" else init, max_iter=300)
+        report = solve(prob, config)
+        f = objective(prob, report.solution)
+        assert abs(report.objective_trace[-1] - f) <= 1e-12 * (1.0 + abs(f))
+
+    def test_objective_evaluated_once_per_solve(self, hard_problem, monkeypatch):
+        import otsm.solver
+
+        calls = []
+
+        def counted(problem, point):
+            calls.append(point)
+            return objective(problem, point)
+
+        monkeypatch.setattr(otsm.solver, "objective", counted)
+        report = solve(hard_problem, SolverConfig(init="spectral"))
+        assert report.iterations > 1
+        assert len(calls) == 1
+        assert report.objective_trace[0] == objective(hard_problem, calls[0])
 
 
 class TestSolveAudits:
