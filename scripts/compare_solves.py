@@ -1,4 +1,4 @@
-"""Compare `solve` between two source trees of otsm, run for run.
+"""Compare `solve` and `certify` between two source trees of otsm, run for run.
 
 Usage::
 
@@ -6,8 +6,9 @@ Usage::
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<tree>``), which
 solves a fixed corpus and writes every result to an ``.npz`` file; the two
-files are then compared.  The corpus is the benchmark's solve inputs plus
-the solves of the acceptance tests:
+files are then compared.  Every solution is certified on the problem object
+it was solved on, as the benchmark and the grid do.  The corpus is the
+benchmark's solve inputs plus the solves of the acceptance tests:
 
 * align_dense input 0: ``synth_procrustes(10, 100, 200, 3, 1.0, 0)`` from
   ``init_spectral``;
@@ -21,9 +22,14 @@ the solves of the acceptance tests:
   finite-alpha solve from ``(I, J, I)``.
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
-``iterations`` and ``stop_reason`` are equal, and its objective trace has
-the same length and agrees elementwise within ``1e-12 * (1 + |f|)``.  The
-script prints the largest trace difference and exits 1 on any mismatch.
+``iterations`` and ``stop_reason`` are equal, its objective trace has the
+same length and agrees elementwise within ``1e-12 * (1 + |f|)``, and its
+certificate has equal ``verdict``, ``taus``, ``lmin_full`` and
+``lmin_reduced`` and a ``dual_bound`` and ``tol_psd`` within ``1e-13``
+relative.  Those two read the extreme eigenvalues of the coupling matrix,
+which may come from ``eigh`` in one tree and ``eigvalsh`` in the other and
+then agree only to rounding.  The script prints the largest trace and
+certificate differences and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ import tempfile
 import numpy as np
 
 TRACE_REL = 1e-12
+SPECTRAL_REL = 1e-13
+#: Certificate fields compared within SPECTRAL_REL; the others must be equal.
+SPECTRAL_FIELDS = ("dual_bound", "tol_psd")
+CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
 
 
 def _corpus():
@@ -99,7 +109,8 @@ def _corpus():
 
 
 def dump(path):
-    """Solve the corpus with the otsm on sys.path and save every result."""
+    """Solve and certify the corpus with the otsm on sys.path and save every result."""
+    from otsm.certificate import certify
     from otsm.solver import solve
 
     arrays = {}
@@ -109,6 +120,10 @@ def dump(path):
         arrays[f"{label}|trace"] = np.array(report.objective_trace)
         arrays[f"{label}|iterations"] = np.array(report.iterations)
         arrays[f"{label}|stop"] = np.array(report.stop_reason.value)
+        cert = certify(problem, report.solution)
+        for field in CERT_FIELDS:
+            value = getattr(cert, field)
+            arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
     np.savez(path, **arrays)
 
 
@@ -124,6 +139,7 @@ def compare(base, new) -> list[str]:
     if set(base.files) != set(new.files):
         return [f"different runs: {sorted(set(base.files) ^ set(new.files))}"]
     worst = 0.0
+    worst_spectral = 0.0
     for key in sorted(base.files):
         label, what = key.rsplit("|", 1)
         a, b = base[key], new[key]
@@ -135,11 +151,17 @@ def compare(base, new) -> list[str]:
             worst = max(worst, float(rel.max()))
             if rel.max() > TRACE_REL:
                 found.append(f"{label}: trace differs by {rel.max():.3e} (rel)")
+        elif what in SPECTRAL_FIELDS:
+            rel = float(abs(a - b) / max(abs(a), abs(b))) if a != b else 0.0
+            worst_spectral = max(worst_spectral, rel)
+            if rel > SPECTRAL_REL:
+                found.append(f"{label}: {what} differs by {rel:.3e} (rel)")
         elif not np.array_equal(a, b):
             found.append(f"{label}: {what} differs")
-    runs = len(base.files) // 4
+    runs = sum(1 for key in base.files if key.endswith("|trace"))
     print(f"{runs} runs compared; largest objective trace difference "
-          f"{worst:.3e} relative to 1 + |f|")
+          f"{worst:.3e} relative to 1 + |f|; largest dual_bound/tol_psd "
+          f"difference {worst_spectral:.3e} relative")
     return found
 
 

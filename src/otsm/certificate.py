@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     ValidationError,
     _check_match,
+    _spectrum,
     assemble_stilde,
     lagrange_multipliers,
     objective,
@@ -184,17 +185,23 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     converged to mean-change ``tol`` it absorbs the O(tol)-scale
     eigenvalue error of the approximate point.
 
-    Cost: ``stilde`` is assembled once and three dense symmetric
-    eigenvalue problems are solved, one each for ``stilde`` (its extreme
-    eigenvalues give ``||stilde||_2`` and the dual bound), L* and L*
-    deflated on the stacked point (for ``lmin_reduced``).  No SVD or
-    complete QR of a D x D matrix is formed.
+    Cost: ``stilde`` is assembled once and two dense symmetric eigenvalue
+    problems are solved, one each for L* and L* deflated on the stacked
+    point (for ``lmin_reduced``).  The extreme eigenvalues of ``stilde``
+    (``||stilde||_2`` and the dual bound) come from the spectrum memoized
+    on the problem; on a fresh problem this call fills it with one
+    ``eigvalsh(stilde)``, a third dense problem.  After
+    :func:`otsm.solver.init_spectral` or a spectral ``solve`` on the same
+    problem the memo holds ``eigh`` eigenvalues, which agree with
+    ``eigvalsh`` only to rounding, so ``tol_psd`` and ``dual_bound`` may
+    differ in the last digits from a certificate on a fresh problem.  No
+    SVD or complete QR of a D x D matrix is formed.
     """
     _check_match(problem, point)
     lams, lams_sym, taus = _symmetrized_multipliers(problem, point)
     asymmetry = max(float(np.linalg.norm(lam - lam.T)) for lam in lams)
     stilde = assemble_stilde(problem)
-    s_eigs = np.linalg.eigvalsh(stilde)
+    s_eigs, _ = _spectrum(problem, stilde=stilde)
     full = _certificate_from(stilde, point, lams_sym, taus)
     lmin_full = float(np.linalg.eigvalsh(full)[0])
 
@@ -246,6 +253,11 @@ def dual_upper_bound(problem) -> float:
     (Z = lambda_max * I, M = 0) via weak duality; no iterative SDP solve
     is involved.  Valid for every feasible point, whether or not the
     problem has been solved.
+
+    ``lambda_max`` is read from the spectrum memoized on the problem, so
+    this equals ``certify(problem, point).dual_bound`` in either call
+    order; on a fresh problem this call fills the memo with one
+    ``eigvalsh(stilde)``.  After a spectral start the memo holds ``eigh``
+    eigenvalues, which agree with ``eigvalsh`` only to rounding.
     """
-    lam_max = float(np.linalg.eigvalsh(assemble_stilde(problem))[-1])
-    return _dual_bound(problem.dims, lam_max)
+    return _dual_bound(problem.dims, float(_spectrum(problem)[0][-1]))

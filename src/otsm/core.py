@@ -15,6 +15,7 @@ certificates, builders) is written against these primitives.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -97,8 +98,11 @@ class OtsmProblem:
 
     Only the upper-triangular couplings ``S_ij`` with ``i < j`` are stored;
     ``S_ji`` is always ``S_ij^T`` by construction and pairs that are absent
-    from the map are implicit zero matrices.  Instances are immutable after
-    construction and safe to share.
+    from the map are implicit zero matrices.  The coupling data is immutable
+    after construction and instances are safe to share.  The spectrum of the
+    assembled coupling matrix is memoized on the instance by the first call
+    that needs it (see :func:`otsm.solver.init_spectral` and
+    :func:`otsm.certificate.certify`).
 
     Parameters
     ----------
@@ -108,7 +112,7 @@ class OtsmProblem:
         Zero-based pairs with ``i < j``; entry shape must be ``d_i x d_j``.
     """
 
-    __slots__ = ("dims", "sblocks")
+    __slots__ = ("dims", "sblocks", "_spectrum")
 
     def __init__(self, dims, sblocks):
         if not isinstance(dims, BlockDims):
@@ -135,6 +139,7 @@ class OtsmProblem:
             clean[(i, j)] = a
         self.dims = dims
         self.sblocks = MappingProxyType(clean)
+        self._spectrum = None
 
     def coupling(self, i, j):
         """Return the coupling between blocks i and j (i != j), as an array.
@@ -271,6 +276,47 @@ def assemble_stilde(problem) -> np.ndarray:
         full[off[i] : off[i + 1], off[j] : off[j + 1]] = s
         full[off[j] : off[j + 1], off[i] : off[i + 1]] = s.T
     return full
+
+
+_SPECTRUM_LOCK = threading.Lock()
+
+
+def _spectrum(problem, vectors=False, stilde=None):
+    """The memoized spectrum of the assembled coupling matrix.
+
+    Returns ``(eigenvalues, top)``: the eigenvalues of ``stilde`` in
+    ascending order and, once some call has asked for ``vectors``, a
+    ``D x r`` copy of the eigenvectors of the ``r`` largest eigenvalues,
+    largest first (``None`` before that).  Both arrays are read-only.
+    The first call computes them, with ``eigh`` when ``vectors`` is true
+    and ``eigvalsh`` otherwise, from ``stilde`` if the caller has
+    assembled it and from a fresh assembly otherwise.  Stored eigenvalues
+    are never replaced, so every later reader sees the same values;
+    eigenvectors are added by the first call that needs them.  A failed
+    decomposition raises ``numpy.linalg.LinAlgError`` and stores nothing.
+    The ``D x D`` eigenvector matrix is never kept.
+    """
+    memo = problem._spectrum
+    if memo is not None and (memo[1] is not None or not vectors):
+        return memo
+    if stilde is None:
+        stilde = assemble_stilde(problem)
+    if vectors:
+        vals, vecs = np.linalg.eigh(stilde)
+        top = vecs[:, ::-1][:, : problem.dims.r].copy()
+    else:
+        vals, top = np.linalg.eigvalsh(stilde), None
+    with _SPECTRUM_LOCK:
+        memo = problem._spectrum
+        if memo is not None:
+            vals = memo[0]
+            if top is None:
+                top = memo[1]
+        for a in (vals, top):
+            if a is not None:
+                a.flags.writeable = False
+        problem._spectrum = (vals, top)
+        return problem._spectrum
 
 
 def objective(problem, point) -> float:

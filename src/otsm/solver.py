@@ -14,6 +14,7 @@ classical ascent, which may oscillate (see :func:`oscillation_demo`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ from .core import (
     StationarityReport,
     ValidationError,
     _cross_sums,
+    _spectrum,
     assemble_stilde,
     objective,
     polar_project,
@@ -51,6 +53,11 @@ _STAGNATION_CYCLES = 10
 _MONOTONE_SLACK = 1e-12
 
 
+def _is_real(value) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class StopReason(Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
@@ -63,7 +70,8 @@ class SolverConfig:
 
     alpha is the proximity constant; ``math.inf`` is accepted as an
     explicit request for the unsafe classical mode with no proximal term.
-    Stopping: the solver stops once the mean block change over a full
+    ``alpha`` and ``tol`` are ints or floats (not bools) and ``max_iter``
+    is an integer (not a bool).  Stopping: the solver stops once the mean block change over a full
     cycle, (1/m) sum_i ||O_i^k - O_i^(k-1)||_F, falls below ``tol``, or
     after ``max_iter`` cycles.  ``init`` is "identity", "spectral", or a
     custom BlockOrthogonal starting point.
@@ -75,12 +83,16 @@ class SolverConfig:
     init: str | BlockOrthogonal = "identity"
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and self.alpha > 0):
+        if not (_is_real(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive (or inf), got {self.alpha!r}")
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0):
+        if not (_is_real(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
-        if int(self.max_iter) < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (
+            isinstance(self.max_iter, numbers.Integral)
+            and not isinstance(self.max_iter, bool)
+            and self.max_iter >= 1
+        ):
+            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not isinstance(self.init, BlockOrthogonal) and self.init not in (
             "identity",
             "spectral",
@@ -127,10 +139,19 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     The D x r eigenvector matrix is split row-wise into blocks and each
     block is polar-projected onto the orthonormal set.  Eigensolver
     failures propagate as ``numpy.linalg.LinAlgError``.
+
+    The first spectral start on a problem runs one dense ``eigh`` of
+    ``stilde`` and keeps, on the problem, its ascending eigenvalues and a
+    D x r copy of the top-r eigenvectors (not the D x D eigenvector
+    matrix); later starts, :func:`otsm.certificate.certify` and
+    :func:`otsm.certificate.dual_upper_bound` on the same problem read
+    them and decompose nothing.  If ``certify`` or ``dual_upper_bound``
+    ran first, their ``eigvalsh`` eigenvalues stay and only the vectors
+    are added; ``eigh`` and ``eigvalsh`` eigenvalues agree only to
+    rounding.
     """
     dims = problem.dims
-    _, vecs = np.linalg.eigh(assemble_stilde(problem))
-    top = vecs[:, ::-1][:, : dims.r]
+    _, top = _spectrum(problem, vectors=True)
     off = dims.offsets()
     return BlockOrthogonal(
         [polar_project(top[off[i] : off[i + 1]]) for i in range(dims.m)]
@@ -192,22 +213,26 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     """
     if config is None:
         config = SolverConfig()
-    if isinstance(config.init, BlockOrthogonal):
-        if config.init.dims != problem.dims:
-            raise ValidationError(
-                f"custom init dims {config.init.dims} do not match problem {problem.dims}"
-            )
+    custom = isinstance(config.init, BlockOrthogonal)
+    if custom and config.init.dims != problem.dims:
+        raise ValidationError(
+            f"custom init dims {config.init.dims} do not match problem {problem.dims}"
+        )
+    stilde = assemble_stilde(problem)
+    if custom:
         start = config.init
     elif config.init == "identity":
         start = init_identity(problem.dims)
     else:
+        # Fill the spectrum memo from this stilde, so that init_spectral
+        # assembles no second copy.
+        _spectrum(problem, vectors=True, stilde=stilde)
         start = init_spectral(problem)
 
     dims = problem.dims
     m = dims.m
     off = dims.offsets()
     slices = [slice(off[i], off[i + 1]) for i in range(m)]
-    stilde = assemble_stilde(problem)
     finite = not math.isinf(config.alpha)
     inv_alpha = 1.0 / config.alpha if finite else 0.0
 

@@ -8,6 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import otsm.certificate
+import otsm.core
+import otsm.solver
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
 from otsm.builders import synth_procrustes
 from otsm.core import (
@@ -26,7 +29,7 @@ from otsm.certificate import (
     dual_upper_bound,
     reduced_certificate,
 )
-from otsm.solver import SolverConfig, solve
+from otsm.solver import SolverConfig, init_spectral, solve
 
 
 def sign_problem(rng, m, scale=1.0):
@@ -197,28 +200,105 @@ class TestCertifyAgainstReference:
         assert report.tol_psd == pytest.approx(expected_tol, rel=1e-12)
 
 
-def test_certify_dense_linalg_calls(monkeypatch):
-    """certify runs three dense eigvalsh calls and no dense SVD, QR or norm."""
-    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
-    point = solve(prob, SolverConfig(init="spectral")).solution
-    side = prob.dims.total_dim - prob.dims.r
-    dense = Counter()
+def fresh_copy(prob):
+    """A new problem object with the same data and nothing memoized."""
+    return OtsmProblem(prob.dims, prob.sblocks)
 
-    def counted(name, fn):
+
+def count_dense_work(monkeypatch, prob):
+    """Count dense numpy.linalg calls on prob's D x D matrices and S-tilde assemblies."""
+    side = prob.dims.total_dim - prob.dims.r
+    work = Counter()
+
+    def counted(name, fn, dense_only=True):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
             outs = out if isinstance(out, tuple) else (out,)
             arrays = [a for a in args + outs if isinstance(a, np.ndarray) and a.ndim >= 2]
-            if any(min(a.shape[-2:]) >= side for a in arrays):
-                dense[name] += 1
+            if not dense_only or any(min(a.shape[-2:]) >= side for a in arrays):
+                work[name] += 1
             return out
 
         return wrapper
 
     for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assemble = counted("assemble_stilde", assemble_stilde, dense_only=False)
+    for module in (otsm.core, otsm.solver, otsm.certificate):
+        monkeypatch.setattr(module, "assemble_stilde", assemble)
+    return work
+
+
+def test_certify_dense_linalg_calls(monkeypatch):
+    """On a fresh problem certify runs three dense eigvalsh calls and no SVD, QR or norm."""
+    solved, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = solve(solved, SolverConfig(init="spectral")).solution
+    prob = fresh_copy(solved)
+    work = count_dense_work(monkeypatch, prob)
     certify(prob, point)
-    assert dense == Counter(eigvalsh=3)
+    assert work == Counter(eigvalsh=3, assemble_stilde=1)
+
+
+def test_certify_dense_linalg_calls_after_spectral_solve(monkeypatch):
+    """After a spectral solve certify reuses its spectrum: two dense eigvalsh calls."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    work = count_dense_work(monkeypatch, prob)
+    certify(prob, point)
+    assert work == Counter(eigvalsh=2, assemble_stilde=1)
+
+
+def test_spectral_pipeline_dense_work(monkeypatch):
+    """Spectral solve, certify and dual bound share one eigh and one assembly each."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    work = count_dense_work(monkeypatch, prob)
+    report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
+    assert dual_upper_bound(prob) == report.dual_bound
+    assert work == Counter(eigh=1, eigvalsh=2, assemble_stilde=2)
+
+
+class TestSpectrumMemo:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances())
+    def test_warm_problem_certifies_as_fresh(self, instance):
+        prob, point = instance
+        fresh, bound_first, warm = (fresh_copy(prob) for _ in range(3))
+        cold = certify(fresh, point)
+        assert cold.dual_bound == dual_upper_bound(fresh)
+        bound = dual_upper_bound(bound_first)
+        assert certify(bound_first, point).dual_bound == bound
+
+        start = init_spectral(warm)
+        hot = certify(warm, point)
+        assert hot.dual_bound == dual_upper_bound(warm)
+        assert hot.verdict is cold.verdict
+        assert hot.taus == cold.taus
+        assert hot.lmin_full == cold.lmin_full
+        assert hot.lmin_reduced == cold.lmin_reduced
+        assert hot.dual_bound == pytest.approx(cold.dual_bound, rel=1e-13)
+        assert hot.tol_psd == pytest.approx(cold.tol_psd, rel=1e-13)
+        again = init_spectral(warm)
+        for a, b in zip(start.blocks, again.blocks):
+            assert np.array_equal(a, b)
+
+    def test_failed_eigh_stores_nothing(self, monkeypatch):
+        prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+        expected = init_spectral(fresh_copy(prob))
+        eigh = np.linalg.eigh
+
+        def fail_once(*args, **kwargs):
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_once)
+        with pytest.raises(np.linalg.LinAlgError):
+            init_spectral(prob)
+        assert prob._spectrum is None
+        retry = init_spectral(prob)
+        for a, b in zip(retry.blocks, expected.blocks):
+            assert np.array_equal(a, b)
 
 
 class TestDualBound:

@@ -48,6 +48,24 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SolverConfig(init="random")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iter": "5"},
+            {"max_iter": 2.7},
+            {"max_iter": 5.0},
+            {"max_iter": True},
+            {"alpha": True},
+            {"tol": True},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            SolverConfig(**bad)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
+
 
 class TestInit:
     def test_identity_blocks(self):
