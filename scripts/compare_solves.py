@@ -28,8 +28,14 @@ certificate has equal ``verdict``, ``taus``, ``lmin_full`` and
 ``lmin_reduced`` and a ``dual_bound`` and ``tol_psd`` within ``1e-13``
 relative.  Those two read the extreme eigenvalues of the coupling matrix,
 which may come from ``eigh`` in one tree and ``eigvalsh`` in the other and
-then agree only to rounding.  The script prints the largest trace and
-certificate differences and exits 1 on any mismatch.
+then agree only to rounding.
+
+A second pass runs the acceptance grid through ``run_grid`` in each tree
+and requires every field of every ``CellResult`` to be equal (floats
+exactly, NaN equal to NaN).  A tree whose ``CellResult`` has no
+``failure_reasons`` field counts as having none, which matches only when
+no rep failed.  The script prints the largest trace and certificate
+differences and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
 SPECTRAL_FIELDS = ("dual_bound", "tol_psd")
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
+#: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
+GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 
 
 def _corpus():
@@ -108,8 +116,21 @@ def _corpus():
         yield f"sign/{k}", problem, SolverConfig(init="spectral")
 
 
+def _grid_cells():
+    """Yield (label, fields) for every CellResult of the acceptance grid."""
+    import dataclasses
+
+    from otsm.experiment import ExperimentGrid, run_grid
+
+    for cell in run_grid(ExperimentGrid(**GRID)):
+        fields = dataclasses.asdict(cell)
+        fields.setdefault("failure_reasons", ())
+        yield f"run_grid/{cell.d}/{cell.sigma}/{cell.init}", fields
+
+
 def dump(path):
-    """Solve and certify the corpus with the otsm on sys.path and save every result."""
+    """Solve and certify the corpus and run the acceptance grid with the otsm on
+    sys.path, and save every result."""
     from otsm.certificate import certify
     from otsm.solver import solve
 
@@ -124,6 +145,9 @@ def dump(path):
         for field in CERT_FIELDS:
             value = getattr(cert, field)
             arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
+    for label, fields in _grid_cells():
+        for field, value in fields.items():
+            arrays[f"{label}|{field}"] = np.array(value)
     np.savez(path, **arrays)
 
 
@@ -156,12 +180,13 @@ def compare(base, new) -> list[str]:
             worst_spectral = max(worst_spectral, rel)
             if rel > SPECTRAL_REL:
                 found.append(f"{label}: {what} differs by {rel:.3e} (rel)")
-        elif not np.array_equal(a, b):
+        elif not np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f"):
             found.append(f"{label}: {what} differs")
     runs = sum(1 for key in base.files if key.endswith("|trace"))
+    cells = sum(1 for key in base.files if key.endswith("|init"))
     print(f"{runs} runs compared; largest objective trace difference "
           f"{worst:.3e} relative to 1 + |f|; largest dual_bound/tol_psd "
-          f"difference {worst_spectral:.3e} relative")
+          f"difference {worst_spectral:.3e} relative; {cells} run_grid cells compared")
     return found
 
 

@@ -99,6 +99,8 @@ def _read_json(path, kind):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{kind} file {path}: malformed JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{kind} file {path}: not UTF-8 text: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -123,6 +125,15 @@ def _as_matrix_field(value, path, kind, field):
     if arr.ndim != 2:
         raise _bad_field(path, kind, field, f"expected a matrix, got ndim={arr.ndim}")
     return arr
+
+
+def _dims_field(raw, path):
+    """The problem file's ``dims``: a non-empty list of integers."""
+    if not isinstance(raw["dims"], list) or not raw["dims"]:
+        raise _bad_field(path, "problem", "dims", "expected a non-empty list")
+    return tuple(
+        _as_int(d, path, "problem", f"dims[{k}]") for k, d in enumerate(raw["dims"])
+    )
 
 
 def load_problem(path) -> OtsmProblem:
@@ -156,10 +167,7 @@ def load_problem(path) -> OtsmProblem:
             for k, v in enumerate(views_raw)
         )
         if "dims" in raw:
-            dims_given = tuple(
-                _as_int(d, path, "problem", f"dims[{k}]")
-                for k, d in enumerate(raw["dims"])
-            )
+            dims_given = _dims_field(raw, path)
             widths = tuple(v.shape[1] for v in views)
             if dims_given != widths:
                 raise _bad_field(
@@ -175,11 +183,7 @@ def load_problem(path) -> OtsmProblem:
 
     if "dims" not in raw:
         raise _bad_field(path, "problem", "dims", "required field is missing")
-    if not isinstance(raw["dims"], list) or not raw["dims"]:
-        raise _bad_field(path, "problem", "dims", "expected a non-empty list")
-    dims_list = tuple(
-        _as_int(d, path, "problem", f"dims[{k}]") for k, d in enumerate(raw["dims"])
-    )
+    dims_list = _dims_field(raw, path)
     entries = raw["S"]
     if not isinstance(entries, list):
         raise _bad_field(path, "problem", "S", "expected a list of coupling entries")

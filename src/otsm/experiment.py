@@ -22,7 +22,7 @@ from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
 from .core import ValidationError
-from .solver import SolverConfig, StopReason, solve
+from .solver import SolverConfig, StopReason, _solve_batch, init_identity, init_spectral
 
 __all__ = [
     "ExperimentGrid",
@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _KNOWN_INITS = ("identity", "spectral")
+
+#: Bytes of assembled coupling matrices that one batch of a cell may hold;
+#: a cell whose reps need more is swept in several batches.
+_BATCH_STILDE_BYTES = 4 * 2**20
 
 #: Column order of the exported CSV, one row per (cell, init).
 CSV_HEADER = (
@@ -136,6 +140,8 @@ class CellResult:
     ``objective_gap_records`` holds, for every rep this strategy left
     uncertified, the objective attained by the other strategy minus this
     one's (positive means the other initialization found a better point).
+    ``failure_reasons`` holds one ``"Type: message"`` string per failed
+    rep, in rep order; it is not exported to the CSV.
     """
 
     d: int
@@ -149,6 +155,7 @@ class CellResult:
     mean_iterations: float
     mean_final_objective: float
     objective_gap_records: tuple[float, ...]
+    failure_reasons: tuple[str, ...] = ()
 
     @property
     def total_reps(self) -> int:
@@ -190,14 +197,21 @@ class _RepOutcome:
     iterations: int = 0
     final_objective: float = float("nan")
     converged: bool = False
+    reason: str = ""
 
 
-def _solve_and_certify(problem, init) -> _RepOutcome:
+def _failure(exc) -> _RepOutcome:
+    return _RepOutcome(ok=False, reason=f"{type(exc).__name__}: {exc}")
+
+
+def _outcome(problem, config, report) -> _RepOutcome:
+    """Certify a solve's report; with no report, solve the problem alone first."""
     try:
-        report = solve(problem, SolverConfig(init=init))
+        if report is None:
+            report = _solve_batch([problem], [config])[0]
         cert = certify(problem, report.solution)
-    except (ValidationError, np.linalg.LinAlgError):
-        return _RepOutcome(ok=False)
+    except (ValidationError, np.linalg.LinAlgError) as exc:
+        return _failure(exc)
     return _RepOutcome(
         ok=True,
         verdict=cert.verdict,
@@ -207,6 +221,35 @@ def _solve_and_certify(problem, init) -> _RepOutcome:
     )
 
 
+def _run_batch(grid, d, sigma, reps, per_init) -> None:
+    """Solve the given reps of one cell from every start as one batch.
+
+    Fills ``per_init[init][rep]``.  A start that fails is tallied and left
+    out of the batch; if the batch raises a data error, its problems are
+    solved again one at a time, so the error is tallied for its own rep.
+    """
+    runs = []
+    for rep in reps:
+        seed = _derived_seed(grid.base_seed, d, sigma, rep)
+        problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
+        for init in grid.init_strategies:
+            try:
+                if init == "spectral":
+                    start = init_spectral(problem)
+                else:
+                    start = init_identity(problem.dims)
+            except (ValidationError, np.linalg.LinAlgError) as exc:
+                per_init[init][rep] = _failure(exc)
+                continue
+            runs.append((rep, init, problem, SolverConfig(init=start)))
+    try:
+        reports = _solve_batch([run[2] for run in runs], [run[3] for run in runs])
+    except (ValidationError, np.linalg.LinAlgError):
+        reports = [None] * len(runs)
+    for (rep, init, problem, config), report in zip(runs, reports):
+        per_init[init][rep] = _outcome(problem, config, report)
+
+
 def _aggregate(d, sigma, init, outcomes, other_outcomes) -> CellResult:
     counts = {v: 0 for v in Verdict}
     failures = 0
@@ -214,9 +257,11 @@ def _aggregate(d, sigma, init, outcomes, other_outcomes) -> CellResult:
     iters = []
     finals = []
     gaps = []
+    reasons = []
     for rep, out in enumerate(outcomes):
         if not out.ok:
             failures += 1
+            reasons.append(out.reason)
             continue
         counts[out.verdict] += 1
         if not out.converged:
@@ -239,6 +284,7 @@ def _aggregate(d, sigma, init, outcomes, other_outcomes) -> CellResult:
         mean_iterations=float(np.mean(iters)) if iters else float("nan"),
         mean_final_objective=float(np.mean(finals)) if finals else float("nan"),
         objective_gap_records=tuple(gaps),
+        failure_reasons=tuple(reasons),
     )
 
 
@@ -248,24 +294,28 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     For every cell and rep, one instance is generated with a seed derived
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
-    instance.  A solve or certificate that rejects its data
-    (``ValidationError``) or whose decomposition fails (``LinAlgError``)
-    is tallied as a failure of its cell and does not abort the grid; an
+    instance.  A cell's reps x starts are swept as one batch (see
+    :func:`otsm.solver.solve`), split so that a batch's assembled coupling
+    matrices stay within a fixed memory budget; each result is identical
+    to solving that rep from that start alone.  A start, solve or
+    certificate that rejects its data (``ValidationError``) or whose
+    decomposition fails (``LinAlgError``) is tallied, with its reason, as
+    a failure of its own rep and does not abort the grid; an
     :class:`~otsm.core.InternalError` signals a bug and propagates.
     Results are ordered by grid position (d outermost, then sigma, then
     init), independent of execution order.
     """
     results = []
     for d in grid.d_values:
+        total = grid.m * d
+        per_batch = max(1, _BATCH_STILDE_BYTES // (8 * total * total))
         for sigma in grid.sigma_values:
             per_init: dict[str, list[_RepOutcome]] = {
-                init: [] for init in grid.init_strategies
+                init: [None] * grid.reps for init in grid.init_strategies
             }
-            for rep in range(grid.reps):
-                seed = _derived_seed(grid.base_seed, d, sigma, rep)
-                problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
-                for init in grid.init_strategies:
-                    per_init[init].append(_solve_and_certify(problem, init))
+            for first in range(0, grid.reps, per_batch):
+                reps = range(first, min(first + per_batch, grid.reps))
+                _run_batch(grid, d, sigma, reps, per_init)
             for init in grid.init_strategies:
                 others = [s for s in grid.init_strategies if s != init]
                 other_outcomes = per_init[others[0]] if others else None

@@ -163,15 +163,20 @@ def step_block(problem, point, i, alpha=1000.0):
 
     Returns the new d_i x r block; ``alpha=math.inf`` drops the proximal
     term, in which case B may be rank deficient and the maximizer is not
-    unique (the deterministic SVD completion is returned).
+    unique (the deterministic SVD completion is returned).  ``i`` is an
+    integer (not a bool) and ``alpha`` an int or float (not a bool).
     """
     if problem.dims != point.dims:
         raise ValidationError(
             f"point dims {point.dims} do not match problem dims {problem.dims}"
         )
-    if not 0 <= i < problem.dims.m:
-        raise ValidationError(f"block index {i} out of range for m={problem.dims.m}")
-    if not alpha > 0:
+    if not (
+        isinstance(i, numbers.Integral)
+        and not isinstance(i, bool)
+        and 0 <= i < problem.dims.m
+    ):
+        raise ValidationError(f"block index {i!r} out of range for m={problem.dims.m}")
+    if not (_is_real(alpha) and alpha > 0):
         raise ValidationError(f"alpha must be positive (or inf), got {alpha!r}")
     b = _cross_sums(problem, point.blocks)[i]
     if not math.isinf(alpha):
@@ -210,94 +215,181 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     because it indicates a bug, not bad data.  In the alpha = +inf mode
     these audits are skipped and a stagnation guard stops the loop when
     the objective freezes while the iterates keep moving (oscillation).
+
+    A solve is the batch of one of the sweep that
+    :func:`otsm.experiment.run_grid` runs over many same-shape problems at
+    once; a problem's result does not depend on the batch it is swept in.
     """
-    if config is None:
-        config = SolverConfig()
-    custom = isinstance(config.init, BlockOrthogonal)
-    if custom and config.init.dims != problem.dims:
-        raise ValidationError(
-            f"custom init dims {config.init.dims} do not match problem {problem.dims}"
-        )
-    stilde = assemble_stilde(problem)
-    if custom:
-        start = config.init
-    elif config.init == "identity":
-        start = init_identity(problem.dims)
-    else:
-        # Fill the spectrum memo from this stilde, so that init_spectral
-        # assembles no second copy.
-        _spectrum(problem, vectors=True, stilde=stilde)
-        start = init_spectral(problem)
+    return _solve_batch([problem], [config])[0]
 
-    dims = problem.dims
-    m = dims.m
-    off = dims.offsets()
-    slices = [slice(off[i], off[i + 1]) for i in range(m)]
-    finite = not math.isinf(config.alpha)
-    inv_alpha = 1.0 / config.alpha if finite else 0.0
 
-    current = start.stack()  # a fresh array, updated in place
-    f = objective(problem, start)
-    obj_trace = [f]
-    change_trace = []
-    change_sq_trace = []
-    stop = StopReason.MAX_ITER
-    iterations = 0
-    stagnant = 0
+def _start(problem, init, stilde):
+    """The starting point ``init`` asks for; ``stilde`` is the problem's assembly."""
+    if isinstance(init, BlockOrthogonal):
+        return init
+    if init == "identity":
+        return init_identity(problem.dims)
+    # Fill the spectrum memo from this stilde, so that init_spectral
+    # assembles no second copy.
+    _spectrum(problem, vectors=True, stilde=stilde)
+    return init_spectral(problem)
 
-    for k in range(1, int(config.max_iter) + 1):
-        gain = 0.0
-        change_sq = 0.0
-        change_sum = 0.0
-        for i in range(m):
-            rows = slices[i]
-            g = stilde[rows] @ current
-            b = g + inv_alpha * current[rows] if finite else g
-            new = polar_project(b)
-            delta = new - current[rows]
-            current[rows] = new
-            gain += float(np.sum(delta * g))
-            diff = float(np.linalg.norm(delta))
-            change_sum += diff
-            change_sq += diff * diff
-        mean_change = change_sum / m
-        iterations = k
 
-        if finite:
+class _Item:
+    """One problem of a batch: its settings, objective, traces and stop rules."""
+
+    __slots__ = ("position", "problem", "config", "finite", "inv_alpha", "srows", "f",
+                 "obj_trace", "change_trace", "change_sq_trace", "stagnant")
+
+    def __init__(self, position, problem, config, start, srows):
+        self.position = position  # in the batch's input lists
+        self.problem = problem
+        self.config = config
+        self.finite = not math.isinf(config.alpha)
+        self.inv_alpha = 1.0 / config.alpha if self.finite else 0.0
+        self.srows = srows
+        self.f = objective(problem, start)
+        self.obj_trace = [self.f]
+        self.change_trace = []
+        self.change_sq_trace = []
+        self.stagnant = 0
+
+    def advance(self, k, gain, mean_change, change_sq):
+        """Audit and record cycle k; return the stop reason once the item is done."""
+        f = self.f
+        if self.finite:
             if gain < -_MONOTONE_SLACK * (1.0 + abs(f)):
                 raise InternalError(
                     f"objective decreased by {-gain!r} from {f!r} at cycle {k} "
-                    f"with finite alpha={config.alpha}; this is a bug"
+                    f"with finite alpha={self.config.alpha}; this is a bug"
                 )
-            descent_gap = 0.5 * inv_alpha * change_sq - gain
+            descent_gap = 0.5 * self.inv_alpha * change_sq - gain
             if descent_gap > 1e-10 * (1.0 + abs(f + gain)):
                 raise InternalError(
                     f"descent inequality violated by {descent_gap:.3e} at cycle {k}; "
                     f"this is a bug"
                 )
+        self.f = f + gain
+        self.obj_trace.append(self.f)
+        self.change_trace.append(mean_change)
+        self.change_sq_trace.append(change_sq)
+        self.stagnant = self.stagnant + 1 if abs(gain) < _STAGNATION_EPS else 0
+        if mean_change < self.config.tol:
+            return StopReason.CONVERGED
+        if self.stagnant >= _STAGNATION_CYCLES:
+            return StopReason.STAGNATED
+        if k >= self.config.max_iter:
+            return StopReason.MAX_ITER
+        return None
 
-        f += gain
-        obj_trace.append(f)
-        change_trace.append(mean_change)
-        change_sq_trace.append(change_sq)
-        stagnant = stagnant + 1 if abs(gain) < _STAGNATION_EPS else 0
-        if mean_change < config.tol:
-            stop = StopReason.CONVERGED
-            break
-        if stagnant >= _STAGNATION_CYCLES:
-            stop = StopReason.STAGNATED
-            break
+    def report(self, point, iterations, stop) -> SolveReport:
+        return SolveReport(
+            solution=point,
+            objective_trace=tuple(self.obj_trace),
+            mean_change_trace=tuple(self.change_trace),
+            change_sq_trace=tuple(self.change_sq_trace),
+            iterations=iterations,
+            stop_reason=stop,
+            stationarity=stationarity(self.problem, point),
+        )
 
-    point = BlockOrthogonal([current[rows] for rows in slices])
-    return SolveReport(
-        solution=point,
-        objective_trace=tuple(obj_trace),
-        mean_change_trace=tuple(change_trace),
-        change_sq_trace=tuple(change_sq_trace),
-        iterations=iterations,
-        stop_reason=stop,
-        stationarity=stationarity(problem, point),
-    )
+
+def _solve_batch(problems, configs) -> list[SolveReport]:
+    """Solve same-shape problems in one sweep; item k is ``solve(problems[k], configs[k])``.
+
+    The iterates of the batch form one ``(B, D, r)`` array.  Each problem
+    keeps its own assembled ``stilde`` (problems passed more than once
+    share one assembly), so the products ``stilde_k[rows_i] @ O_k`` run
+    per item; the rest of a block step (proximal term, one stacked SVD for
+    the polar factors, gains and change norms) runs once for the batch,
+    with the same arithmetic as a lone solve.  Audits, traces and stopping
+    rules are per item; an item that stops leaves the batch.  Any error
+    raised for one item ends the whole call.
+    """
+    configs = [SolverConfig() if c is None else c for c in configs]
+    if not problems:
+        return []
+    dims = problems[0].dims
+    for problem, config in zip(problems, configs):
+        if problem.dims != dims:
+            raise ValidationError(f"a batch needs one shape, got {problem.dims} and {dims}")
+        if isinstance(config.init, BlockOrthogonal) and config.init.dims != dims:
+            raise ValidationError(
+                f"custom init dims {config.init.dims} do not match problem {dims}"
+            )
+    m = dims.m
+    off = dims.offsets()
+    slices = [slice(off[i], off[i + 1]) for i in range(m)]
+    stildes = {}
+    items = []
+    current = np.empty((len(problems), dims.total_dim, dims.r))  # updated in place
+    for position, (problem, config) in enumerate(zip(problems, configs)):
+        stilde = stildes.get(id(problem))
+        if stilde is None:
+            stilde = stildes[id(problem)] = assemble_stilde(problem)
+        start = _start(problem, config.init, stilde)
+        srows = [stilde[rows] for rows in slices]
+        items.append(_Item(position, problem, config, start, srows))
+        np.concatenate(start.blocks, out=current[position])
+    reports = [None] * len(items)
+
+    k = 0
+    batch = 0
+    while items:
+        if batch != len(items):
+            # The batch changed: lay out its per-item views and buffers.
+            batch = len(items)
+            inv_alpha = np.array([it.inv_alpha for it in items])[:, None, None]
+            proximal = [it.finite for it in items]
+            mixed = any(proximal) and not all(proximal)
+            x_views = list(current)
+            g_bufs = [np.empty((batch, d, dims.r)) for d in dims.dims]
+            # Per block, each item's (stilde rows, iterate, G) views.
+            products = [
+                list(zip([it.srows[i] for it in items], x_views, g))
+                for i, g in enumerate(g_bufs)
+            ]
+            # Per block and item: the gain, the change and its square.
+            sums = np.empty((3, m, batch))
+        k += 1
+        for i, rows in enumerate(slices):
+            g = g_bufs[i]
+            for s, x, out in products[i]:
+                np.matmul(s, x, out=out)
+            cur = current[:, rows]
+            if mixed:
+                b = np.where(inv_alpha > 0, g + inv_alpha * cur, g)
+            elif proximal[0]:
+                b = g + inv_alpha * cur
+            else:
+                b = g
+            u, _, vt = np.linalg.svd(b, full_matrices=False)
+            new = u @ vt
+            delta = new - cur
+            current[:, rows] = new
+            np.add.reduce(delta * g, axis=(1, 2), out=sums[0, i])
+            flat = delta.reshape(batch, -1)
+            np.vecdot(flat, flat, out=sums[2, i])
+
+        np.sqrt(sums[2], out=sums[1])
+        np.multiply(sums[1], sums[1], out=sums[2])
+        # A sequential sum over the blocks, as a lone solve adds them; a
+        # pairwise np.sum could add them in an order that varies with the
+        # batch size.
+        gain, change_sum, change_sq = np.add.accumulate(sums, axis=1)[:, -1].tolist()
+        keep = []
+        for j, (it, dg, cs, csq) in enumerate(zip(items, gain, change_sum, change_sq)):
+            stop = it.advance(k, dg, cs / m, csq)
+            if stop is None:
+                keep.append(j)
+                continue
+            point = BlockOrthogonal([current[j, rows] for rows in slices])
+            reports[it.position] = it.report(point, k, stop)
+        if len(keep) < batch:
+            items = [items[j] for j in keep]
+            if items:
+                current = current[keep]
+    return reports
 
 
 @dataclass(frozen=True)

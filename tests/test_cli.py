@@ -116,6 +116,18 @@ class TestProblemFile:
         with pytest.raises(ValidationError, match="unknown"):
             load_problem(path)
 
+    def test_views_dims_not_a_list(self, tmp_path):
+        path = tmp_path / "views.json"
+        write_json(path, {"r": 1, "dims": 5, "views": [[[1.0, 2.0]], [[3.0, 4.0]]]})
+        with pytest.raises(ValidationError, match=r"views\.json: field 'dims'"):
+            load_problem(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dims": [1, 1], "r": 1, "S": [], "x": "\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ValidationError, match=r"latin1\.json: not UTF-8"):
+            load_problem(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -179,6 +191,12 @@ class TestSolutionFile:
         write_json(path, {"blocks": [np.eye(3, 2).tolist()]})
         with pytest.raises(ValidationError, match="blocks"):
             load_solution(path, dims=problem.dims)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "sol.json"
+        path.write_bytes(b'{"blocks": [[[1.0]], [[1.0]]]}\xff')
+        with pytest.raises(ValidationError, match=r"sol\.json: not UTF-8"):
+            load_solution(path)
 
     def test_missing_blocks_field(self, tmp_path):
         path = tmp_path / "sol.json"
@@ -341,6 +359,18 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("layout", ["views_dims_int", "not_utf8"])
+    def test_bad_problem_file_is_an_error(self, tmp_path, capsys, layout):
+        path = tmp_path / "bad.json"
+        if layout == "views_dims_int":
+            write_json(path, {"r": 1, "dims": 5, "views": [[[1.0, 2.0]], [[3.0, 4.0]]]})
+        else:
+            path.write_bytes(b'{"dims": [1, 1], "r": 1, "S": []}\xe9')
+        code = main(["solve", "--input", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"error: problem file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_infinite_alpha_warns(self, tmp_path, capsys):
         rng = np.random.default_rng(21)
         problem_path = tmp_path / "pair.json"
@@ -461,6 +491,24 @@ class TestCertifyCommand:
         )
         assert code == 1
         assert "blocks" in capsys.readouterr().err
+
+
+    def test_solution_not_utf8(self, tmp_path, hard_file, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_bytes(b"\xff\xfe")
+        code = main(
+            [
+                "certify",
+                "--input",
+                str(hard_file),
+                "--solution",
+                str(sol),
+                "--out",
+                str(tmp_path / "cert.json"),
+            ]
+        )
+        assert code == 1
+        assert f"error: solution file {sol}: not UTF-8" in capsys.readouterr().err
 
 
 class TestDemoCommand:

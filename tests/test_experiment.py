@@ -78,7 +78,7 @@ class TestRunGrid:
         def broken(problem, config):
             raise InternalError("audit fired")
 
-        monkeypatch.setattr("otsm.experiment.solve", broken)
+        monkeypatch.setattr("otsm.experiment._solve_batch", broken)
         with pytest.raises(InternalError, match="audit fired"):
             run_grid(ExperimentGrid(**SMALL))
 
@@ -86,9 +86,70 @@ class TestRunGrid:
         def rejecting(problem, config):
             raise ValidationError("bad instance")
 
-        monkeypatch.setattr("otsm.experiment.solve", rejecting)
+        monkeypatch.setattr("otsm.experiment._solve_batch", rejecting)
         for cell in run_grid(ExperimentGrid(**SMALL)):
             assert cell.failure_count == cell.total_reps == 3
+
+    def test_failed_start_is_tallied_for_its_rep(self, monkeypatch):
+        import otsm.experiment
+
+        real = otsm.experiment.init_spectral
+        calls = []
+
+        def flaky(problem):
+            calls.append(problem)
+            if len(calls) == 2:  # rep 1 of the one cell
+                raise np.linalg.LinAlgError("injected")
+            return real(problem)
+
+        monkeypatch.setattr(otsm.experiment, "init_spectral", flaky)
+        by_init = {c.init: c for c in run_grid(ExperimentGrid(**SMALL))}
+        spectral = by_init["spectral"]
+        assert spectral.failure_count == 1
+        assert spectral.failure_reasons == ("LinAlgError: injected",)
+        assert spectral.certified_count == 2
+        assert by_init["identity"].failure_count == 0
+        assert by_init["identity"].failure_reasons == ()
+        assert by_init["identity"].certified_count == 3
+
+    def test_failed_batch_is_solved_one_by_one(self, monkeypatch):
+        import otsm.experiment
+
+        real = otsm.experiment._solve_batch
+        batches = []
+
+        def failing(problems, configs):
+            if len(problems) > 1:
+                batches.append(problems)
+                raise np.linalg.LinAlgError("batch step")
+            if problems[0] is batches[0][2]:  # rep 1, both starts
+                raise ValidationError("bad rep")
+            return real(problems, configs)
+
+        monkeypatch.setattr(otsm.experiment, "_solve_batch", failing)
+        results = run_grid(ExperimentGrid(**SMALL))
+        assert len(batches) == 1
+        for cell in results:
+            assert cell.failure_count == 1
+            assert cell.failure_reasons == ("ValidationError: bad rep",)
+            assert cell.certified_count == 2
+
+    def test_split_batches_change_no_result(self, monkeypatch):
+        import otsm.experiment
+
+        whole = run_grid(ExperimentGrid(**SMALL))
+        sizes = []
+        real = otsm.experiment._solve_batch
+
+        def counted(problems, configs):
+            sizes.append(len(problems))
+            return real(problems, configs)
+
+        monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
+        # D = 12: a budget of two coupling matrices puts two reps in a batch.
+        monkeypatch.setattr(otsm.experiment, "_BATCH_STILDE_BYTES", 2 * 8 * 12 * 12)
+        assert run_grid(ExperimentGrid(**SMALL)) == whole
+        assert sizes == [4, 2]
 
     def test_single_rep_single_init(self):
         grid = ExperimentGrid(

@@ -19,6 +19,7 @@ from otsm.solver import (
     StopReason,
     init_identity,
     init_spectral,
+    _solve_batch,
     oscillation_demo,
     solve,
     step_block,
@@ -120,6 +121,22 @@ class TestStepBlock:
         point = BlockOrthogonal([I32, J32, I32])
         with pytest.raises(ValidationError):
             step_block(hard_problem, point, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"i": 1.0}, {"i": True}, {"i": "1"}, {"i": -1}, {"alpha": True}, {"alpha": "1"}],
+    )
+    def test_wrongly_typed_arguments_rejected(self, hard_problem, bad):
+        point = BlockOrthogonal([I32, J32, I32])
+        args = {"i": 1, "alpha": 1000.0, **bad}
+        with pytest.raises(ValidationError):
+            step_block(hard_problem, point, args["i"], alpha=args["alpha"])
+
+    def test_numpy_integer_index_accepted(self, hard_problem):
+        point = BlockOrthogonal([I32, J32, I32])
+        assert np.array_equal(
+            step_block(hard_problem, point, np.int64(1)), step_block(hard_problem, point, 1)
+        )
 
 
 class TestSolve:
@@ -260,6 +277,104 @@ class TestSweepAgainstPerPair:
         assert report.iterations > 1
         assert len(calls) == 1
         assert report.objective_trace[0] == objective(hard_problem, calls[0])
+
+
+@st.composite
+def batches(draw):
+    """2-6 problems of one shape (D <= 60), each solved with its own settings.
+
+    Starts mix identity, spectral and custom points; alpha is 1, 1000 or
+    inf; tol and max_iter vary, so that some items stop by MAX_ITER while
+    others converge.  An item may reuse the previous item's problem, as
+    the grid's two starts of one rep do.
+    """
+    m = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.integers(1, 10), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems, configs = [], []
+    for _ in range(draw(st.integers(2, 6))):
+        if problems and draw(st.booleans()):
+            prob = problems[-1]
+        else:
+            prob = random_problem(rng, dims, r, density=draw(st.sampled_from((0.6, 1.0))))
+        init = draw(st.sampled_from(("identity", "spectral", "custom")))
+        configs.append(
+            SolverConfig(
+                alpha=draw(st.sampled_from((1.0, 1000.0, math.inf))),
+                tol=draw(st.sampled_from((1e-2, 1e-5, 1e-9))),
+                max_iter=draw(st.integers(1, 60)),
+                init=random_point(rng, prob) if init == "custom" else init,
+            )
+        )
+        problems.append(prob)
+    return problems, configs
+
+
+def assert_same_report(got, want):
+    for a, b in zip(got.solution.blocks, want.solution.blocks):
+        assert np.array_equal(a, b)
+    assert got.objective_trace == want.objective_trace
+    assert got.mean_change_trace == want.mean_change_trace
+    assert got.change_sq_trace == want.change_sq_trace
+    assert got.iterations == want.iterations
+    assert got.stop_reason is want.stop_reason
+    assert got.stationarity == want.stationarity
+
+
+class TestSolveBatch:
+    @_PROPERTY
+    @given(batches())
+    def test_batch_equals_lone_solves(self, batch):
+        problems, configs = batch
+        reports = _solve_batch(problems, configs)
+        for prob, config, report in zip(problems, configs, reports):
+            # A fresh copy: the lone solve computes its own spectral start.
+            alone = solve(OtsmProblem(prob.dims, prob.sblocks), config)
+            assert_same_report(report, alone)
+
+    def test_items_stop_by_their_own_rules(self, hard_problem):
+        configs = [
+            SolverConfig(init="spectral"),
+            SolverConfig(init="spectral", max_iter=3),
+            SolverConfig(init="identity", alpha=math.inf),
+        ]
+        reports = _solve_batch([hard_problem] * 3, configs)
+        assert [r.stop_reason for r in reports] == [
+            StopReason.CONVERGED,
+            StopReason.MAX_ITER,
+            StopReason.CONVERGED,
+        ]
+        assert reports[1].iterations == 3
+        for config, report in zip(configs, reports):
+            assert_same_report(report, solve(hard_problem, config))
+
+    def test_one_stacked_svd_per_block_step(self, monkeypatch):
+        # Identity starts and no certificate: every SVD is a block step's.
+        rng = np.random.default_rng(5)
+        problems = [random_problem(rng, (4, 5, 3), 2) for _ in range(3)]
+        configs = [SolverConfig(max_iter=n) for n in (4, 9, 2000)]
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        reports = _solve_batch(problems, configs)
+        cycles = [r.iterations for r in reports]
+        assert cycles[:2] == [4, 9] and cycles[2] > 9
+        assert len(calls) == 3 * max(cycles) < 3 * sum(cycles)
+        assert calls[0][0] == 3  # the first step stacks all three problems
+
+    def test_mismatched_shapes_rejected(self, hard_problem):
+        other = make_hard_problem(d=4)
+        with pytest.raises(ValidationError, match="one shape"):
+            _solve_batch([hard_problem, other], [None, None])
+
+    def test_empty_batch(self):
+        assert _solve_batch([], []) == []
 
 
 class TestSolveAudits:
