@@ -22,7 +22,7 @@ from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
 from .core import ValidationError
-from .solver import SolverConfig, StopReason, _solve_batch, init_identity, init_spectral
+from .solver import SolverConfig, StopReason, _solve_batch
 
 __all__ = [
     "ExperimentGrid",
@@ -224,24 +224,18 @@ def _outcome(problem, config, report) -> _RepOutcome:
 def _run_batch(grid, d, sigma, reps, per_init) -> None:
     """Solve the given reps of one cell from every start as one batch.
 
-    Fills ``per_init[init][rep]``.  A start that fails is tallied and left
-    out of the batch; if the batch raises a data error, its problems are
-    solved again one at a time, so the error is tallied for its own rep.
+    Fills ``per_init[init][rep]``.  The batch prepares the starts, so a
+    rep's spectral start reads the coupling matrix the batch assembled for
+    that rep.  If the batch raises a data error (a start included), its
+    problems are solved again one at a time, so the error is tallied for
+    its own rep and start.
     """
     runs = []
     for rep in reps:
         seed = _derived_seed(grid.base_seed, d, sigma, rep)
         problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
         for init in grid.init_strategies:
-            try:
-                if init == "spectral":
-                    start = init_spectral(problem)
-                else:
-                    start = init_identity(problem.dims)
-            except (ValidationError, np.linalg.LinAlgError) as exc:
-                per_init[init][rep] = _failure(exc)
-                continue
-            runs.append((rep, init, problem, SolverConfig(init=start)))
+            runs.append((rep, init, problem, SolverConfig(init=init)))
     try:
         reports = _solve_batch([run[2] for run in runs], [run[3] for run in runs])
     except (ValidationError, np.linalg.LinAlgError):
@@ -296,12 +290,15 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     so the objective-gap records compare the two strategies on the same
     instance.  A cell's reps x starts are swept as one batch (see
     :func:`otsm.solver.solve`), split so that a batch's assembled coupling
-    matrices stay within a fixed memory budget; each result is identical
-    to solving that rep from that start alone.  A start, solve or
-    certificate that rejects its data (``ValidationError``) or whose
-    decomposition fails (``LinAlgError``) is tallied, with its reason, as
-    a failure of its own rep and does not abort the grid; an
-    :class:`~otsm.core.InternalError` signals a bug and propagates.
+    matrices stay within a fixed memory budget; each solve report is
+    identical to solving that rep from that start alone.  Both starts'
+    certificates read the eigenvalues of the spectral start's ``eigh``,
+    which agree with a lone certificate's ``eigvalsh`` only to rounding.
+    A start, solve or certificate that rejects its data
+    (``ValidationError``) or whose decomposition fails (``LinAlgError``)
+    is tallied, with its reason, as a failure of its own rep and does not
+    abort the grid; an :class:`~otsm.core.InternalError` signals a bug and
+    propagates.
     Results are ordered by grid position (d outermost, then sigma, then
     init), independent of execution order.
     """

@@ -351,6 +351,14 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
             ]
             # Per block and item: the gain, the change and its square.
             sums = np.empty((3, m, batch))
+            d_bufs = [np.empty_like(g) for g in g_bufs]
+            # Per block, the change as rows and as columns and where their
+            # products go: row times column runs the same dot as
+            # np.linalg.norm of one block in a lone solve.
+            norms = []
+            for i, delta in enumerate(d_bufs):
+                flat = delta.reshape(batch, 1, -1)
+                norms.append((flat, flat.transpose(0, 2, 1), sums[2, i, :, None, None]))
         k += 1
         for i, rows in enumerate(slices):
             g = g_bufs[i]
@@ -365,11 +373,11 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
                 b = g
             u, _, vt = np.linalg.svd(b, full_matrices=False)
             new = u @ vt
-            delta = new - cur
+            delta = np.subtract(new, cur, out=d_bufs[i])
             current[:, rows] = new
             np.add.reduce(delta * g, axis=(1, 2), out=sums[0, i])
-            flat = delta.reshape(batch, -1)
-            np.vecdot(flat, flat, out=sums[2, i])
+            as_rows, as_cols, sq = norms[i]
+            np.matmul(as_rows, as_cols, out=sq)
 
         np.sqrt(sums[2], out=sums[1])
         np.multiply(sums[1], sums[1], out=sums[2])
