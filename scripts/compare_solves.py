@@ -24,11 +24,13 @@ benchmark's solve inputs plus the solves of the acceptance tests:
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
 same length and agrees elementwise within ``1e-12 * (1 + |f|)``, and its
-certificate has equal ``verdict``, ``taus``, ``lmin_full`` and
-``lmin_reduced`` and a ``dual_bound`` and ``tol_psd`` within ``1e-13``
-relative.  Those two read the extreme eigenvalues of the coupling matrix,
-which may come from ``eigh`` in one tree and ``eigvalsh`` in the other and
-then agree only to rounding.
+certificate has equal ``verdict``, ``taus`` and ``lmin_full`` (and
+``lmin_reduced`` where both trees report it) and a ``dual_bound`` and
+``tol_psd`` within ``1e-13`` relative.  Those two read the extreme
+eigenvalues of the coupling matrix, which may come from ``eigh`` in one
+tree and ``eigvalsh`` in the other and then agree only to rounding.  A
+certificate field that only one tree reports is listed as removed or
+added, not counted as a mismatch.
 
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
@@ -52,6 +54,8 @@ TRACE_REL = 1e-12
 SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
 SPECTRAL_FIELDS = ("dual_bound", "tol_psd")
+#: Certificate fields saved when the tree's report has them (older trees
+#: also report ``lmin_reduced``).
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
@@ -143,6 +147,8 @@ def dump(path):
         arrays[f"{label}|stop"] = np.array(report.stop_reason.value)
         cert = certify(problem, report.solution)
         for field in CERT_FIELDS:
+            if not hasattr(cert, field):
+                continue
             value = getattr(cert, field)
             arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
     for label, fields in _grid_cells():
@@ -160,11 +166,18 @@ def _run_dump(src, path):
 def compare(base, new) -> list[str]:
     """Mismatches between two dumps, one line each."""
     found = []
-    if set(base.files) != set(new.files):
-        return [f"different runs: {sorted(set(base.files) ^ set(new.files))}"]
+    one_sided = set(base.files) ^ set(new.files)
+    runs_differ = sorted(k for k in one_sided if k.rsplit("|", 1)[1] not in CERT_FIELDS)
+    if runs_differ:
+        return [f"different runs: {runs_differ}"]
+    for side, keys in (("removed", set(base.files) - set(new.files)),
+                       ("added", set(new.files) - set(base.files))):
+        fields = sorted({key.rsplit("|", 1)[1] for key in keys})
+        if fields:
+            print(f"certificate fields {side}: {', '.join(fields)}")
     worst = 0.0
     worst_spectral = 0.0
-    for key in sorted(base.files):
+    for key in sorted(set(base.files) & set(new.files)):
         label, what = key.rsplit("|", 1)
         a, b = base[key], new[key]
         if what == "trace":

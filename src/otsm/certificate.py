@@ -8,19 +8,25 @@ A stationary point with symmetrized multipliers ``L_i`` and
 is positive semidefinite (sufficient condition); any ``tau_i < 0`` proves
 the point is NOT globally optimal (necessary condition).  Between the two
 lies an inconclusive region: the certificate is sufficient, not necessary.
-The `certify` verdict is advisory — raw eigenvalues are always reported so
-callers can re-judge with their own tolerances.
+`certify` decides semidefiniteness by one Cholesky factorization of
+``L* + tol_psd I`` and gives ``CERTIFIED_GLOBAL`` only at points that are
+stationary relative to the scale of ``stilde``.  The smallest eigenvalue of
+L* is computed when a caller first reads it, so callers can still re-judge
+the point with their own tolerances.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
+    BlockOrthogonal,
+    OtsmProblem,
     ValidationError,
     _check_match,
     _spectrum,
@@ -49,6 +55,13 @@ _PSD_BASE = 1e-6
 _TAU_BASE = 1e-8
 _RESIDUAL_FACTOR = 100.0
 
+#: CERTIFIED_GLOBAL needs ``r_stat <= _STATIONARITY_GATE * ||stilde||_2``.
+#: The tolerances above grow with ``r_stat`` without bound, so far from
+#: stationarity they would accept any point.  Solver output at the default
+#: ``tol`` measures at most 1e-5 on this relative scale, random feasible
+#: points at least 0.2.
+_STATIONARITY_GATE = 1e-3
+
 #: Tolerance scale for the reported check of the null identity L* Obar = 0.
 _NULL_TOL = 1e-6
 
@@ -64,22 +77,32 @@ class CertificateReport:
     """Certification outcome at a feasible point.
 
     ``lambdas`` are the raw (unsymmetrized) multipliers; ``taus`` the
-    smallest eigenvalues of their symmetrized versions; ``lmin_full`` and
-    ``lmin_reduced`` the smallest eigenvalues of the certificate matrix
-    and of its restriction to the complement of the stacked point;
-    ``asymmetry`` the largest multiplier asymmetry norm.  ``tol_psd`` and
-    ``tol_tau`` are the effective tolerances the verdict used.
+    smallest eigenvalues of their symmetrized versions; ``asymmetry`` the
+    largest multiplier asymmetry norm.  ``tol_psd`` and ``tol_tau`` are the
+    effective tolerances the verdict used.  The report keeps the problem
+    and the point it was made for, to compute :attr:`lmin_full` on demand.
     """
 
     lambdas: tuple[np.ndarray, ...]
     taus: tuple[float, ...]
-    lmin_full: float
-    lmin_reduced: float
     dual_bound: float
     verdict: Verdict
     asymmetry: float
     tol_psd: float
     tol_tau: float
+    _problem: OtsmProblem = field(repr=False, compare=False)
+    _point: BlockOrthogonal = field(repr=False, compare=False)
+
+    @cached_property
+    def lmin_full(self) -> float:
+        """Smallest eigenvalue of the certificate matrix L*.
+
+        Computed on first read, with one dense ``eigvalsh`` of
+        :func:`certificate_matrix` at the certified point, and kept.  The
+        verdict does not read it.
+        """
+        full = certificate_matrix(self._problem, self._point)
+        return float(np.linalg.eigvalsh(full)[0])
 
 
 def _symmetrized_multipliers(problem, point):
@@ -98,27 +121,6 @@ def _certificate_from(stilde, point, lams_sym, taus):
         o = point.blocks[i]
         blk = o @ lams_sym[i] @ o.T + taus[i] * (np.eye(dims.dims[i]) - o @ o.T)
         full[off[i] : off[i + 1], off[i] : off[i + 1]] += (blk + blk.T) / 2.0
-    return full
-
-
-def _deflate_in_place(full, obar):
-    """Overwrite L* with ``P L* P + s Q Q^T``, where ``P = I - Q Q^T``.
-
-    ``Q`` is an orthonormal basis of the stacked point's column space (a
-    thin QR of the D x r point, which need only be orthonormal to the
-    blocks' validation tolerance) and ``s`` the largest Gershgorin row
-    sum of L*.  On the complement of ``Q`` the result acts as the reduced
-    matrix ``Operp^T L* Operp``; on ``Q`` it is ``s``, which bounds every
-    eigenvalue of L* and hence of the reduced matrix (interlacing), so the
-    smallest eigenvalue of the result is that of the reduced matrix.  With
-    ``W = L* Q`` and ``C = Q^T W`` the result is ``L* - Q V^T - V Q^T``
-    for ``V = W - Q (C + s I) / 2``: two rank-r updates, O(D^2 r).
-    """
-    shift = float(np.abs(full).sum(axis=1).max())
-    q, _ = np.linalg.qr(obar)
-    w = full @ q
-    v = w - q @ ((q.T @ w + shift * np.eye(q.shape[1])) / 2.0)
-    full -= np.hstack([q, v]) @ np.hstack([v, q]).T
     return full
 
 
@@ -171,11 +173,15 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     """Three-valued global-optimality verdict at a feasible point.
 
     Verdict logic: if ``min(taus) < -tol_tau`` the point cannot be a
-    global maximizer (CERTIFIED_NOT_GLOBAL); otherwise if
-    ``lambda_min(L*) >= -tol_psd`` it is one (CERTIFIED_GLOBAL); otherwise
-    INCONCLUSIVE.  ``lmin_reduced``, the smallest eigenvalue of L*
-    restricted to the complement of the stacked point, is reported for
-    diagnosis only; the verdict does not read it.
+    global maximizer (CERTIFIED_NOT_GLOBAL).  Otherwise the point is
+    certified (CERTIFIED_GLOBAL) when it is stationary relative to the
+    problem's scale, ``r_stat <= 1e-3 * ||stilde||_2``, and the Cholesky
+    factorization of ``L* + tol_psd I`` succeeds, that is when
+    ``lambda_min(L*) >= -tol_psd`` up to the factorization's backward
+    error.  Every other point is INCONCLUSIVE.  The stationarity gate
+    applies with explicit tolerances too.  An explicit ``tol_psd = 0``
+    cannot certify an exactly stationary point: there ``L* Obar = 0`` for
+    the stacked point ``Obar``, so L* is singular.
 
     Default tolerances scale with the measured stationarity error at the
     point: ``tol_psd = 1e-6 * (1 + ||stilde||_2) + 100 * r_stat`` and
@@ -185,60 +191,58 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     converged to mean-change ``tol`` it absorbs the O(tol)-scale
     eigenvalue error of the approximate point.
 
-    Cost: ``stilde`` is assembled once and two dense symmetric eigenvalue
-    problems are solved, one each for L* and L* deflated on the stacked
-    point (for ``lmin_reduced``).  The extreme eigenvalues of ``stilde``
-    (``||stilde||_2`` and the dual bound) come from the spectrum memoized
-    on the problem; on a fresh problem this call fills it with one
-    ``eigvalsh(stilde)``, a third dense problem.  After
-    :func:`otsm.solver.init_spectral` or a spectral ``solve`` on the same
-    problem the memo holds ``eigh`` eigenvalues, which agree with
+    Cost: ``stilde`` is assembled once and turned into ``L* + tol_psd I``
+    in place, and the verdict needs at most one dense Cholesky
+    factorization; no eigenvalue of L* is computed.  The report's
+    ``lmin_full`` costs one ``eigvalsh`` of a freshly built L* when it is
+    first read.  The extreme eigenvalues of ``stilde`` (``||stilde||_2``
+    and the dual bound) come from the spectrum memoized on the problem; on
+    a fresh problem this call fills it with one ``eigvalsh(stilde)``.
+    After :func:`otsm.solver.init_spectral` or a spectral ``solve`` on the
+    same problem the memo holds ``eigh`` eigenvalues, which agree with
     ``eigvalsh`` only to rounding, so ``tol_psd`` and ``dual_bound`` may
-    differ in the last digits from a certificate on a fresh problem.  No
-    SVD or complete QR of a D x D matrix is formed.
+    differ in the last digits from a certificate on a fresh problem.
     """
     _check_match(problem, point)
     lams, lams_sym, taus = _symmetrized_multipliers(problem, point)
-    asymmetry = max(float(np.linalg.norm(lam - lam.T)) for lam in lams)
     stilde = assemble_stilde(problem)
     s_eigs, _ = _spectrum(problem, stilde=stilde)
-    full = _certificate_from(stilde, point, lams_sym, taus)
-    lmin_full = float(np.linalg.eigvalsh(full)[0])
-
-    if tol_psd is None or tol_tau is None:
-        stat = stationarity(problem, point)
-        r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-        snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
-        if tol_psd is None:
-            tol_psd = _PSD_BASE * (1.0 + snorm) + _RESIDUAL_FACTOR * r_stat
-        if tol_tau is None:
-            tol_tau = _TAU_BASE + _RESIDUAL_FACTOR * r_stat
-    if tol_psd < 0 or tol_tau < 0:
+    snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
+    stat = stationarity(problem, point)
+    r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
+    if tol_psd is None:
+        tol_psd = _PSD_BASE * (1.0 + snorm) + _RESIDUAL_FACTOR * r_stat
+    if tol_tau is None:
+        tol_tau = _TAU_BASE + _RESIDUAL_FACTOR * r_stat
+    # A NaN shift would let the factorization succeed on a NaN matrix.
+    if not (tol_psd >= 0 and tol_tau >= 0):
         raise ValidationError(
             f"tolerances must be nonnegative, got tol_psd={tol_psd!r}, tol_tau={tol_tau!r}"
         )
 
-    # D - r >= r >= 1, so the reduced matrix is never empty.
-    obar = point.stack() / np.sqrt(problem.dims.m)
-    lmin_reduced = float(np.linalg.eigvalsh(_deflate_in_place(full, obar))[0])
-
     if min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
-    elif lmin_full >= -tol_psd:
-        verdict = Verdict.CERTIFIED_GLOBAL
-    else:
+    elif r_stat > _STATIONARITY_GATE * snorm:
         verdict = Verdict.INCONCLUSIVE
+    else:
+        shifted = _certificate_from(stilde, point, lams_sym, taus)
+        shifted.flat[:: shifted.shape[0] + 1] += tol_psd
+        try:
+            np.linalg.cholesky(shifted)
+            verdict = Verdict.CERTIFIED_GLOBAL
+        except np.linalg.LinAlgError:
+            verdict = Verdict.INCONCLUSIVE
 
     return CertificateReport(
         lambdas=tuple(lams),
         taus=tuple(taus),
-        lmin_full=lmin_full,
-        lmin_reduced=lmin_reduced,
         dual_bound=_dual_bound(problem.dims, float(s_eigs[-1])),
         verdict=verdict,
-        asymmetry=asymmetry,
+        asymmetry=stat.max_asymmetry,
         tol_psd=float(tol_psd),
         tol_tau=float(tol_tau),
+        _problem=problem,
+        _point=point,
     )
 
 

@@ -334,7 +334,6 @@ def _certificate_payload(cert) -> dict:
     return {
         "taus": list(cert.taus),
         "lmin_full": cert.lmin_full,
-        "lmin_reduced": cert.lmin_reduced,
         "verdict": cert.verdict.value,
         "dual_bound": cert.dual_bound,
     }

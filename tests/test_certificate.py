@@ -106,6 +106,8 @@ class TestReducedCertificate:
     def test_accepts_point_orthonormal_only_to_load_tolerance(self):
         # A solver output perturbed by 1e-6 is loadable (orthonormality
         # error 6.8e-6) and certify accepts it; the reduced test must too.
+        # With the stacked direction nearly in the kernel of L*, its
+        # spectrum is the full one without the r near-zeros.
         prob, _ = synth_procrustes(6, 50, 10, 3, 1.0, 1)
         solution = solve(prob, SolverConfig(init="spectral")).solution
         rng = np.random.default_rng(0)
@@ -114,12 +116,18 @@ class TestReducedCertificate:
             orth_tol=1e-4,
         )
         assert point.orthonormality_error() > 1e-6
-        report = certify(prob, point)
+        assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="certificate null identity")
             reduced = reduced_certificate(prob, point)
-        scale = 1e-9 * (1.0 + np.linalg.norm(certificate_matrix(prob, point)))
-        assert abs(np.linalg.eigvalsh(reduced)[0] - report.lmin_reduced) <= scale
+        full = certificate_matrix(prob, point)
+        scale = 1e-9 * (1.0 + np.linalg.norm(full))
+        assert_allclose(
+            np.linalg.eigvalsh(reduced),
+            np.linalg.eigvalsh(full)[prob.dims.r :],
+            rtol=0.0,
+            atol=scale,
+        )
 
 
 class TestCertify:
@@ -128,7 +136,6 @@ class TestCertify:
         assert report.verdict is Verdict.CERTIFIED_GLOBAL
         assert_allclose(report.taus, (1.0, 1.0, 1.0), atol=1e-12)
         assert report.lmin_full >= -1e-10
-        assert report.lmin_reduced >= -1e-10
         assert report.asymmetry <= 1e-12
 
     def test_cycle_point_inconclusive(self, hard_problem):
@@ -155,11 +162,27 @@ class TestCertify:
         assert report.tol_psd == 5.0
         with pytest.raises(ValidationError):
             certify(hard_problem, point, tol_psd=-1.0, tol_tau=1e-8)
+        with pytest.raises(ValidationError):
+            certify(hard_problem, point, tol_psd=float("nan"))
+        with pytest.raises(ValidationError):
+            certify(hard_problem, point, tol_tau=float("nan"))
 
     def test_solver_output_certifies(self, hard_problem):
         report = solve(hard_problem, SolverConfig(init="spectral"))
         cert = certify(hard_problem, report.solution)
         assert cert.verdict is Verdict.CERTIFIED_GLOBAL
+
+    def test_zero_couplings_certified(self):
+        # r_stat = 0 = ||stilde||_2 passes the stationarity gate.
+        prob = OtsmProblem(BlockDims((3, 3, 3), 2), {})
+        report = certify(prob, BlockOrthogonal([I32, J32, I32]))
+        assert report.verdict is Verdict.CERTIFIED_GLOBAL
+
+    def test_gate_holds_with_explicit_tolerances(self):
+        prob, _ = synth_procrustes(6, 50, 10, 3, 1.0, 1)
+        point = random_point(np.random.default_rng(7), prob)
+        report = certify(prob, point, tol_psd=1e12, tol_tau=1e12)
+        assert report.verdict is Verdict.INCONCLUSIVE
 
 
 @st.composite
@@ -187,17 +210,61 @@ class TestCertifyAgainstReference:
         report = certify(prob, point)
         full = certificate_matrix(prob, point)
         assert report.lmin_full == np.linalg.eigvalsh(full)[0]
+        verdict_first = certify(prob, point)
+        assert verdict_first.verdict is report.verdict
+        assert verdict_first.lmin_full == report.lmin_full
         assert report.dual_bound == dual_upper_bound(prob)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="certificate null identity")
-            reduced = reduced_certificate(prob, point)
-        scale = 1e-10 * (1.0 + np.linalg.norm(full))
-        assert abs(report.lmin_reduced - np.linalg.eigvalsh(reduced)[0]) <= scale
         stat = stationarity(prob, point)
         r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
         snorm = np.linalg.norm(assemble_stilde(prob), 2)
         expected_tol = 1e-6 * (1.0 + snorm) + 100.0 * r_stat
         assert report.tol_psd == pytest.approx(expected_tol, rel=1e-12)
+
+
+def dense_rule(prob, point, report):
+    """certify's verdict decided from eigenvalues, with the report's tolerances."""
+    stat = stationarity(prob, point)
+    r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
+    stationary = r_stat <= 1e-3 * np.linalg.norm(assemble_stilde(prob), 2)
+    lmin = np.linalg.eigvalsh(certificate_matrix(prob, point))[0]
+    if min(report.taus) < -report.tol_tau:
+        return Verdict.CERTIFIED_NOT_GLOBAL
+    if stationary and lmin >= -report.tol_psd:
+        return Verdict.CERTIFIED_GLOBAL
+    return Verdict.INCONCLUSIVE
+
+
+class TestCholeskyVerdict:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances())
+    def test_matches_dense_rule(self, instance):
+        # Cholesky decides lmin(L*) >= -tol_psd up to its backward error, so
+        # the verdicts agree away from a thin band around the edge.
+        prob, point = instance
+        full = certificate_matrix(prob, point)
+        lmin = np.linalg.eigvalsh(full)[0]
+        band = 1e-10 * (1.0 + np.linalg.norm(full))
+        report = certify(prob, point)
+        if abs(lmin + report.tol_psd) > band:
+            assert report.verdict is dense_rule(prob, point, report)
+        if lmin < 0.0 and 1e-3 * -lmin > band:
+            # Explicit tol_psd on both sides of the edge; tol_tau admits taus.
+            tol_tau = max(0.0, -min(report.taus))
+            above = certify(prob, point, tol_psd=-lmin * (1.0 + 1e-3), tol_tau=tol_tau)
+            below = certify(prob, point, tol_psd=-lmin * (1.0 - 1e-3), tol_tau=tol_tau)
+            assert above.verdict is dense_rule(prob, point, above)
+            assert below.verdict is dense_rule(prob, point, below)
+            assert below.verdict is Verdict.INCONCLUSIVE
+
+    def test_edge_at_cycle_point(self, hard_problem):
+        point = BlockOrthogonal([I32, J32, I32])
+        lmin = np.linalg.eigvalsh(certificate_matrix(hard_problem, point))[0]
+        above = certify(hard_problem, point, tol_psd=-lmin * (1.0 + 1e-3))
+        below = certify(hard_problem, point, tol_psd=-lmin * (1.0 - 1e-3))
+        assert above.verdict is Verdict.CERTIFIED_GLOBAL
+        assert below.verdict is Verdict.INCONCLUSIVE
 
 
 def fresh_copy(prob):
@@ -221,7 +288,7 @@ def count_dense_work(monkeypatch, prob):
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
+    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     assemble = counted("assemble_stilde", assemble_stilde, dense_only=False)
     for module in (otsm.core, otsm.solver, otsm.certificate):
@@ -230,22 +297,35 @@ def count_dense_work(monkeypatch, prob):
 
 
 def test_certify_dense_linalg_calls(monkeypatch):
-    """On a fresh problem certify runs three dense eigvalsh calls and no SVD, QR or norm."""
+    """On a fresh problem certify runs one eigvalsh of S-tilde and one Cholesky."""
     solved, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     point = solve(solved, SolverConfig(init="spectral")).solution
     prob = fresh_copy(solved)
     work = count_dense_work(monkeypatch, prob)
     certify(prob, point)
-    assert work == Counter(eigvalsh=3, assemble_stilde=1)
+    assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=1)
 
 
 def test_certify_dense_linalg_calls_after_spectral_solve(monkeypatch):
-    """After a spectral solve certify reuses its spectrum: two dense eigvalsh calls."""
+    """After a spectral solve certify reuses its spectrum: one dense Cholesky."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     point = solve(prob, SolverConfig(init="spectral")).solution
     work = count_dense_work(monkeypatch, prob)
     certify(prob, point)
-    assert work == Counter(eigvalsh=2, assemble_stilde=1)
+    assert work == Counter(cholesky=1, assemble_stilde=1)
+
+
+def test_reading_lmin_full_costs_one_eigvalsh(monkeypatch):
+    """lmin_full is computed on first read, with one eigvalsh of a new L*, then kept."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    work = count_dense_work(monkeypatch, prob)
+    report = certify(prob, point)
+    before = Counter(work)
+    lmin = report.lmin_full
+    assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
+    assert report.lmin_full == lmin
+    assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
 
 
 def test_spectral_pipeline_dense_work(monkeypatch):
@@ -254,7 +334,7 @@ def test_spectral_pipeline_dense_work(monkeypatch):
     work = count_dense_work(monkeypatch, prob)
     report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
     assert dual_upper_bound(prob) == report.dual_bound
-    assert work == Counter(eigh=1, eigvalsh=2, assemble_stilde=2)
+    assert work == Counter(eigh=1, cholesky=1, assemble_stilde=2)
 
 
 class TestSpectrumMemo:
@@ -276,7 +356,6 @@ class TestSpectrumMemo:
         assert hot.verdict is cold.verdict
         assert hot.taus == cold.taus
         assert hot.lmin_full == cold.lmin_full
-        assert hot.lmin_reduced == cold.lmin_reduced
         assert hot.dual_bound == pytest.approx(cold.dual_bound, rel=1e-13)
         assert hot.tol_psd == pytest.approx(cold.tol_psd, rel=1e-13)
         again = init_spectral(warm)
@@ -331,7 +410,33 @@ class TestDualBound:
             assert dual_upper_bound(prob) >= objective(prob, point) - 1e-8
 
 
+@st.composite
+def random_feasible_points(draw):
+    """A random feasible point of a random dense problem, D <= 60.
+
+    At least three blocks of size two or more: with two blocks, or a
+    scalar block, the stationary set can have codimension one, and a
+    random point then passes the stationarity gate with probability of
+    order 1e-3.
+    """
+    m = draw(st.integers(3, 5))
+    dims = draw(st.lists(st.integers(2, 12), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = random_problem(rng, dims, r, scale=scale)
+    return prob, random_point(rng, prob)
+
+
 class TestSoundness:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(random_feasible_points())
+    def test_random_points_never_certified(self, instance):
+        prob, point = instance
+        assert certify(prob, point).verdict is not Verdict.CERTIFIED_GLOBAL
+
     def test_brute_force_sign_problems(self):
         rng = np.random.default_rng(59)
         for _ in range(40):

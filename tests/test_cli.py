@@ -228,7 +228,6 @@ class TestSolveCommand:
         assert set(report["certificate"]) == {
             "taus",
             "lmin_full",
-            "lmin_reduced",
             "verdict",
             "dual_bound",
         }
