@@ -23,9 +23,11 @@ benchmark's solve inputs plus the solves of the acceptance tests:
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
-same length and agrees elementwise within ``1e-12 * (1 + |f|)``, and its
-certificate has equal ``verdict``, ``taus`` and ``lmin_full`` (and
-``lmin_reduced`` where both trees report it) and a ``dual_bound`` and
+same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
+``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
+are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``
+and ``lmin_full`` (and ``lmin_reduced`` where both trees report it) and a
+``dual_bound`` and
 ``tol_psd`` within ``1e-13`` relative.  Those two read the extreme
 eigenvalues of the coupling matrix, which may come from ``eigh`` in one
 tree and ``eigvalsh`` in the other and then agree only to rounding.  A
@@ -136,6 +138,7 @@ def dump(path):
     """Solve and certify the corpus and run the acceptance grid with the otsm on
     sys.path, and save every result."""
     from otsm.certificate import certify
+    from otsm.core import stationarity
     from otsm.solver import solve
 
     arrays = {}
@@ -145,7 +148,11 @@ def dump(path):
         arrays[f"{label}|trace"] = np.array(report.objective_trace)
         arrays[f"{label}|iterations"] = np.array(report.iterations)
         arrays[f"{label}|stop"] = np.array(report.stop_reason.value)
+        stat = stationarity(problem, report.solution)
+        arrays[f"{label}|grad_residuals"] = np.array(stat.grad_residuals)
+        arrays[f"{label}|asymmetries"] = np.array(stat.asymmetries)
         cert = certify(problem, report.solution)
+        arrays[f"{label}|lambdas"] = np.array(cert.lambdas)
         for field in CERT_FIELDS:
             if not hasattr(cert, field):
                 continue

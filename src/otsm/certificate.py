@@ -27,13 +27,13 @@ import numpy as np
 from .core import (
     BlockOrthogonal,
     OtsmProblem,
+    StationarityReport,
     ValidationError,
     _check_match,
+    _first_order,
     _spectrum,
     assemble_stilde,
     lagrange_multipliers,
-    objective,
-    stationarity,
 )
 
 __all__ = [
@@ -77,17 +77,18 @@ class CertificateReport:
     """Certification outcome at a feasible point.
 
     ``lambdas`` are the raw (unsymmetrized) multipliers; ``taus`` the
-    smallest eigenvalues of their symmetrized versions; ``asymmetry`` the
-    largest multiplier asymmetry norm.  ``tol_psd`` and ``tol_tau`` are the
-    effective tolerances the verdict used.  The report keeps the problem
-    and the point it was made for, to compute :attr:`lmin_full` on demand.
+    smallest eigenvalues of their symmetrized versions; ``stationarity``
+    the diagnostics measured in the same pass over the couplings.
+    ``tol_psd`` and ``tol_tau`` are the effective tolerances the verdict
+    used.  The report keeps the problem and the point it was made for, to
+    compute :attr:`lmin_full` on demand from its ``lambdas`` and ``taus``.
     """
 
     lambdas: tuple[np.ndarray, ...]
     taus: tuple[float, ...]
     dual_bound: float
     verdict: Verdict
-    asymmetry: float
+    stationarity: StationarityReport
     tol_psd: float
     tol_tau: float
     _problem: OtsmProblem = field(repr=False, compare=False)
@@ -97,29 +98,29 @@ class CertificateReport:
     def lmin_full(self) -> float:
         """Smallest eigenvalue of the certificate matrix L*.
 
-        Computed on first read, with one dense ``eigvalsh`` of
-        :func:`certificate_matrix` at the certified point, and kept.  The
-        verdict does not read it.
+        Computed on first read, with one dense ``eigvalsh`` of L* built
+        from the report's ``lambdas`` and ``taus``, and kept.  The verdict
+        does not read it.
         """
-        full = certificate_matrix(self._problem, self._point)
+        stilde = assemble_stilde(self._problem)
+        full = _certificate_from(stilde, self._point, self.lambdas, self.taus)
         return float(np.linalg.eigvalsh(full)[0])
 
 
-def _symmetrized_multipliers(problem, point):
-    lams = lagrange_multipliers(problem, point)
-    lams_sym = [(lam + lam.T) / 2.0 for lam in lams]
-    taus = [float(np.linalg.eigvalsh(ls)[0]) for ls in lams_sym]
-    return lams, lams_sym, taus
+def _taus(lams):
+    """Smallest eigenvalue of each symmetrized multiplier."""
+    return [float(np.linalg.eigvalsh((lam + lam.T) / 2.0)[0]) for lam in lams]
 
 
-def _certificate_from(stilde, point, lams_sym, taus):
-    """Turn an assembled ``stilde`` into L* in place and return it."""
+def _certificate_from(stilde, point, lams, taus):
+    """Turn an assembled ``stilde`` into L* in place, symmetrizing ``lams``."""
     dims = point.dims
     off = dims.offsets()
     full = np.negative(stilde, out=stilde)
     for i in range(dims.m):
         o = point.blocks[i]
-        blk = o @ lams_sym[i] @ o.T + taus[i] * (np.eye(dims.dims[i]) - o @ o.T)
+        lam_sym = (lams[i] + lams[i].T) / 2.0
+        blk = o @ lam_sym @ o.T + taus[i] * (np.eye(dims.dims[i]) - o @ o.T)
         full[off[i] : off[i + 1], off[i] : off[i + 1]] += (blk + blk.T) / 2.0
     return full
 
@@ -133,9 +134,8 @@ def certificate_matrix(problem, point) -> np.ndarray:
     :func:`otsm.core.stationarity`) — far from stationarity L* carries no
     meaning.
     """
-    _check_match(problem, point)
-    _, lams_sym, taus = _symmetrized_multipliers(problem, point)
-    return _certificate_from(assemble_stilde(problem), point, lams_sym, taus)
+    lams = lagrange_multipliers(problem, point)
+    return _certificate_from(assemble_stilde(problem), point, lams, _taus(lams))
 
 
 def reduced_certificate(problem, point) -> np.ndarray:
@@ -191,24 +191,24 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     converged to mean-change ``tol`` it absorbs the O(tol)-scale
     eigenvalue error of the approximate point.
 
-    Cost: ``stilde`` is assembled once and turned into ``L* + tol_psd I``
-    in place, and the verdict needs at most one dense Cholesky
-    factorization; no eigenvalue of L* is computed.  The report's
-    ``lmin_full`` costs one ``eigvalsh`` of a freshly built L* when it is
-    first read.  The extreme eigenvalues of ``stilde`` (``||stilde||_2``
-    and the dual bound) come from the spectrum memoized on the problem; on
-    a fresh problem this call fills it with one ``eigvalsh(stilde)``.
+    Cost: one pass over the couplings gives the multipliers and the
+    report's ``stationarity``; ``stilde`` is assembled once and turned into
+    ``L* + tol_psd I`` in place, and the verdict needs at most one dense
+    Cholesky factorization.  The report's ``lmin_full`` costs one
+    ``eigvalsh`` of L* built from the report's multipliers when first
+    read.  The extreme eigenvalues of ``stilde`` (``||stilde||_2`` and the
+    dual bound) come from the spectrum memoized on the problem; on a fresh
+    problem this call fills it with one ``eigvalsh(stilde)``.
     After :func:`otsm.solver.init_spectral` or a spectral ``solve`` on the
     same problem the memo holds ``eigh`` eigenvalues, which agree with
     ``eigvalsh`` only to rounding, so ``tol_psd`` and ``dual_bound`` may
     differ in the last digits from a certificate on a fresh problem.
     """
-    _check_match(problem, point)
-    lams, lams_sym, taus = _symmetrized_multipliers(problem, point)
+    lams, stat = _first_order(problem, point)
+    taus = _taus(lams)
     stilde = assemble_stilde(problem)
     s_eigs, _ = _spectrum(problem, stilde=stilde)
     snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
-    stat = stationarity(problem, point)
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
     if tol_psd is None:
         tol_psd = _PSD_BASE * (1.0 + snorm) + _RESIDUAL_FACTOR * r_stat
@@ -225,7 +225,7 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     elif r_stat > _STATIONARITY_GATE * snorm:
         verdict = Verdict.INCONCLUSIVE
     else:
-        shifted = _certificate_from(stilde, point, lams_sym, taus)
+        shifted = _certificate_from(stilde, point, lams, taus)
         shifted.flat[:: shifted.shape[0] + 1] += tol_psd
         try:
             np.linalg.cholesky(shifted)
@@ -238,7 +238,7 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
         taus=tuple(taus),
         dual_bound=_dual_bound(problem.dims, float(s_eigs[-1])),
         verdict=verdict,
-        asymmetry=stat.max_asymmetry,
+        stationarity=stat,
         tol_psd=float(tol_psd),
         tol_tau=float(tol_tau),
         _problem=problem,

@@ -54,7 +54,6 @@ from .core import (
     OtsmProblem,
     ValidationError,
     objective,
-    stationarity,
 )
 from .experiment import ExperimentGrid, ExportError, export_results, run_grid
 from .solver import SolverConfig, StopReason, oscillation_demo, solve
@@ -400,7 +399,7 @@ def _cmd_certify(args) -> int:
     cert = certify(problem, point)
     payload = {
         "objective": objective(problem, point),
-        "stationarity": _stationarity_payload(stationarity(problem, point)),
+        "stationarity": _stationarity_payload(cert.stationarity),
         "certificate": _certificate_payload(cert),
     }
     atomic_write_text(args.out, _dump_json(payload))

@@ -15,6 +15,8 @@ certificates, builders) is written against these primitives.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -48,6 +50,11 @@ class InternalError(RuntimeError):
     """A runtime self-check failed.  Signals a bug, not bad input data."""
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (NumPy integers included)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockDims:
     """Row dimensions of the blocks and their common column rank.
@@ -64,7 +71,10 @@ class BlockDims:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        if not all(_is_int(d) for d in dims) or not _is_int(self.r):
+            raise ValidationError(f"dims and r must be integers, got {dims!r}, r={self.r!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "r", int(self.r))
         if self.m < 2:
             raise ValidationError(f"need at least 2 blocks, got {self.m}")
@@ -87,10 +97,7 @@ class BlockDims:
 
     def offsets(self) -> tuple[int, ...]:
         """Cumulative row offsets (m+1 entries, from 0 to D)."""
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return (0, *itertools.accumulate(self.dims))
 
 
 class OtsmProblem:
@@ -109,7 +116,8 @@ class OtsmProblem:
     dims : BlockDims
         Block dimensions.
     sblocks : mapping (i, j) -> ndarray
-        Zero-based pairs with ``i < j``; entry shape must be ``d_i x d_j``.
+        Zero-based integer pairs with ``i < j``, each at most once; entry
+        shape must be ``d_i x d_j``.
     """
 
     __slots__ = ("dims", "sblocks", "_spectrum")
@@ -119,14 +127,15 @@ class OtsmProblem:
             raise ValidationError(f"dims must be a BlockDims, got {type(dims).__name__}")
         clean = {}
         for key, mat in sblocks.items():
-            try:
-                i, j = (int(key[0]), int(key[1]))
-            except (TypeError, ValueError, IndexError):
-                raise ValidationError(f"coupling key {key!r} is not an index pair") from None
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+                raise ValidationError(f"coupling key {key!r} is not an index pair")
+            i, j = map(int, key)
             if not 0 <= i < j < dims.m:
                 raise ValidationError(
                     f"coupling key ({i},{j}) must satisfy 0 <= i < j < m={dims.m}"
                 )
+            if (i, j) in clean:
+                raise ValidationError(f"coupling ({i},{j}) is given twice")
             a = np.array(mat, dtype=float)
             expected = (dims.dims[i], dims.dims[j])
             if a.shape != expected:
@@ -142,22 +151,19 @@ class OtsmProblem:
         self._spectrum = None
 
     def coupling(self, i, j):
-        """Return the coupling between blocks i and j (i != j), as an array.
+        """Return the coupling between blocks i and j (integers i != j in 0..m-1).
 
         Transposes the stored block when ``i > j`` and returns a zero matrix
         for pairs that were never stored.
         """
+        if not (_is_int(i) and _is_int(j) and 0 <= min(i, j) and max(i, j) < self.dims.m):
+            raise ValidationError(f"block pair ({i!r}, {j!r}) out of range for m={self.dims.m}")
         if i == j:
             raise ValidationError("diagonal couplings are identically zero by construction")
-        if i < j:
-            block = self.sblocks.get((i, j))
-            if block is not None:
-                return block
-        else:
-            block = self.sblocks.get((j, i))
-            if block is not None:
-                return block.T
-        return np.zeros((self.dims.dims[i], self.dims.dims[j]))
+        block = self.sblocks.get((min(i, j), max(i, j)))
+        if block is None:
+            return np.zeros((self.dims.dims[i], self.dims.dims[j]))
+        return block if i < j else block.T
 
 
 class BlockOrthogonal:
@@ -260,6 +266,19 @@ def _cross_sums(problem, blocks):
         sums[i] += s @ blocks[j]
         sums[j] += s.T @ blocks[i]
     return sums
+
+
+def _first_order(problem, point):
+    """Raw multipliers ``L_i = O_i^T G_i`` and the stationarity report, from one pass."""
+    _check_match(problem, point)
+    sums = _cross_sums(problem, point.blocks)
+    lams, residuals, asyms = [], [], []
+    for o, g in zip(point.blocks, sums):
+        lam = o.T @ g
+        lams.append(lam)
+        residuals.append(float(np.linalg.norm(g - o @ lam)))
+        asyms.append(float(np.linalg.norm(lam - lam.T)))
+    return lams, StationarityReport(tuple(residuals), tuple(asyms))
 
 
 def assemble_stilde(problem) -> np.ndarray:
@@ -365,9 +384,7 @@ def lagrange_multipliers(problem, point) -> list[np.ndarray]:
     Returned without symmetrization: the asymmetric part is diagnostic
     (it vanishes at stationary points).
     """
-    _check_match(problem, point)
-    sums = _cross_sums(problem, point.blocks)
-    return [point.blocks[i].T @ sums[i] for i in range(problem.dims.m)]
+    return _first_order(problem, point)[0]
 
 
 def stationarity(problem, point) -> StationarityReport:
@@ -378,12 +395,4 @@ def stationarity(problem, point) -> StationarityReport:
     ``L_i``; the report carries the per-block residuals of both
     conditions.
     """
-    _check_match(problem, point)
-    sums = _cross_sums(problem, point.blocks)
-    residuals = []
-    asyms = []
-    for i in range(problem.dims.m):
-        lam = point.blocks[i].T @ sums[i]
-        residuals.append(float(np.linalg.norm(sums[i] - point.blocks[i] @ lam)))
-        asyms.append(float(np.linalg.norm(lam - lam.T)))
-    return StationarityReport(tuple(residuals), tuple(asyms))
+    return _first_order(problem, point)[1]

@@ -14,7 +14,6 @@ classical ascent, which may oscillate (see :func:`oscillation_demo`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +26,9 @@ from .core import (
     OtsmProblem,
     StationarityReport,
     ValidationError,
+    _check_match,
     _cross_sums,
+    _is_int,
     _spectrum,
     assemble_stilde,
     objective,
@@ -87,11 +88,7 @@ class SolverConfig:
             raise ValidationError(f"alpha must be positive (or inf), got {self.alpha!r}")
         if not (_is_real(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
-        if not (
-            isinstance(self.max_iter, numbers.Integral)
-            and not isinstance(self.max_iter, bool)
-            and self.max_iter >= 1
-        ):
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
             raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not isinstance(self.init, BlockOrthogonal) and self.init not in (
             "identity",
@@ -166,15 +163,8 @@ def step_block(problem, point, i, alpha=1000.0):
     unique (the deterministic SVD completion is returned).  ``i`` is an
     integer (not a bool) and ``alpha`` an int or float (not a bool).
     """
-    if problem.dims != point.dims:
-        raise ValidationError(
-            f"point dims {point.dims} do not match problem dims {problem.dims}"
-        )
-    if not (
-        isinstance(i, numbers.Integral)
-        and not isinstance(i, bool)
-        and 0 <= i < problem.dims.m
-    ):
+    _check_match(problem, point)
+    if not (_is_int(i) and 0 <= i < problem.dims.m):
         raise ValidationError(f"block index {i!r} out of range for m={problem.dims.m}")
     if not (_is_real(alpha) and alpha > 0):
         raise ValidationError(f"alpha must be positive (or inf), got {alpha!r}")

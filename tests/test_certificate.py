@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import otsm.certificate
+import otsm.cli
 import otsm.core
 import otsm.solver
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
@@ -136,7 +137,7 @@ class TestCertify:
         assert report.verdict is Verdict.CERTIFIED_GLOBAL
         assert_allclose(report.taus, (1.0, 1.0, 1.0), atol=1e-12)
         assert report.lmin_full >= -1e-10
-        assert report.asymmetry <= 1e-12
+        assert report.stationarity.max_asymmetry <= 1e-12
 
     def test_cycle_point_inconclusive(self, hard_problem):
         report = certify(hard_problem, BlockOrthogonal([I32, J32, I32]))
@@ -326,6 +327,50 @@ def test_reading_lmin_full_costs_one_eigvalsh(monkeypatch):
     assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
     assert report.lmin_full == lmin
     assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
+
+
+def count_coupling_passes(monkeypatch):
+    """Count the passes over the couplings that compute G_i = sum_j S_ij O_j."""
+    passes = Counter()
+    cross_sums = otsm.core._cross_sums
+
+    def counted(*args, **kwargs):
+        passes["_cross_sums"] += 1
+        return cross_sums(*args, **kwargs)
+
+    monkeypatch.setattr(otsm.core, "_cross_sums", counted)
+    return passes
+
+
+def test_certify_makes_one_pass_over_the_couplings(monkeypatch):
+    """certify computes the coupling sums once; lmin_full reuses its multipliers."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    passes = count_coupling_passes(monkeypatch)
+    report = certify(prob, point)
+    assert passes["_cross_sums"] == 1
+    lmin = report.lmin_full
+    assert passes["_cross_sums"] == 1
+    assert report.stationarity == stationarity(prob, point)
+    assert lmin == np.linalg.eigvalsh(certificate_matrix(prob, point))[0]
+
+
+def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, capsys):
+    """otsm certify makes one pass; otsm solve --certify one for the solve, one for certify."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    problem_path = str(tmp_path / "problem.json")
+    report_path = str(tmp_path / "run.json")
+    otsm.cli.save_problem(prob, problem_path)
+    passes = count_coupling_passes(monkeypatch)
+    code = otsm.cli.main(["solve", "--input", problem_path, "--init", "spectral",
+                          "--certify", "--out", report_path])
+    assert (code, passes["_cross_sums"]) == (0, 2)
+    passes.clear()
+    code = otsm.cli.main(["certify", "--input", problem_path,
+                          "--solution", str(tmp_path / "run.solution.json"),
+                          "--out", str(tmp_path / "check.json")])
+    assert (code, passes["_cross_sums"]) == (0, 1)
+    capsys.readouterr()
 
 
 def test_spectral_pipeline_dense_work(monkeypatch):

@@ -45,6 +45,20 @@ class TestBlockDims:
         with pytest.raises(ValidationError):
             BlockDims((3, 3), 0)
 
+    def test_non_integers_rejected(self):
+        # int() would have truncated these to dims=(2, 3), r=1.
+        with pytest.raises(ValidationError):
+            BlockDims((2.9, 3), True)
+        with pytest.raises(ValidationError):
+            BlockDims((2.9, 3), 1)
+        with pytest.raises(ValidationError):
+            BlockDims((2, 3), 1.0)
+
+    def test_numpy_integers_accepted(self):
+        dims = BlockDims((np.int64(3), np.int32(4)), np.int64(2))
+        assert dims == BlockDims((3, 4), 2)
+        assert all(type(d) is int for d in dims.dims) and type(dims.r) is int
+
 
 class TestOtsmProblem:
     def test_coupling_transpose_and_zero(self):
@@ -55,6 +69,41 @@ class TestOtsmProblem:
         assert_allclose(prob.coupling(0, 2), np.zeros((3, 2)))
         with pytest.raises(ValidationError):
             prob.coupling(1, 1)
+
+    def test_pair_normalizing_onto_another_rejected(self):
+        # A mapping whose keys are distinct but name the same pair: one of
+        # the two couplings would otherwise be dropped without a word.
+        class Pairs(dict):
+            def items(self):
+                return [((0, 1), np.eye(3)), ((np.int64(0), np.int64(1)), -np.eye(3))]
+
+        with pytest.raises(ValidationError, match="twice"):
+            OtsmProblem(BlockDims((3, 3), 2), Pairs())
+        # Python keeps one entry for these two equal keys; the float key
+        # it keeps is rejected instead of being truncated onto (0, 1).
+        with pytest.raises(ValidationError):
+            OtsmProblem(BlockDims((3, 3), 2), {(0.0, 1.0): np.eye(3), (0, 1): -np.eye(3)})
+
+    @pytest.mark.parametrize("key", [(0.9, 1.9), "01", (0, 1, 7), (0,), 1, (False, True)])
+    def test_malformed_key_rejected(self, key):
+        with pytest.raises(ValidationError):
+            OtsmProblem(BlockDims((3, 3), 2), {key: np.eye(3)})
+
+    def test_numpy_integer_key_accepted(self):
+        prob = OtsmProblem(BlockDims((3, 3), 2), {(np.int64(0), np.int32(1)): np.eye(3)})
+        assert list(prob.sblocks) == [(0, 1)]
+        assert all(type(i) is int for i in next(iter(prob.sblocks)))
+
+    def test_coupling_index_out_of_range_rejected(self, hard_problem):
+        # (0, 2) is stored as I; a negative index must not read a zero block.
+        with pytest.raises(ValidationError):
+            hard_problem.coupling(-1, 0)
+        with pytest.raises(ValidationError):
+            hard_problem.coupling(0, 3)
+        for bad in (0.0, True, "0"):
+            with pytest.raises(ValidationError):
+                hard_problem.coupling(bad, 1)
+        assert_allclose(hard_problem.coupling(np.int64(2), 0), np.eye(3))
 
     def test_bad_key_rejected(self):
         dims = BlockDims((3, 3), 2)
