@@ -27,24 +27,27 @@ same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
 are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``
 and ``lmin_full`` (and ``lmin_reduced`` where both trees report it) and a
-``dual_bound`` and
-``tol_psd`` within ``1e-13`` relative.  Those two read the extreme
-eigenvalues of the coupling matrix, which may come from ``eigh`` in one
-tree and ``eigvalsh`` in the other and then agree only to rounding.  A
-certificate field that only one tree reports is listed as removed or
-added, not counted as a mismatch.
+``dual_bound``, ``tol_psd`` and ``tol_tau`` within ``1e-13`` relative.
+Those three read the extreme eigenvalues of the coupling matrix, which may
+come from ``eigh`` in one tree and ``eigvalsh`` in the other and then agree
+only to rounding.  A certificate field that only one tree reports is
+listed as removed or added, not counted as a mismatch.
 
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
 exactly, NaN equal to NaN).  A tree whose ``CellResult`` has no
 ``failure_reasons`` field counts as having none, which matches only when
 no rep failed.  The script prints the largest trace and certificate
-differences and exits 1 on any mismatch.
+differences and exits 1 on any mismatch.  Its output ends with one line
+per mismatched field and the number of runs or cells it differs in (for
+example ``tol_psd: 548``), so a field that a change moves on purpose shows
+as one line and any other field stands out.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import subprocess
 import sys
@@ -55,7 +58,7 @@ import numpy as np
 TRACE_REL = 1e-12
 SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
-SPECTRAL_FIELDS = ("dual_bound", "tol_psd")
+SPECTRAL_FIELDS = ("dual_bound", "tol_psd", "tol_tau")
 #: Certificate fields saved when the tree's report has them (older trees
 #: also report ``lmin_reduced``).
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
@@ -170,13 +173,13 @@ def _run_dump(src, path):
                    env=env, check=True)
 
 
-def compare(base, new) -> list[str]:
-    """Mismatches between two dumps, one line each."""
+def compare(base, new) -> list[tuple[str, str]]:
+    """Mismatches between two dumps, one ``(field, line)`` pair each."""
     found = []
     one_sided = set(base.files) ^ set(new.files)
     runs_differ = sorted(k for k in one_sided if k.rsplit("|", 1)[1] not in CERT_FIELDS)
     if runs_differ:
-        return [f"different runs: {runs_differ}"]
+        return [("runs", f"different runs: {runs_differ}")]
     for side, keys in (("removed", set(base.files) - set(new.files)),
                        ("added", set(new.files) - set(base.files))):
         fields = sorted({key.rsplit("|", 1)[1] for key in keys})
@@ -189,23 +192,23 @@ def compare(base, new) -> list[str]:
         a, b = base[key], new[key]
         if what == "trace":
             if a.shape != b.shape:
-                found.append(f"{label}: trace lengths {a.size} != {b.size}")
+                found.append((what, f"{label}: trace lengths {a.size} != {b.size}"))
                 continue
             rel = np.abs(a - b) / (1.0 + np.abs(a))
             worst = max(worst, float(rel.max()))
             if rel.max() > TRACE_REL:
-                found.append(f"{label}: trace differs by {rel.max():.3e} (rel)")
+                found.append((what, f"{label}: trace differs by {rel.max():.3e} (rel)"))
         elif what in SPECTRAL_FIELDS:
             rel = float(abs(a - b) / max(abs(a), abs(b))) if a != b else 0.0
             worst_spectral = max(worst_spectral, rel)
             if rel > SPECTRAL_REL:
-                found.append(f"{label}: {what} differs by {rel:.3e} (rel)")
+                found.append((what, f"{label}: {what} differs by {rel:.3e} (rel)"))
         elif not np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f"):
-            found.append(f"{label}: {what} differs")
+            found.append((what, f"{label}: {what} differs"))
     runs = sum(1 for key in base.files if key.endswith("|trace"))
     cells = sum(1 for key in base.files if key.endswith("|init"))
     print(f"{runs} runs compared; largest objective trace difference "
-          f"{worst:.3e} relative to 1 + |f|; largest dual_bound/tol_psd "
+          f"{worst:.3e} relative to 1 + |f|; largest dual_bound/tol_psd/tol_tau "
           f"difference {worst_spectral:.3e} relative; {cells} run_grid cells compared")
     return found
 
@@ -228,9 +231,11 @@ def main(argv=None) -> int:
         _run_dump(args.src, paths[1])
         with np.load(paths[0]) as base, np.load(paths[1]) as new:
             found = compare(base, new)
-    for line in found:
+    for _, line in found:
         print(line)
     print("match" if not found else f"{len(found)} mismatches")
+    for field, count in sorted(collections.Counter(f for f, _ in found).items()):
+        print(f"{field}: {count}")
     return 1 if found else 0
 
 

@@ -10,11 +10,19 @@ trap, plus a seeded synthetic alignment generator for benchmark grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDims, OtsmProblem, ValidationError, polar_project
+from .core import (
+    BlockDims,
+    OtsmProblem,
+    ValidationError,
+    _is_int,
+    _is_real,
+    polar_project,
+)
 
 __all__ = [
     "ViewData",
@@ -208,7 +216,7 @@ def pairwise_discrepancy(data: ViewData, point) -> float:
     return total
 
 
-def build_ols(data: OlsData, r: int | None = None):
+def build_ols(data: OlsData):
     """Reduce orthogonal least squares to a trace-sum problem.
 
     Minimizing ``0.5 * ||Y - sum_k A_k O_k||_F^2`` over square orthogonal
@@ -221,8 +229,6 @@ def build_ols(data: OlsData, r: int | None = None):
     Parameters
     ----------
     data : OlsData
-    r : int, optional
-        Must equal d when given: the recovery map needs square blocks.
 
     Returns
     -------
@@ -230,13 +236,8 @@ def build_ols(data: OlsData, r: int | None = None):
         The augmented problem and a recovery map sending a feasible point
         of it to the list of K recovered square-orthogonal blocks.
     """
-    d = data.d
-    if r is not None and r != d:
-        raise ValidationError(
-            f"recovery needs square blocks: r={r} must equal d={d}"
-        )
     stacked = list(data.regressors) + [data.target]
-    dims = BlockDims(tuple(a.shape[1] for a in stacked), d)
+    dims = BlockDims(tuple(a.shape[1] for a in stacked), data.d)
     problem = OtsmProblem(dims, _gram_couplings(stacked, sign=-1.0))
     k = data.k
 
@@ -301,9 +302,10 @@ def synth_procrustes(m, n, d, r, sigma, seed):
     r : int
         Rank of the alignment problem, ``r <= d``.
     sigma : float
-        Noise level, ``sigma >= 0``.
+        Noise level, finite and ``>= 0``.
     seed : int
-        Seed for the per-call generator; no global RNG state is touched.
+        Seed for the per-call generator, ``>= 0``; no global RNG state is
+        touched.
 
     Returns
     -------
@@ -312,19 +314,23 @@ def synth_procrustes(m, n, d, r, sigma, seed):
         from a solve is only ever expected up to a common orthogonal
         right factor shared by all blocks.
     """
-    m = int(m)
-    n = int(n)
-    d = int(d)
-    r = int(r)
+    for name, value in (("m", m), ("n", n), ("d", d), ("r", r), ("seed", seed)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    m, n, d, r, seed = int(m), int(n), int(d), int(r), int(seed)
     if m < 2:
         raise ValidationError(f"need at least 2 views, got m={m}")
     if n < 1:
         raise ValidationError(f"need at least one sample, got n={n}")
     if not 1 <= r <= d:
         raise ValidationError(f"rank r={r} must satisfy 1 <= r <= d={d}")
+    if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
+        raise ValidationError(
+            f"noise level must be finite and nonnegative, got {sigma!r}"
+        )
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     sigma = float(sigma)
-    if sigma < 0:
-        raise ValidationError(f"noise level must be nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     landmarks = rng.standard_normal((n, d))
     views = []

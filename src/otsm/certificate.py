@@ -10,9 +10,8 @@ the point is NOT globally optimal (necessary condition).  Between the two
 lies an inconclusive region: the certificate is sufficient, not necessary.
 `certify` decides semidefiniteness by one Cholesky factorization of
 ``L* + tol_psd I`` and gives ``CERTIFIED_GLOBAL`` only at points that are
-stationary relative to the scale of ``stilde``.  The smallest eigenvalue of
-L* is computed when a caller first reads it, so callers can still re-judge
-the point with their own tolerances.
+stationary relative to the scale of ``stilde``, by tolerances that scale
+with ``stilde``.  The report lets a caller re-judge by another rule.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .core import (
     BlockOrthogonal,
     OtsmProblem,
     StationarityReport,
-    ValidationError,
     _check_match,
     _first_order,
     _spectrum,
@@ -45,12 +43,12 @@ __all__ = [
     "dual_upper_bound",
 ]
 
-# Verdict tolerances are (base) + (RESIDUAL_FACTOR * measured stationarity
-# error).  Eigenvalues of the multipliers and of L* move linearly with the
-# distance to the underlying exact stationary point, and at mean-change
-# stopping thresholds the certificate eigenvalue error is a double-digit
-# multiple of the gradient residual (measured ratio ~29 on the canonical
-# 3-block instance), so the factor needs headroom above that.
+# Verdict tolerances are (base * ||stilde||_2) + (RESIDUAL_FACTOR * measured
+# stationarity error).  Eigenvalues of the multipliers and of L* move
+# linearly with the distance to the underlying exact stationary point, and
+# at mean-change stopping thresholds the certificate eigenvalue error is a
+# double-digit multiple of the gradient residual (measured ratio ~29 on the
+# canonical 3-block instance), so the factor needs headroom above that.
 _PSD_BASE = 1e-6
 _TAU_BASE = 1e-8
 _RESIDUAL_FACTOR = 100.0
@@ -79,9 +77,9 @@ class CertificateReport:
     ``lambdas`` are the raw (unsymmetrized) multipliers; ``taus`` the
     smallest eigenvalues of their symmetrized versions; ``stationarity``
     the diagnostics measured in the same pass over the couplings.
-    ``tol_psd`` and ``tol_tau`` are the effective tolerances the verdict
-    used.  The report keeps the problem and the point it was made for, to
-    compute :attr:`lmin_full` on demand from its ``lambdas`` and ``taus``.
+    ``tol_psd`` and ``tol_tau`` are the tolerances the verdict used; a
+    caller re-judges by another rule from ``taus``, ``stationarity`` and
+    :attr:`lmin_full`, computed on demand from the kept problem and point.
     """
 
     lambdas: tuple[np.ndarray, ...]
@@ -169,39 +167,49 @@ def reduced_certificate(problem, point) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
-def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
+def _psd_within(matrix, tol) -> bool:
+    """True when ``matrix + tol I`` has a Cholesky factorization.
+
+    That is when ``lambda_min(matrix) >= -tol`` up to the factorization's
+    backward error.  The diagonal of ``matrix`` is shifted in place.
+    """
+    matrix.flat[:: matrix.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certify(problem, point) -> CertificateReport:
     """Three-valued global-optimality verdict at a feasible point.
 
-    Verdict logic: if ``min(taus) < -tol_tau`` the point cannot be a
-    global maximizer (CERTIFIED_NOT_GLOBAL).  Otherwise the point is
+    The zero problem (``||stilde||_2 = 0``), where every point attains the
+    optimum 0, is CERTIFIED_GLOBAL.  Otherwise, if ``min(taus) < -tol_tau``
+    the point cannot be a global maximizer (CERTIFIED_NOT_GLOBAL).  It is
     certified (CERTIFIED_GLOBAL) when it is stationary relative to the
     problem's scale, ``r_stat <= 1e-3 * ||stilde||_2``, and the Cholesky
     factorization of ``L* + tol_psd I`` succeeds, that is when
     ``lambda_min(L*) >= -tol_psd`` up to the factorization's backward
-    error.  Every other point is INCONCLUSIVE.  The stationarity gate
-    applies with explicit tolerances too.  An explicit ``tol_psd = 0``
-    cannot certify an exactly stationary point: there ``L* Obar = 0`` for
-    the stacked point ``Obar``, so L* is singular.
+    error.  Every other point is INCONCLUSIVE.
 
-    Default tolerances scale with the measured stationarity error at the
-    point: ``tol_psd = 1e-6 * (1 + ||stilde||_2) + 100 * r_stat`` and
-    ``tol_tau = 1e-8 + 100 * r_stat`` where ``r_stat`` is the larger of
-    the gradient residual and multiplier asymmetry maxima.  At exact
-    stationary points this reduces to the bases; at solver output
-    converged to mean-change ``tol`` it absorbs the O(tol)-scale
-    eigenvalue error of the approximate point.
+    The tolerances depend only on the problem and the point:
+    ``tol_psd = 1e-6 * ||stilde||_2 + 100 * r_stat`` and
+    ``tol_tau = 1e-8 * ||stilde||_2 + 100 * r_stat``, where ``r_stat`` is
+    the larger of the gradient residual and multiplier asymmetry maxima.
+    Scaling the couplings by ``c > 0`` scales both, and the taus, by ``c``
+    and keeps the verdict.  Callers who want another rule re-judge from the
+    report's ``taus``, ``stationarity`` and ``lmin_full``.
 
     Cost: one pass over the couplings gives the multipliers and the
     report's ``stationarity``; ``stilde`` is assembled once and turned into
-    ``L* + tol_psd I`` in place, and the verdict needs at most one dense
-    Cholesky factorization.  The report's ``lmin_full`` costs one
-    ``eigvalsh`` of L* built from the report's multipliers when first
-    read.  The extreme eigenvalues of ``stilde`` (``||stilde||_2`` and the
-    dual bound) come from the spectrum memoized on the problem; on a fresh
-    problem this call fills it with one ``eigvalsh(stilde)``.
-    After :func:`otsm.solver.init_spectral` or a spectral ``solve`` on the
-    same problem the memo holds ``eigh`` eigenvalues, which agree with
-    ``eigvalsh`` only to rounding, so ``tol_psd`` and ``dual_bound`` may
+    ``L* + tol_psd I`` in place for at most one dense Cholesky
+    factorization.  ``lmin_full`` costs one ``eigvalsh`` of L* when first
+    read.  ``||stilde||_2`` and the dual bound come from the spectrum
+    memoized on the problem, which a fresh problem fills with one
+    ``eigvalsh(stilde)``.  After :func:`otsm.solver.init_spectral` or a
+    spectral ``solve`` the memo holds ``eigh`` eigenvalues, which agree with
+    ``eigvalsh`` only to rounding, so the tolerances and ``dual_bound`` may
     differ in the last digits from a certificate on a fresh problem.
     """
     lams, stat = _first_order(problem, point)
@@ -210,28 +218,19 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
     s_eigs, _ = _spectrum(problem, stilde=stilde)
     snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-    if tol_psd is None:
-        tol_psd = _PSD_BASE * (1.0 + snorm) + _RESIDUAL_FACTOR * r_stat
-    if tol_tau is None:
-        tol_tau = _TAU_BASE + _RESIDUAL_FACTOR * r_stat
-    # A NaN shift would let the factorization succeed on a NaN matrix.
-    if not (tol_psd >= 0 and tol_tau >= 0):
-        raise ValidationError(
-            f"tolerances must be nonnegative, got tol_psd={tol_psd!r}, tol_tau={tol_tau!r}"
-        )
+    tol_psd = _PSD_BASE * snorm + _RESIDUAL_FACTOR * r_stat
+    tol_tau = _TAU_BASE * snorm + _RESIDUAL_FACTOR * r_stat
 
-    if min(taus) < -tol_tau:
+    if snorm == 0.0:
+        verdict = Verdict.CERTIFIED_GLOBAL
+    elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
-    elif r_stat > _STATIONARITY_GATE * snorm:
-        verdict = Verdict.INCONCLUSIVE
+    elif r_stat <= _STATIONARITY_GATE * snorm and _psd_within(
+        _certificate_from(stilde, point, lams, taus), tol_psd
+    ):
+        verdict = Verdict.CERTIFIED_GLOBAL
     else:
-        shifted = _certificate_from(stilde, point, lams, taus)
-        shifted.flat[:: shifted.shape[0] + 1] += tol_psd
-        try:
-            np.linalg.cholesky(shifted)
-            verdict = Verdict.CERTIFIED_GLOBAL
-        except np.linalg.LinAlgError:
-            verdict = Verdict.INCONCLUSIVE
+        verdict = Verdict.INCONCLUSIVE
 
     return CertificateReport(
         lambdas=tuple(lams),
@@ -239,8 +238,8 @@ def certify(problem, point, tol_psd=None, tol_tau=None) -> CertificateReport:
         dual_bound=_dual_bound(problem.dims, float(s_eigs[-1])),
         verdict=verdict,
         stationarity=stat,
-        tol_psd=float(tol_psd),
-        tol_tau=float(tol_tau),
+        tol_psd=tol_psd,
+        tol_tau=tol_tau,
         _problem=problem,
         _point=point,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
-from .core import ValidationError
+from .core import ValidationError, _is_int, _is_real
 from .solver import SolverConfig, StopReason, _solve_batch
 
 __all__ = [
@@ -63,14 +64,17 @@ class ExperimentGrid:
     d_values : tuple of int
         Landmark dimensions to sweep.
     sigma_values : tuple of float
-        Noise levels to sweep.
+        Noise levels to sweep, finite and nonnegative.
     m, n, r : int
         Views per instance, samples per view, solve rank (fixed across
         the grid).
     reps : int
         Instances per (d, sigma) cell.
     base_seed : int
-        Root of the per-rep seed derivation.
+        Root of the per-rep seed derivation, nonnegative.
+
+    Sizes and the seed must be integers (NumPy integers are kept as
+    ``int``; bools and floats are rejected); lists become tuples.
     init_strategies : tuple of str
         Subset of {"identity", "spectral"}; every instance is solved once
         per strategy.
@@ -86,15 +90,20 @@ class ExperimentGrid:
     init_strategies: tuple[str, ...] = ("identity", "spectral")
 
     def __post_init__(self):
-        object.__setattr__(self, "d_values", tuple(int(d) for d in self.d_values))
-        object.__setattr__(
-            self, "sigma_values", tuple(float(s) for s in self.sigma_values)
-        )
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        for name in ("m", "n", "r", "reps", "base_seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        d_values, sigma_values = tuple(self.d_values), tuple(self.sigma_values)
+        if not all(_is_int(d) for d in d_values):
+            raise ValidationError(f"dimensions must be integers, got {d_values}")
+        if not all(_is_real(s) and math.isfinite(s) and s >= 0 for s in sigma_values):
+            raise ValidationError(
+                f"noise levels must be finite and nonnegative, got {sigma_values}"
+            )
+        object.__setattr__(self, "d_values", tuple(int(d) for d in d_values))
+        object.__setattr__(self, "sigma_values", tuple(float(s) for s in sigma_values))
         object.__setattr__(
             self, "init_strategies", tuple(str(s) for s in self.init_strategies)
         )
@@ -104,10 +113,6 @@ class ExperimentGrid:
             raise ValidationError("sigma_values must be non-empty")
         if any(d < 1 for d in self.d_values):
             raise ValidationError(f"dimensions must be positive, got {self.d_values}")
-        if any(s < 0 for s in self.sigma_values):
-            raise ValidationError(
-                f"noise levels must be nonnegative, got {self.sigma_values}"
-            )
         if self.m < 2:
             raise ValidationError(f"need at least 2 views, got m={self.m}")
         if self.n < 1:
@@ -119,6 +124,8 @@ class ExperimentGrid:
             )
         if self.reps < 1:
             raise ValidationError(f"reps must be at least 1, got {self.reps}")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
         if not self.init_strategies:
             raise ValidationError("init_strategies must be non-empty")
         if len(set(self.init_strategies)) != len(self.init_strategies):

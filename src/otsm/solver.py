@@ -29,6 +29,7 @@ from .core import (
     _check_match,
     _cross_sums,
     _is_int,
+    _is_real,
     _spectrum,
     assemble_stilde,
     objective,
@@ -52,11 +53,6 @@ _STAGNATION_EPS = 1e-14
 _STAGNATION_CYCLES = 10
 #: Relative slack of the audit that no cycle lowers the objective.
 _MONOTONE_SLACK = 1e-12
-
-
-def _is_real(value) -> bool:
-    """True for an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class StopReason(Enum):

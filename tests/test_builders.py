@@ -237,11 +237,6 @@ class TestBuildOls:
             q = polar_project(rng.standard_normal((3, 3)))
             assert ols_residual(data, [q]) == pytest.approx(half, rel=1e-12)
 
-    def test_rank_must_be_d(self):
-        data = OlsData(np.eye(3), (np.eye(3),))
-        with pytest.raises(ValidationError):
-            build_ols(data, r=2)
-
     def test_recover_validates_point(self):
         data = OlsData(np.eye(3), (np.eye(3),))
         _, recover = build_ols(data)
@@ -347,3 +342,23 @@ class TestSynthProcrustes:
             synth_procrustes(m=3, n=10, d=3, r=4, sigma=0.1, seed=0)
         with pytest.raises(ValidationError):
             synth_procrustes(m=3, n=10, d=3, r=2, sigma=-0.5, seed=0)
+
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            synth_procrustes(3.9, 20, 4.5, 2.7, 0.1, 0)
+        for field in ("n", "d", "r", "seed"):
+            args = dict(m=3, n=20, d=4, r=2, sigma=0.1, seed=0)
+            args[field] += 0.5
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                synth_procrustes(**args)
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            synth_procrustes(True, 20, 4, 2, 0.1, 0)
+        problem, _ = synth_procrustes(np.int64(3), 20, np.int64(4), 2, 0.1, np.int64(0))
+        assert problem.dims == synth_procrustes(3, 20, 4, 2, 0.1, 0)[0].dims
+
+    def test_non_finite_noise_and_negative_seed_rejected(self):
+        for sigma in (float("nan"), float("inf"), "0.1"):
+            with pytest.raises(ValidationError, match="noise level must be finite"):
+                synth_procrustes(3, 20, 4, 2, sigma, 0)
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            synth_procrustes(3, 20, 4, 2, 0.1, -1)

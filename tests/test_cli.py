@@ -609,3 +609,12 @@ class TestBenchCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--d", "3", "--sigma", "0.1", "--m", "3", "--n", "10", "--r", "2",
+             "--reps", "1", "--seed", "-1", "--out", str(tmp_path / "g.csv")]
+        )
+        assert code == 1
+        assert "error: base_seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()

@@ -32,10 +32,29 @@ class TestExperimentGrid:
         assert grid.init_strategies == ("identity", "spectral")
 
     def test_coercion(self):
-        grid = ExperimentGrid(d_values=[5], sigma_values=[1], reps=2.0)
+        grid = ExperimentGrid(d_values=[5], sigma_values=[1], reps=np.int64(2))
         assert grid.d_values == (5,)
         assert grid.sigma_values == (1.0,)
-        assert grid.reps == 2
+        assert grid.reps == 2 and type(grid.reps) is int
+        with pytest.raises(ValidationError, match="reps must be an integer"):
+            ExperimentGrid(d_values=[5], sigma_values=[1], reps=2.0)
+
+    def test_non_integer_sizes_rejected(self):
+        for field, value in (("m", 3.7), ("n", 20.5), ("r", 2.5), ("reps", 1.9),
+                             ("base_seed", 0.5), ("m", True)):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                ExperimentGrid(d_values=(5,), sigma_values=(0.1,), **{field: value})
+        with pytest.raises(ValidationError, match="dimensions must be integers"):
+            ExperimentGrid(d_values=(5.9,), sigma_values=(0.1,))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="base_seed must be nonnegative"):
+            ExperimentGrid(d_values=(5,), sigma_values=(0.1,), base_seed=-1)
+
+    def test_non_finite_noise_rejected(self):
+        for sigma in (math.nan, math.inf, "0.1"):
+            with pytest.raises(ValidationError, match="noise levels must be finite"):
+                ExperimentGrid(d_values=(5,), sigma_values=(sigma,))
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValidationError):
