@@ -19,7 +19,9 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   base seed 0, both starts), whose first six reps are grid_small's problems;
 * the acceptance corpus: ``hard_example(3, 2)`` from both starts, 100
   two-block and 200 scalar sign problems, and the oscillation demo's
-  finite-alpha solve from ``(I, J, I)``.
+  finite-alpha solve from ``(I, J, I)``;
+* the classical ascent (``alpha = inf``) on ``hard_example(3, 2)`` from
+  both starts and on the 100 two-block problems.
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import math
 import os
 import subprocess
 import sys
@@ -68,8 +71,8 @@ GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0
 
 def _corpus():
     """Yield (label, problem, config) for every solve in the corpus."""
+    from otsm import load_problem, save_problem
     from otsm.builders import hard_example, synth_procrustes
-    from otsm.cli import load_problem, save_problem
     from otsm.core import BlockDims, BlockOrthogonal, OtsmProblem
     from otsm.experiment import _derived_seed
     from otsm.solver import SolverConfig, init_spectral
@@ -99,6 +102,7 @@ def _corpus():
     hard = hard_example(3, 2)
     for init in ("spectral", "identity"):
         yield f"hard/{init}", hard, SolverConfig(init=init)
+        yield f"hard/{init}/inf", hard, SolverConfig(alpha=math.inf, init=init)
     # The oscillation demo's finite-alpha solve from (I, J, I).
     i32 = np.eye(3, 2)
     start = BlockOrthogonal([i32, i32[:, ::-1], i32])
@@ -112,6 +116,7 @@ def _corpus():
         s12 = rng.standard_normal((d1, d2))
         problem = OtsmProblem(BlockDims((d1, d2), r), {(0, 1): s12})
         yield f"pair/{k}", problem, SolverConfig(init="spectral")
+        yield f"pair/{k}/inf", problem, SolverConfig(alpha=math.inf, init="spectral")
 
     rng = np.random.default_rng(777)
     for k in range(200):

@@ -28,12 +28,7 @@ from .certificate import (
     dual_upper_bound,
     reduced_certificate,
 )
-from .cli import (
-    load_problem,
-    load_solution,
-    save_problem,
-    save_solution,
-)
+from . import cli  # noqa: F401  benchmarks/workloads.py calls otsm.cli.*
 from .core import (
     DEFAULT_ORTH_TOL,
     BlockDims,
@@ -54,6 +49,12 @@ from .experiment import (
     ExportError,
     export_results,
     run_grid,
+)
+from .formats import (
+    load_problem,
+    load_solution,
+    save_problem,
+    save_solution,
 )
 from .solver import (
     OscillationTrace,

@@ -19,6 +19,7 @@ from .core import (
     BlockDims,
     OtsmProblem,
     ValidationError,
+    _as_matrix,
     _is_int,
     _is_real,
     polar_project,
@@ -35,16 +36,6 @@ __all__ = [
     "hard_example",
     "synth_procrustes",
 ]
-
-
-def _as_matrix(a, what):
-    out = np.array(a, dtype=float)
-    if out.ndim != 2:
-        raise ValidationError(f"{what} must be a matrix, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,11 +251,11 @@ def ols_residual(data: OlsData, rotations) -> float:
             f"got {len(rotations)} rotations for {data.k} regressors"
         )
     fit = np.zeros_like(data.target)
-    for a, o in zip(data.regressors, rotations):
-        q = np.asarray(o, dtype=float)
+    for k, (a, o) in enumerate(zip(data.regressors, rotations)):
+        q = _as_matrix(o, f"rotation {k}")
         if q.shape != (data.d, data.d):
             raise ValidationError(
-                f"rotation has shape {q.shape}, expected ({data.d}, {data.d})"
+                f"rotation {k} has shape {q.shape}, expected ({data.d}, {data.d})"
             )
         fit = fit + a @ q
     return 0.5 * float(np.sum((data.target - fit) ** 2))

@@ -60,7 +60,7 @@ _RESIDUAL_FACTOR = 100.0
 #: points at least 0.2.
 _STATIONARITY_GATE = 1e-3
 
-#: Tolerance scale for the reported check of the null identity L* Obar = 0.
+#: Relative tolerance, against ||L*||_F, of the reported check L* Obar = 0.
 _NULL_TOL = 1e-6
 
 
@@ -148,14 +148,14 @@ def reduced_certificate(problem, point) -> np.ndarray:
     whenever it has full column rank, which the blocks' own
     orthonormality tolerance guarantees, so the stack need not be
     orthonormal to any tighter tolerance.  A warning is emitted when the
-    null identity fails beyond tolerance (the point is too far from
-    stationary for the reduction to be meaningful).
+    null identity fails, ``||L* Obar||_F > 1e-6 ||L*||_F`` (the point is
+    too far from stationary for the reduction to be meaningful).
     """
     _check_match(problem, point)
     obar = point.stack() / np.sqrt(problem.dims.m)
     full = certificate_matrix(problem, point)
     null_residual = float(np.linalg.norm(full @ obar))
-    if null_residual > _NULL_TOL * (1.0 + float(np.linalg.norm(full))):
+    if null_residual > _NULL_TOL * float(np.linalg.norm(full)):
         warnings.warn(
             f"certificate null identity ||L* Obar|| = {null_residual:.3e}; "
             f"the point is not stationary enough for the reduced test",

@@ -1,70 +1,33 @@
 """Command-line front end: solve, certify, demo, and benchmark commands.
 
-File formats (all JSON, written atomically via a temporary sibling):
-
-* problem file — either explicit couplings::
-
-      {"dims": [d1, ..., dm], "r": r,
-       "S": [{"i": 1, "j": 2, "data": [[...], ...]}, ...]}
-
-  with 1-based block indices ``i < j`` and ``data`` of shape ``d_i x d_j``
-  (absent pairs are zero couplings), or raw data views::
-
-      {"r": r, "views": [[[...], ...], ...]}
-
-  which builds the cross-Gram agreement problem from the m views
-  (``dims`` is optional here and cross-checked when present).  Exactly
-  one of ``"S"`` and ``"views"`` must be present.
-
-* solution file — ``{"blocks": [...]}`` with one ``d_i x r`` matrix per
-  block, written as nested row lists; a flat row-major list per block is
-  also accepted on input when the problem fixes the shapes.  Blocks are
-  checked for orthonormality on load: deviations above 1e-8 warn, above
-  1e-4 error out.
-
-* report file — objective, iterations, stop_reason, stationarity maxima,
-  optional certificate summary and objective trace.  Numbers are written
-  in shortest round-trip form.
-
-Exit codes are the machine contract (stdout is human-oriented):
-``solve`` 0 converged / 2 stopped without meeting the tolerance / 1 input
-error; ``certify`` 0 certified global / 3 inconclusive / 4 certified not
-global / 1 input error; ``demo-oscillation`` 0 validated / 5 validation
-failure; ``bench`` 0 done / 1 input or output error.
+The commands read and write the JSON files described in
+:mod:`otsm.formats`.  Exit codes are the machine contract (stdout is
+human-oriented): ``solve`` 0 converged / 2 stopped without meeting the
+tolerance / 1 input error; ``certify`` 0 certified global / 3
+inconclusive / 4 certified not global / 1 input error;
+``demo-oscillation`` 0 validated / 5 validation failure; ``bench`` 0
+done / 1 input or output error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
-import warnings
 
-import numpy as np
-
-from ._fileio import atomic_write_text
-from .builders import ViewData, build_maxdiff
 from .certificate import Verdict, certify
-from .core import (
-    BlockDims,
-    BlockOrthogonal,
-    InternalError,
-    OtsmProblem,
-    ValidationError,
-    objective,
-)
+from .core import InternalError, ValidationError, objective
 from .experiment import ExperimentGrid, ExportError, export_results, run_grid
+from .formats import (
+    _save_certify_report,
+    _save_solve_report,
+    load_problem,
+    load_solution,
+    save_problem,  # noqa: F401  benchmarks/workloads.py calls otsm.cli.save_problem
+)
 from .solver import SolverConfig, StopReason, oscillation_demo, solve
 
-__all__ = [
-    "main",
-    "load_problem",
-    "save_problem",
-    "load_solution",
-    "save_solution",
-]
+__all__ = ["main"]
 
 _SOLVE_EXIT = {
     StopReason.CONVERGED: 0,
@@ -77,272 +40,6 @@ _CERTIFY_EXIT = {
     Verdict.INCONCLUSIVE: 3,
     Verdict.CERTIFIED_NOT_GLOBAL: 4,
 }
-
-#: Orthonormality deviation that draws a warning when loading a solution.
-SOLUTION_WARN_TOL = 1e-8
-#: Orthonormality deviation that rejects a loaded solution outright.
-SOLUTION_ERROR_TOL = 1e-4
-
-
-# --------------------------------------------------------------------------
-# JSON plumbing
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _read_json(path, kind):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{kind} file {path}: malformed JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{kind} file {path}: not UTF-8 text: {exc}") from exc
-
-
-# --------------------------------------------------------------------------
-# Problem files
-
-
-def _bad_field(path, kind, field, msg):
-    return ValidationError(f"{kind} file {path}: field '{field}': {msg}")
-
-
-def _as_int(value, path, kind, field):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad_field(path, kind, field, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_matrix_field(value, path, kind, field):
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _bad_field(path, kind, field, f"not a numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise _bad_field(path, kind, field, f"expected a matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def _dims_field(raw, path):
-    """The problem file's ``dims``: a non-empty list of integers."""
-    if not isinstance(raw["dims"], list) or not raw["dims"]:
-        raise _bad_field(path, "problem", "dims", "expected a non-empty list")
-    return tuple(
-        _as_int(d, path, "problem", f"dims[{k}]") for k, d in enumerate(raw["dims"])
-    )
-
-
-def load_problem(path) -> OtsmProblem:
-    """Load and validate a problem file; raises ValidationError on defects."""
-    raw = _read_json(path, "problem")
-    if not isinstance(raw, dict):
-        raise ValidationError(f"problem file {path}: top level must be an object")
-    unknown = set(raw) - {"dims", "r", "S", "views"}
-    if unknown:
-        field = sorted(unknown)[0]
-        raise _bad_field(path, "problem", field, "unknown field")
-    if "r" not in raw:
-        raise _bad_field(path, "problem", "r", "required field is missing")
-    r = _as_int(raw["r"], path, "problem", "r")
-    has_s = "S" in raw
-    has_views = "views" in raw
-    if has_s == has_views:
-        raise ValidationError(
-            f"problem file {path}: exactly one of fields 'S' and 'views' "
-            f"must be present"
-        )
-
-    if has_views:
-        views_raw = raw["views"]
-        if not isinstance(views_raw, list) or len(views_raw) < 2:
-            raise _bad_field(
-                path, "problem", "views", "expected a list of at least 2 views"
-            )
-        views = tuple(
-            _as_matrix_field(v, path, "problem", f"views[{k}]")
-            for k, v in enumerate(views_raw)
-        )
-        if "dims" in raw:
-            dims_given = _dims_field(raw, path)
-            widths = tuple(v.shape[1] for v in views)
-            if dims_given != widths:
-                raise _bad_field(
-                    path,
-                    "problem",
-                    "dims",
-                    f"{dims_given} does not match view widths {widths}",
-                )
-        try:
-            return build_maxdiff(ViewData(views), r)
-        except ValidationError as exc:
-            raise ValidationError(f"problem file {path}: {exc}") from exc
-
-    if "dims" not in raw:
-        raise _bad_field(path, "problem", "dims", "required field is missing")
-    dims_list = _dims_field(raw, path)
-    entries = raw["S"]
-    if not isinstance(entries, list):
-        raise _bad_field(path, "problem", "S", "expected a list of coupling entries")
-    m = len(dims_list)
-    sblocks = {}
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise _bad_field(path, "problem", f"S[{k}]", "expected an object")
-        extra = set(entry) - {"i", "j", "data"}
-        if extra:
-            raise _bad_field(
-                path, "problem", f"S[{k}].{sorted(extra)[0]}", "unknown field"
-            )
-        for need in ("i", "j", "data"):
-            if need not in entry:
-                raise _bad_field(
-                    path, "problem", f"S[{k}].{need}", "required field is missing"
-                )
-        i = _as_int(entry["i"], path, "problem", f"S[{k}].i")
-        j = _as_int(entry["j"], path, "problem", f"S[{k}].j")
-        if not 1 <= i < j <= m:
-            raise _bad_field(
-                path,
-                "problem",
-                f"S[{k}]",
-                f"indices (i={i}, j={j}) must satisfy 1 <= i < j <= m={m} (1-based)",
-            )
-        if (i - 1, j - 1) in sblocks:
-            raise _bad_field(path, "problem", f"S[{k}]", f"duplicate pair (i={i}, j={j})")
-        data = _as_matrix_field(entry["data"], path, "problem", f"S[{k}].data")
-        expected = (dims_list[i - 1], dims_list[j - 1])
-        if data.shape != expected:
-            raise _bad_field(
-                path,
-                "problem",
-                f"S[{k}].data",
-                f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}",
-            )
-        sblocks[(i - 1, j - 1)] = data
-    try:
-        return OtsmProblem(BlockDims(dims_list, r), sblocks)
-    except ValidationError as exc:
-        raise ValidationError(f"problem file {path}: {exc}") from exc
-
-
-def save_problem(problem: OtsmProblem, path) -> None:
-    """Write a problem to a file in the explicit-couplings layout."""
-    payload = {
-        "dims": list(problem.dims.dims),
-        "r": problem.dims.r,
-        "S": [
-            {"i": i + 1, "j": j + 1, "data": s.tolist()}
-            for (i, j), s in sorted(problem.sblocks.items())
-        ],
-    }
-    atomic_write_text(path, _dump_json(payload))
-
-
-# --------------------------------------------------------------------------
-# Solution files
-
-
-def load_solution(path, dims: BlockDims | None = None) -> BlockOrthogonal:
-    """Load a solution file, checking orthonormality (warn/error) and shape.
-
-    Flat row-major block entries are reshaped using ``dims`` when given;
-    nested entries stand alone.  Orthonormality deviations above
-    ``SOLUTION_WARN_TOL`` warn, above ``SOLUTION_ERROR_TOL`` raise.
-    """
-    raw = _read_json(path, "solution")
-    if not isinstance(raw, dict):
-        raise ValidationError(f"solution file {path}: top level must be an object")
-    if "blocks" not in raw:
-        raise _bad_field(path, "solution", "blocks", "required field is missing")
-    entries = raw["blocks"]
-    if not isinstance(entries, list):
-        raise _bad_field(path, "solution", "blocks", "expected a list of blocks")
-    if dims is not None and len(entries) != dims.m:
-        raise _bad_field(
-            path,
-            "solution",
-            "blocks",
-            f"got {len(entries)} blocks, expected m={dims.m}",
-        )
-    blocks = []
-    for k, entry in enumerate(entries):
-        field = f"blocks[{k}]"
-        try:
-            arr = np.array(entry, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise _bad_field(path, "solution", field, f"not numeric: {exc}") from exc
-        if arr.ndim == 1:
-            if dims is None:
-                raise _bad_field(
-                    path,
-                    "solution",
-                    field,
-                    "flat block needs a problem to fix its shape; use nested rows",
-                )
-            shape = (dims.dims[k], dims.r)
-            if arr.size != shape[0] * shape[1]:
-                raise _bad_field(
-                    path,
-                    "solution",
-                    field,
-                    f"has {arr.size} entries, expected {shape[0]}x{shape[1]}",
-                )
-            arr = arr.reshape(shape)
-        elif arr.ndim != 2:
-            raise _bad_field(
-                path, "solution", field, f"expected a matrix, got ndim={arr.ndim}"
-            )
-        blocks.append(arr)
-    try:
-        point = BlockOrthogonal(blocks, dims=dims, orth_tol=SOLUTION_ERROR_TOL)
-    except ValidationError as exc:
-        raise ValidationError(f"solution file {path}: {exc}") from exc
-    deviation = point.orthonormality_error()
-    if deviation > SOLUTION_WARN_TOL:
-        warnings.warn(
-            f"solution file {path}: blocks deviate from orthonormality "
-            f"by {deviation:.3e}",
-            stacklevel=2,
-        )
-    return point
-
-
-def save_solution(point: BlockOrthogonal, path) -> None:
-    """Write a solution file with nested row lists per block."""
-    payload = {"blocks": [b.tolist() for b in point.blocks]}
-    atomic_write_text(path, _dump_json(payload))
-
-
-def _solution_sibling(report_path) -> str:
-    """Solution path written alongside a report: X.json -> X.solution.json."""
-    report_path = os.fspath(report_path)
-    base, ext = os.path.splitext(report_path)
-    if ext.lower() == ".json":
-        return base + ".solution.json"
-    return report_path + ".solution.json"
-
-
-# --------------------------------------------------------------------------
-# Report payloads
-
-
-def _certificate_payload(cert) -> dict:
-    return {
-        "taus": list(cert.taus),
-        "lmin_full": cert.lmin_full,
-        "verdict": cert.verdict.value,
-        "dual_bound": cert.dual_bound,
-    }
-
-
-def _stationarity_payload(report) -> dict:
-    return {
-        "max_grad_residual": report.max_grad_residual,
-        "max_asymmetry": report.max_asymmetry,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -371,25 +68,14 @@ def _cmd_solve(args) -> int:
     )
     report = solve(problem, config)
     cert = certify(problem, report.solution) if args.certify else None
-    payload = {
-        "objective": report.objective,
-        "iterations": report.iterations,
-        "stop_reason": report.stop_reason.value,
-        "stationarity": _stationarity_payload(report.stationarity),
-    }
-    if cert is not None:
-        payload["certificate"] = _certificate_payload(cert)
-    if args.trace:
-        payload["objective_trace"] = list(report.objective_trace)
-    save_solution(report.solution, _solution_sibling(args.out))
-    atomic_write_text(args.out, _dump_json(payload))
+    solution_path = _save_solve_report(args.out, report, cert, args.trace)
     print(f"objective: {report.objective:.10g}")
     print(f"iterations: {report.iterations}")
     print(f"stop reason: {report.stop_reason.value}")
     if cert is not None:
         print(f"certificate verdict: {cert.verdict.value}")
     print(f"report: {args.out}")
-    print(f"solution: {_solution_sibling(args.out)}")
+    print(f"solution: {solution_path}")
     return _SOLVE_EXIT[report.stop_reason]
 
 
@@ -397,12 +83,7 @@ def _cmd_certify(args) -> int:
     problem = load_problem(args.input)
     point = load_solution(args.solution, dims=problem.dims)
     cert = certify(problem, point)
-    payload = {
-        "objective": objective(problem, point),
-        "stationarity": _stationarity_payload(cert.stationarity),
-        "certificate": _certificate_payload(cert),
-    }
-    atomic_write_text(args.out, _dump_json(payload))
+    _save_certify_report(args.out, objective(problem, point), cert)
     print(f"certificate verdict: {cert.verdict.value}")
     print(f"smallest certificate eigenvalue: {cert.lmin_full:.6e}")
     print(f"report: {args.out}")

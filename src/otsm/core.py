@@ -56,8 +56,26 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """True for an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a real number that is not a bool (NumPy reals included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_matrix(value, what) -> np.ndarray:
+    """A read-only float copy of ``value``, which must be a finite matrix.
+
+    Raises ValidationError, naming ``what``, for anything else: ragged or
+    non-numeric data, a wrong number of dimensions, NaN or infinity.
+    """
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric matrix: {exc}") from exc
+    if a.ndim != 2:
+        raise ValidationError(f"{what} must be a matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} contains non-finite entries")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -141,15 +159,12 @@ class OtsmProblem:
                 )
             if (i, j) in clean:
                 raise ValidationError(f"coupling ({i},{j}) is given twice")
-            a = np.array(mat, dtype=float)
+            a = _as_matrix(mat, f"coupling ({i},{j})")
             expected = (dims.dims[i], dims.dims[j])
             if a.shape != expected:
                 raise ValidationError(
                     f"coupling ({i},{j}) has shape {a.shape}, expected {expected}"
                 )
-            if not np.all(np.isfinite(a)):
-                raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")
-            a.flags.writeable = False
             clean[(i, j)] = a
         self.dims = dims
         self.sblocks = MappingProxyType(clean)
@@ -187,15 +202,7 @@ class BlockOrthogonal:
     __slots__ = ("dims", "blocks")
 
     def __init__(self, blocks, dims=None, orth_tol=DEFAULT_ORTH_TOL):
-        mats = []
-        for k, b in enumerate(blocks):
-            a = np.array(b, dtype=float)
-            if a.ndim != 2:
-                raise ValidationError(f"block {k} must be a matrix, got ndim={a.ndim}")
-            if not np.all(np.isfinite(a)):
-                raise ValidationError(f"block {k} contains non-finite entries")
-            a.flags.writeable = False
-            mats.append(a)
+        mats = [_as_matrix(b, f"block {k}") for k, b in enumerate(blocks)]
         if len(mats) < 2:
             raise ValidationError(f"need at least 2 blocks, got {len(mats)}")
         r = mats[0].shape[1]

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
 from .builders import synth_procrustes
 from .certificate import Verdict, certify
 from .core import ValidationError, _is_int, _is_real
+from .formats import atomic_write_text
 from .solver import SolverConfig, StopReason, _solve_batch
 
 __all__ = [

@@ -49,6 +49,7 @@ __all__ = [
     "oscillation_demo",
 ]
 
+#: A cycle is flat when its gain is at most this fraction of the objective.
 _STAGNATION_EPS = 1e-14
 _STAGNATION_CYCLES = 10
 #: Relative slack of the audit that no cycle lowers the objective.
@@ -67,10 +68,11 @@ class SolverConfig:
 
     alpha is the proximity constant; ``math.inf`` is accepted as an
     explicit request for the unsafe classical mode with no proximal term.
-    ``alpha`` and ``tol`` are ints or floats (not bools) and ``max_iter``
-    is an integer (not a bool).  Stopping: the solver stops once the mean block change over a full
-    cycle, (1/m) sum_i ||O_i^k - O_i^(k-1)||_F, falls below ``tol``, or
-    after ``max_iter`` cycles.  ``init`` is "identity", "spectral", or a
+    ``alpha`` and ``tol`` are real numbers (not bools, NumPy reals
+    included), kept as ``float``, and ``max_iter`` is an integer (not a
+    bool).  Stopping: the solver stops once the mean block change over a
+    full cycle, (1/m) sum_i ||O_i^k - O_i^(k-1)||_F, falls below ``tol``,
+    or after ``max_iter`` cycles.  ``init`` is "identity", "spectral", or a
     custom BlockOrthogonal starting point.
     """
 
@@ -84,6 +86,8 @@ class SolverConfig:
             raise ValidationError(f"alpha must be positive (or inf), got {self.alpha!r}")
         if not (_is_real(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "tol", float(self.tol))
         if not (_is_int(self.max_iter) and self.max_iter >= 1):
             raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not isinstance(self.init, BlockOrthogonal) and self.init not in (
@@ -157,7 +161,7 @@ def step_block(problem, point, i, alpha=1000.0):
     Returns the new d_i x r block; ``alpha=math.inf`` drops the proximal
     term, in which case B may be rank deficient and the maximizer is not
     unique (the deterministic SVD completion is returned).  ``i`` is an
-    integer (not a bool) and ``alpha`` an int or float (not a bool).
+    integer (not a bool) and ``alpha`` a real number (not a bool).
     """
     _check_match(problem, point)
     if not (_is_int(i) and 0 <= i < problem.dims.m):
@@ -259,7 +263,8 @@ class _Item:
         self.obj_trace.append(self.f)
         self.change_trace.append(mean_change)
         self.change_sq_trace.append(change_sq)
-        self.stagnant = self.stagnant + 1 if abs(gain) < _STAGNATION_EPS else 0
+        flat = abs(gain) <= _STAGNATION_EPS * abs(f)
+        self.stagnant = self.stagnant + 1 if flat else 0
         if mean_change < self.config.tol:
             return StopReason.CONVERGED
         if self.stagnant >= _STAGNATION_CYCLES:
@@ -326,8 +331,6 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
             # The batch changed: lay out its per-item views and buffers.
             batch = len(items)
             inv_alpha = np.array([it.inv_alpha for it in items])[:, None, None]
-            proximal = [it.finite for it in items]
-            mixed = any(proximal) and not all(proximal)
             x_views = list(current)
             g_bufs = [np.empty((batch, d, dims.r)) for d in dims.dims]
             # Per block, each item's (stilde rows, iterate, G) views.
@@ -351,13 +354,8 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
             for s, x, out in products[i]:
                 np.matmul(s, x, out=out)
             cur = current[:, rows]
-            if mixed:
-                b = np.where(inv_alpha > 0, g + inv_alpha * cur, g)
-            elif proximal[0]:
-                b = g + inv_alpha * cur
-            else:
-                b = g
-            u, _, vt = np.linalg.svd(b, full_matrices=False)
+            # inv_alpha is 0 for alpha = inf, the classical ascent.
+            u, _, vt = np.linalg.svd(g + inv_alpha * cur, full_matrices=False)
             new = u @ vt
             delta = np.subtract(new, cur, out=d_bufs[i])
             current[:, rows] = new

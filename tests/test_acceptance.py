@@ -15,9 +15,10 @@ import pytest
 from conftest import HARD_OPT, I32, J32
 from otsm.builders import hard_example
 from otsm.certificate import Verdict, certify, dual_upper_bound
-from otsm.cli import main, save_problem
+from otsm.cli import main
 from otsm.core import BlockDims, BlockOrthogonal, OtsmProblem, objective
 from otsm.experiment import ExperimentGrid, export_results, run_grid
+from otsm.formats import save_problem
 from otsm.solver import SolverConfig, StopReason, oscillation_demo, solve
 
 

@@ -356,6 +356,14 @@ class TestSynthProcrustes:
         problem, _ = synth_procrustes(np.int64(3), 20, np.int64(4), 2, 0.1, np.int64(0))
         assert problem.dims == synth_procrustes(3, 20, 4, 2, 0.1, 0)[0].dims
 
+    def test_numpy_real_noise_accepted(self):
+        problem, _ = synth_procrustes(3, 20, 4, 2, np.float32(0.1), 0)
+        reference, _ = synth_procrustes(3, 20, 4, 2, float(np.float32(0.1)), 0)
+        for key, block in reference.sblocks.items():
+            assert np.array_equal(problem.sblocks[key], block)
+        with pytest.raises(ValidationError, match="noise level must be finite"):
+            synth_procrustes(3, 20, 4, 2, np.True_, 0)
+
     def test_non_finite_noise_and_negative_seed_rejected(self):
         for sigma in (float("nan"), float("inf"), "0.1"):
             with pytest.raises(ValidationError, match="noise level must be finite"):

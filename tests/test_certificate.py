@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import otsm.certificate
 import otsm.cli
 import otsm.core
+import otsm.formats
 import otsm.solver
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
 from otsm.builders import hard_example, synth_procrustes
@@ -100,6 +101,20 @@ class TestReducedCertificate:
         rng = np.random.default_rng(43)
         with pytest.warns(UserWarning, match="null identity"):
             reduced_certificate(hard_problem, random_point(rng, hard_problem))
+
+    @pytest.mark.parametrize("j", range(-30, 31, 6))
+    def test_null_identity_warning_is_scale_free(self, j):
+        # The test compares ||L* Obar|| with ||L*||, both of which scale
+        # with the couplings: a random point warns at every scale and the
+        # optimum of the hard instance at none.
+        c = 4.0**j
+        prob, _ = synth_procrustes(4, 30, 6, 3, 1.0, 0)
+        point = random_point(np.random.default_rng(7), prob)
+        with pytest.warns(UserWarning, match="null identity"):
+            reduced_certificate(scaled(prob, c), point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced_certificate(scaled(hard_example(3, 2), c), BlockOrthogonal(HARD_OPT))
 
     def test_reduced_eigenvalue_matches_complement(self, hard_problem):
         # At a stationary point the stacked direction is in the kernel, so
@@ -366,7 +381,7 @@ def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, caps
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     problem_path = str(tmp_path / "problem.json")
     report_path = str(tmp_path / "run.json")
-    otsm.cli.save_problem(prob, problem_path)
+    otsm.formats.save_problem(prob, problem_path)
     passes = count_coupling_passes(monkeypatch)
     code = otsm.cli.main(["solve", "--input", problem_path, "--init", "spectral",
                           "--certify", "--out", report_path])

@@ -6,15 +6,10 @@ from numpy.testing import assert_allclose
 
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_stiefel
 from otsm.builders import hard_example
-from otsm.cli import (
-    load_problem,
-    load_solution,
-    main,
-    save_problem,
-    save_solution,
-)
+from otsm.cli import main
 from otsm.core import BlockOrthogonal, ValidationError, objective
 from otsm.experiment import CSV_HEADER
+from otsm.formats import load_problem, load_solution, save_problem, save_solution
 
 
 def write_json(path, payload):

@@ -11,6 +11,7 @@ from conftest import (
     random_problem,
     random_stiefel,
 )
+from otsm.builders import OlsData, ViewData, ols_residual
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -306,3 +307,25 @@ class TestStationarity:
             report = stationarity(prob, random_point(rng, prob))
             assert all(v >= 0.0 for v in report.grad_residuals)
             assert all(v >= 0.0 for v in report.asymmetries)
+
+
+_BAD_MATRICES = {
+    "ragged": [[1.0, 2.0], [3.0]],
+    "non-numeric": [["a", "b"], ["c", "d"]],
+    "nan": [[1.0, 0.0], [0.0, float("nan")]],
+}
+
+_INTAKES = {
+    "OtsmProblem": lambda bad: OtsmProblem(BlockDims((2, 2), 1), {(0, 1): bad}),
+    "BlockOrthogonal": lambda bad: BlockOrthogonal([bad, np.eye(2)]),
+    "ViewData": lambda bad: ViewData((bad, np.eye(2))),
+    "OlsData": lambda bad: OlsData(bad, (np.eye(2),)),
+    "ols_residual": lambda bad: ols_residual(OlsData(np.eye(2), (np.eye(2),)), [bad]),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(_INTAKES))
+@pytest.mark.parametrize("kind", sorted(_BAD_MATRICES))
+def test_bad_matrix_is_a_validation_error(intake, kind):
+    with pytest.raises(ValidationError):
+        _INTAKES[intake](_BAD_MATRICES[kind])

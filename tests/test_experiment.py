@@ -51,6 +51,13 @@ class TestExperimentGrid:
         with pytest.raises(ValidationError, match="base_seed must be nonnegative"):
             ExperimentGrid(d_values=(5,), sigma_values=(0.1,), base_seed=-1)
 
+    def test_numpy_real_noise_accepted(self):
+        grid = ExperimentGrid(d_values=(5,), sigma_values=(np.float32(0.1),))
+        assert grid.sigma_values == (float(np.float32(0.1)),)
+        assert type(grid.sigma_values[0]) is float
+        with pytest.raises(ValidationError, match="noise levels must be finite"):
+            ExperimentGrid(d_values=(5,), sigma_values=(np.True_,))
+
     def test_non_finite_noise_rejected(self):
         for sigma in (math.nan, math.inf, "0.1"):
             with pytest.raises(ValidationError, match="noise levels must be finite"):

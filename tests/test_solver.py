@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import I32, J32, make_hard_problem, random_point, random_problem
+from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -66,6 +67,15 @@ class TestConfig:
 
     def test_numpy_integer_max_iter_accepted(self):
         assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
+
+    def test_numpy_reals_accepted_as_float(self):
+        for value in (np.int64(10), np.float32(10)):
+            config = SolverConfig(alpha=value, tol=value)
+            assert (config.alpha, config.tol) == (10.0, 10.0)
+            assert type(config.alpha) is float and type(config.tol) is float
+        for name in ("alpha", "tol"):
+            with pytest.raises(ValidationError):
+                SolverConfig(**{name: np.True_})
 
 
 class TestInit:
@@ -131,6 +141,15 @@ class TestStepBlock:
         args = {"i": 1, "alpha": 1000.0, **bad}
         with pytest.raises(ValidationError):
             step_block(hard_problem, point, args["i"], alpha=args["alpha"])
+
+    def test_numpy_real_alpha_accepted(self, hard_problem):
+        point = BlockOrthogonal([I32, J32, I32])
+        assert np.array_equal(
+            step_block(hard_problem, point, 1, alpha=np.float32(10)),
+            step_block(hard_problem, point, 1, alpha=10.0),
+        )
+        with pytest.raises(ValidationError):
+            step_block(hard_problem, point, 1, alpha=np.True_)
 
     def test_numpy_integer_index_accepted(self, hard_problem):
         point = BlockOrthogonal([I32, J32, I32])
@@ -424,6 +443,46 @@ class TestSolveAudits:
         assert first.iterations == second.iterations
         for a, b in zip(first.solution.blocks, second.solution.blocks):
             assert np.array_equal(a, b)
+
+
+def _scaled(prob, c):
+    """A new problem with every coupling multiplied by c and nothing memoized."""
+    return OtsmProblem(prob.dims, {k: c * s for k, s in prob.sblocks.items()})
+
+
+_RETRACE_PROBLEMS = {
+    "hard": hard_example(3, 2),
+    "procrustes": synth_procrustes(4, 30, 6, 3, 1.0, 0)[0],
+    "sparse": random_problem(np.random.default_rng(5), [3, 5, 2, 4], 2, density=0.6),
+}
+
+
+class TestScaleRetrace:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(sorted(_RETRACE_PROBLEMS)),
+        st.integers(-30, 30),
+        st.sampled_from(("identity", "spectral")),
+        st.sampled_from((1.0, 1000.0)),
+    )
+    @example("procrustes", -16, "identity", 1000.0)
+    @example("hard", -30, "spectral", 1000.0)
+    def test_scaled_solve_retraces(self, name, j, init, alpha):
+        # Scaling S by a power of 4 and alpha by its inverse scales every
+        # float operation of a solve exactly, so every stopping rule must
+        # give the same verdict: same iterates, cycles and stop reason, and
+        # exactly c times the objective trace.
+        prob = _RETRACE_PROBLEMS[name]
+        c = 4.0**j
+        base = solve(_scaled(prob, 1.0), SolverConfig(alpha=alpha, init=init))
+        report = solve(_scaled(prob, c), SolverConfig(alpha=alpha / c, init=init))
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(report.solution.blocks, base.solution.blocks)
+        )
+        assert report.iterations == base.iterations
+        assert report.stop_reason is base.stop_reason
+        assert tuple(f / c for f in report.objective_trace) == base.objective_trace
 
 
 class TestOscillationDemo:
