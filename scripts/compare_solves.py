@@ -37,7 +37,12 @@ listed as removed or added, not counted as a mismatch.
 
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
-exactly, NaN equal to NaN).  A tree whose ``CellResult`` has no
+exactly, NaN equal to NaN).  It runs twice: with the tree's default batch
+budget (cells labelled ``run_grid/…``) and with
+``otsm.experiment._BATCH_STILDE_BYTES`` set to ``SPLIT_BUDGET`` in each tree
+(``run_grid_split/…``), which cuts the ``d = 20`` cells into several
+batches, so splitting a cell into batches must change no result either.
+A tree whose ``CellResult`` has no
 ``failure_reasons`` field counts as having none, which matches only when
 no rep failed.  The script prints the largest trace and certificate
 differences and exits 1 on any mismatch.  Its output ends with one line
@@ -67,6 +72,9 @@ SPECTRAL_FIELDS = ("dual_bound", "tol_psd", "tol_tau")
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
+#: A batch budget of three D = 100 coupling matrices, which splits the
+#: d = 20 cells into several batches.
+SPLIT_BUDGET = 3 * 8 * 100 * 100
 
 
 def _corpus():
@@ -131,15 +139,24 @@ def _corpus():
 
 
 def _grid_cells():
-    """Yield (label, fields) for every CellResult of the acceptance grid."""
+    """Yield (label, fields) for every CellResult of the acceptance grid, run
+    with the default batch budget and with SPLIT_BUDGET."""
     import dataclasses
 
+    import otsm.experiment
     from otsm.experiment import ExperimentGrid, run_grid
 
-    for cell in run_grid(ExperimentGrid(**GRID)):
-        fields = dataclasses.asdict(cell)
-        fields.setdefault("failure_reasons", ())
-        yield f"run_grid/{cell.d}/{cell.sigma}/{cell.init}", fields
+    default = otsm.experiment._BATCH_STILDE_BYTES
+    for name, budget in (("run_grid", default), ("run_grid_split", SPLIT_BUDGET)):
+        otsm.experiment._BATCH_STILDE_BYTES = budget
+        try:
+            cells = run_grid(ExperimentGrid(**GRID))
+        finally:
+            otsm.experiment._BATCH_STILDE_BYTES = default
+        for cell in cells:
+            fields = dataclasses.asdict(cell)
+            fields.setdefault("failure_reasons", ())
+            yield f"{name}/{cell.d}/{cell.sigma}/{cell.init}", fields
 
 
 def dump(path):

@@ -15,6 +15,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .certificate import Verdict, certify
 from .core import InternalError, ValidationError, objective
 from .experiment import ExperimentGrid, ExportError, export_results, run_grid
@@ -240,9 +242,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, ExportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, ExportError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

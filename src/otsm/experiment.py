@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ __all__ = [
 
 _KNOWN_INITS = ("identity", "spectral")
 
-#: Bytes of assembled coupling matrices that one batch of a cell may hold;
-#: a cell whose reps need more is swept in several batches.
+#: Bytes of assembled coupling matrices, one per run, that one batch of a
+#: cell may hold; a cell whose runs need more is swept in several batches.
 _BATCH_STILDE_BYTES = 4 * 2**20
 
 #: Column order of the exported CSV, one row per (cell, init).
@@ -207,10 +208,6 @@ class _RepOutcome:
     reason: str = ""
 
 
-def _failure(exc) -> _RepOutcome:
-    return _RepOutcome(ok=False, reason=f"{type(exc).__name__}: {exc}")
-
-
 def _outcome(problem, config, report) -> _RepOutcome:
     """Certify a solve's report; with no report, solve the problem alone first."""
     try:
@@ -218,7 +215,7 @@ def _outcome(problem, config, report) -> _RepOutcome:
             report = _solve_batch([problem], [config])[0]
         cert = certify(problem, report.solution)
     except (ValidationError, np.linalg.LinAlgError) as exc:
-        return _failure(exc)
+        return _RepOutcome(ok=False, reason=f"{type(exc).__name__}: {exc}")
     return _RepOutcome(
         ok=True,
         verdict=cert.verdict,
@@ -228,27 +225,16 @@ def _outcome(problem, config, report) -> _RepOutcome:
     )
 
 
-def _run_batch(grid, d, sigma, reps, per_init) -> None:
-    """Solve the given reps of one cell from every start as one batch.
+def _cell_runs(grid, d, sigma):
+    """Yield ``(rep, init, problem, config)`` for every run of a cell, rep by rep.
 
-    Fills ``per_init[init][rep]``.  The batch prepares the starts, so a
-    rep's spectral start reads the coupling matrix the batch assembled for
-    that rep.  If the batch raises a data error (a start included), its
-    problems are solved again one at a time, so the error is tallied for
-    its own rep and start.
+    Each rep's problem is built once and shared by its starts.
     """
-    runs = []
-    for rep in reps:
+    for rep in range(grid.reps):
         seed = _derived_seed(grid.base_seed, d, sigma, rep)
         problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
         for init in grid.init_strategies:
-            runs.append((rep, init, problem, SolverConfig(init=init)))
-    try:
-        reports = _solve_batch([run[2] for run in runs], [run[3] for run in runs])
-    except (ValidationError, np.linalg.LinAlgError):
-        reports = [None] * len(runs)
-    for (rep, init, problem, config), report in zip(runs, reports):
-        per_init[init][rep] = _outcome(problem, config, report)
+            yield rep, init, problem, SolverConfig(init=init)
 
 
 def _aggregate(d, sigma, init, outcomes, other_outcomes) -> CellResult:
@@ -295,12 +281,13 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     For every cell and rep, one instance is generated with a seed derived
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
-    instance.  A cell's reps x starts are swept as one batch (see
-    :func:`otsm.solver.solve`), split so that a batch's assembled coupling
-    matrices stay within a fixed memory budget; each solve report is
-    identical to solving that rep from that start alone.  Both starts'
-    certificates read the eigenvalues of the spectral start's ``eigh``,
-    which agree with a lone certificate's ``eigvalsh`` only to rounding.
+    instance.  A cell's runs (reps x starts, rep by rep) are swept in
+    batches (see :func:`otsm.solver.solve`) that hold one assembled
+    coupling matrix per run within a fixed memory budget; each solve
+    report is identical to solving that rep from that start alone.  A
+    rep's certificates read the eigenvalues of its spectral start's
+    ``eigh``, or, when its identity start ran in an earlier batch, of that
+    start's certificate's ``eigvalsh``; the two agree only to rounding.
     A start, solve or certificate that rejects its data
     (``ValidationError``) or whose decomposition fails (``LinAlgError``)
     is tallied, with its reason, as a failure of its own rep and does not
@@ -317,9 +304,14 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
             per_init: dict[str, list[_RepOutcome]] = {
                 init: [None] * grid.reps for init in grid.init_strategies
             }
-            for first in range(0, grid.reps, per_batch):
-                reps = range(first, min(first + per_batch, grid.reps))
-                _run_batch(grid, d, sigma, reps, per_init)
+            runs = _cell_runs(grid, d, sigma)
+            while batch := list(itertools.islice(runs, per_batch)):
+                try:
+                    reports = _solve_batch([b[2] for b in batch], [b[3] for b in batch])
+                except (ValidationError, np.linalg.LinAlgError):
+                    reports = [None] * len(batch)  # _outcome solves them one by one
+                for (rep, init, problem, config), report in zip(batch, reports):
+                    per_init[init][rep] = _outcome(problem, config, report)
             for init in grid.init_strategies:
                 others = [s for s in grid.init_strategies if s != init]
                 other_outcomes = per_init[others[0]] if others else None

@@ -89,8 +89,16 @@ def atomic_write_text(path, text) -> None:
 # JSON plumbing
 
 
+def _json_text(path, payload) -> str:
+    """The text of a JSON file; a NaN or infinity (float64 overflow) is an error."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"cannot write {path}: {exc} (float64 overflow)") from exc
+
+
 def _write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, _json_text(path, payload))
 
 
 def _read_json(path, kind):
@@ -315,9 +323,10 @@ def _save_solve_report(path, report, cert, trace) -> str:
         payload["certificate"] = _certificate_payload(cert)
     if trace:
         payload["objective_trace"] = list(report.objective_trace)
+    text = _json_text(path, payload)  # checked before either file is written
     solution_path = _solution_sibling(path)
     save_solution(report.solution, solution_path)
-    _write_json(path, payload)
+    atomic_write_text(path, text)
     return solution_path
 
 

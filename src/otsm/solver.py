@@ -52,8 +52,11 @@ __all__ = [
 #: A cycle is flat when its gain is at most this fraction of the objective.
 _STAGNATION_EPS = 1e-14
 _STAGNATION_CYCLES = 10
-#: Relative slack of the audit that no cycle lowers the objective.
+#: Slacks of the audits that no cycle lowers the objective and that each
+#: cycle satisfies the descent inequality, relative to the cycle's sum of
+#: the nuclear norms ||B_i||_* of its block updates.
 _MONOTONE_SLACK = 1e-12
+_DESCENT_SLACK = 1e-10
 
 
 class StopReason(Enum):
@@ -191,20 +194,23 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
 
     Notes
     -----
-    A cycle updates block i to the polar factor of ``G_i + O_i/alpha``,
+    A cycle updates block i to the polar factor of ``B_i = G_i + O_i/alpha``,
     with ``G_i = stilde[rows_i] @ O`` read from the assembled coupling
     matrix, and advances the objective by the exact gain
     ``tr((O_i^+ - O_i)^T G_i)``; ``objective`` runs only at the start.
-    With finite alpha each cycle's gain is checked to be nonnegative
-    (within a fixed relative slack of 1e-12) and checked against the
-    descent inequality
+    With finite alpha each cycle's gain is checked to be nonnegative and
+    checked against the descent inequality
 
         (1/(2 alpha)) sum_i ||O_i^(k+1) - O_i^k||_F^2  <=  f^(k+1) - f^k,
 
-    up to floating-point slack.  A violation raises :class:`InternalError`
-    because it indicates a bug, not bad data.  In the alpha = +inf mode
-    these audits are skipped and a stagnation guard stops the loop when
-    the objective freezes while the iterates keep moving (oscillation).
+    with slacks of 1e-12 and 1e-10 times the cycle's sum of ``||B_i||_*``
+    (the singular values of its block SVDs), so they scale with ``S``.
+    A violation raises :class:`InternalError` because it indicates a bug,
+    not bad data.  In the alpha = +inf mode these audits are skipped and a
+    stagnation guard stops the loop when the objective freezes while the
+    iterates keep moving (oscillation).  For every alpha, a start objective
+    or cycle gain that is not finite (the couplings overflow float64)
+    raises :class:`ValidationError`.
 
     A solve is the batch of one of the sweep that
     :func:`otsm.experiment.run_grid` runs over many same-shape problems at
@@ -228,33 +234,39 @@ def _start(problem, init, stilde):
 class _Item:
     """One problem of a batch: its settings, objective, traces and stop rules."""
 
-    __slots__ = ("position", "problem", "config", "finite", "inv_alpha", "srows", "f",
+    __slots__ = ("position", "problem", "config", "finite", "inv_alpha", "f",
                  "obj_trace", "change_trace", "change_sq_trace", "stagnant")
 
-    def __init__(self, position, problem, config, start, srows):
+    def __init__(self, position, problem, config, start):
         self.position = position  # in the batch's input lists
         self.problem = problem
         self.config = config
         self.finite = not math.isinf(config.alpha)
         self.inv_alpha = 1.0 / config.alpha if self.finite else 0.0
-        self.srows = srows
         self.f = objective(problem, start)
+        if not math.isfinite(self.f):
+            raise ValidationError(f"the objective at the start is {self.f!r}: float64 overflow")
         self.obj_trace = [self.f]
         self.change_trace = []
         self.change_sq_trace = []
         self.stagnant = 0
 
-    def advance(self, k, gain, mean_change, change_sq):
-        """Audit and record cycle k; return the stop reason once the item is done."""
+    def advance(self, k, gain, mean_change, change_sq, scale):
+        """Audit and record cycle k; return the stop reason once the item is done.
+
+        The audit slacks are relative to ``scale``, the cycle's sum of ||B_i||_*.
+        """
         f = self.f
+        if not math.isfinite(gain):
+            raise ValidationError(f"the gain of cycle {k} is {gain!r}: float64 overflow")
         if self.finite:
-            if gain < -_MONOTONE_SLACK * (1.0 + abs(f)):
+            if gain < -_MONOTONE_SLACK * scale:
                 raise InternalError(
                     f"objective decreased by {-gain!r} from {f!r} at cycle {k} "
                     f"with finite alpha={self.config.alpha}; this is a bug"
                 )
             descent_gap = 0.5 * self.inv_alpha * change_sq - gain
-            if descent_gap > 1e-10 * (1.0 + abs(f + gain)):
+            if descent_gap > _DESCENT_SLACK * scale:
                 raise InternalError(
                     f"descent inequality violated by {descent_gap:.3e} at cycle {k}; "
                     f"this is a bug"
@@ -288,14 +300,14 @@ class _Item:
 def _solve_batch(problems, configs) -> list[SolveReport]:
     """Solve same-shape problems in one sweep; item k is ``solve(problems[k], configs[k])``.
 
-    The iterates of the batch form one ``(B, D, r)`` array.  Each problem
-    keeps its own assembled ``stilde`` (problems passed more than once
-    share one assembly), so the products ``stilde_k[rows_i] @ O_k`` run
-    per item; the rest of a block step (proximal term, one stacked SVD for
-    the polar factors, gains and change norms) runs once for the batch,
-    with the same arithmetic as a lone solve.  Audits, traces and stopping
-    rules are per item; an item that stops leaves the batch.  Any error
-    raised for one item ends the whole call.
+    The batch holds one assembled ``stilde`` per item in a ``(B, D, D)``
+    array next to the ``(B, D, r)`` iterates, so a block step is one
+    stacked product ``G = stilde[:, rows_i] @ O``, one stacked SVD for the
+    polar factors, and the gains and change norms of the whole batch, with
+    the same arithmetic per item as a lone solve.  Audits, traces and
+    stopping rules are per item; an item that stops leaves the batch, whose
+    arrays are compacted in place.  Any error raised for one item ends the
+    whole call.
     """
     configs = [SolverConfig() if c is None else c for c in configs]
     if not problems:
@@ -311,76 +323,62 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     m = dims.m
     off = dims.offsets()
     slices = [slice(off[i], off[i + 1]) for i in range(m)]
-    stildes = {}
-    items = []
+    stilde = np.empty((len(problems), dims.total_dim, dims.total_dim))
     current = np.empty((len(problems), dims.total_dim, dims.r))  # updated in place
+    items = []
     for position, (problem, config) in enumerate(zip(problems, configs)):
-        stilde = stildes.get(id(problem))
-        if stilde is None:
-            stilde = stildes[id(problem)] = assemble_stilde(problem)
-        start = _start(problem, config.init, stilde)
-        srows = [stilde[rows] for rows in slices]
-        items.append(_Item(position, problem, config, start, srows))
+        stilde[position] = assemble_stilde(problem)
+        start = _start(problem, config.init, stilde[position])
+        items.append(_Item(position, problem, config, start))
         np.concatenate(start.blocks, out=current[position])
     reports = [None] * len(items)
 
     k = 0
-    batch = 0
     while items:
-        if batch != len(items):
-            # The batch changed: lay out its per-item views and buffers.
-            batch = len(items)
-            inv_alpha = np.array([it.inv_alpha for it in items])[:, None, None]
-            x_views = list(current)
-            g_bufs = [np.empty((batch, d, dims.r)) for d in dims.dims]
-            # Per block, each item's (stilde rows, iterate, G) views.
-            products = [
-                list(zip([it.srows[i] for it in items], x_views, g))
-                for i, g in enumerate(g_bufs)
-            ]
-            # Per block and item: the gain, the change and its square.
-            sums = np.empty((3, m, batch))
-            d_bufs = [np.empty_like(g) for g in g_bufs]
-            # Per block, the change as rows and as columns and where their
-            # products go: row times column runs the same dot as
-            # np.linalg.norm of one block in a lone solve.
-            norms = []
-            for i, delta in enumerate(d_bufs):
-                flat = delta.reshape(batch, 1, -1)
-                norms.append((flat, flat.transpose(0, 2, 1), sums[2, i, :, None, None]))
         k += 1
+        batch = len(items)
+        inv_alpha = np.array([it.inv_alpha for it in items])[:, None, None]
+        # Per block and item: the gain, the change, its square and ||B||_*.
+        sums = np.empty((4, m, batch))
         for i, rows in enumerate(slices):
-            g = g_bufs[i]
-            for s, x, out in products[i]:
-                np.matmul(s, x, out=out)
+            g = np.matmul(stilde[:, rows], current)
             cur = current[:, rows]
             # inv_alpha is 0 for alpha = inf, the classical ascent.
-            u, _, vt = np.linalg.svd(g + inv_alpha * cur, full_matrices=False)
+            u, s, vt = np.linalg.svd(g + inv_alpha * cur, full_matrices=False)
             new = u @ vt
-            delta = np.subtract(new, cur, out=d_bufs[i])
+            delta = new - cur
             current[:, rows] = new
             np.add.reduce(delta * g, axis=(1, 2), out=sums[0, i])
-            as_rows, as_cols, sq = norms[i]
-            np.matmul(as_rows, as_cols, out=sq)
+            # Row times column runs the same dot as np.linalg.norm of one
+            # block in a lone solve.
+            flat = delta.reshape(batch, 1, -1)
+            np.matmul(flat, flat.transpose(0, 2, 1), out=sums[2, i, :, None, None])
+            np.add.reduce(s, axis=1, out=sums[3, i])
 
         np.sqrt(sums[2], out=sums[1])
         np.multiply(sums[1], sums[1], out=sums[2])
         # A sequential sum over the blocks, as a lone solve adds them; a
         # pairwise np.sum could add them in an order that varies with the
         # batch size.
-        gain, change_sum, change_sq = np.add.accumulate(sums, axis=1)[:, -1].tolist()
+        totals = np.add.accumulate(sums, axis=1)[:, -1].tolist()
         keep = []
-        for j, (it, dg, cs, csq) in enumerate(zip(items, gain, change_sum, change_sq)):
-            stop = it.advance(k, dg, cs / m, csq)
+        for j, (it, dg, cs, csq, nuc) in enumerate(zip(items, *totals)):
+            stop = it.advance(k, dg, cs / m, csq, nuc)
             if stop is None:
                 keep.append(j)
                 continue
             point = BlockOrthogonal([current[j, rows] for rows in slices])
             reports[it.position] = it.report(point, k, stop)
         if len(keep) < batch:
+            # Move the kept items down in place; a fancy-indexed copy of
+            # stilde would briefly hold two stacks.
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    stilde[dst] = stilde[src]
+                    current[dst] = current[src]
             items = [items[j] for j in keep]
-            if items:
-                current = current[keep]
+            stilde = stilde[: len(keep)]
+            current = current[: len(keep)]
     return reports
 
 

@@ -365,6 +365,23 @@ class TestSolveCommand:
         assert f"error: problem file {path}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("init", ["identity", "spectral"])
+    @pytest.mark.parametrize("value", [1.7e308, 1e300])
+    def test_overflow_is_an_input_error(self, tmp_path, capsys, value, init):
+        # Entries of 1.7e308 overflow the objective or the sweep; entries of
+        # 1e300 solve, but their stationarity residuals overflow.  Either
+        # way the run is an input error and no file holds NaN or infinity.
+        path = tmp_path / "huge.json"
+        write_json(path, {"dims": [3, 3], "r": 2,
+                          "S": [{"i": 1, "j": 2, "data": [[value] * 3] * 3}]})
+        argv = ["solve", "--input", str(path), "--init", init, "--certify",
+                "--out", str(tmp_path / "r.json")]
+        with np.errstate(all="ignore"):
+            code = main(argv)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
     def test_infinite_alpha_warns(self, tmp_path, capsys):
         rng = np.random.default_rng(21)
         problem_path = tmp_path / "pair.json"

@@ -174,10 +174,11 @@ class TestRunGrid:
             return real(problems, configs)
 
         monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
-        # D = 12: a budget of two coupling matrices puts two reps in a batch.
-        monkeypatch.setattr(otsm.experiment, "_BATCH_STILDE_BYTES", 2 * 8 * 12 * 12)
+        # D = 12: a budget of three coupling matrices puts three runs in a
+        # batch, so rep 1's two starts are swept in different batches.
+        monkeypatch.setattr(otsm.experiment, "_BATCH_STILDE_BYTES", 3 * 8 * 12 * 12)
         assert run_grid(ExperimentGrid(**SMALL)) == whole
-        assert sizes == [4, 2]
+        assert sizes == [3, 3]
 
     def test_single_rep_single_init(self):
         grid = ExperimentGrid(

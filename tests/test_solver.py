@@ -11,6 +11,7 @@ from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
+    InternalError,
     OtsmProblem,
     ValidationError,
     objective,
@@ -435,6 +436,38 @@ class TestSolveAudits:
         prob = OtsmProblem(BlockDims((5, 4), 2), {(0, 1): s})
         report = solve(prob)
         assert report.stationarity.max_grad_residual <= 10 * 1e-5
+
+    @pytest.mark.parametrize("j", range(-30, 31, 5))
+    def test_broken_block_update_is_caught_at_every_scale(self, monkeypatch, j):
+        # Negating the first column of u in the sixth SVD spoils one block
+        # update of the second cycle; the audits must see it however small
+        # or large the couplings are.
+        c = 4.0**j
+        prob = _scaled(synth_procrustes(4, 30, 6, 3, 1.0, 0)[0], c)
+        real = np.linalg.svd
+        calls = []
+
+        def broken(a, *args, **kwargs):
+            u, s, vt = real(a, *args, **kwargs)
+            calls.append(a)
+            if len(calls) == 6:
+                u = u.copy()
+                u[..., 0] *= -1.0
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        with pytest.raises(InternalError, match="cycle 2"):
+            solve(prob, SolverConfig(alpha=1000.0 / c))
+
+    @pytest.mark.parametrize("alpha", [1000.0, math.inf])
+    @pytest.mark.parametrize("r, where", [(2, "at the start"), (1, "gain of cycle 1")])
+    def test_overflow_is_a_validation_error(self, r, where, alpha):
+        # With r = 2 the start's objective sums two entries of 1.7e308 and
+        # overflows; with r = 1 it is one entry, and the first cycle's SVD
+        # overflows instead.
+        prob = OtsmProblem(BlockDims((3, 3), r), {(0, 1): np.full((3, 3), 1.7e308)})
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match=where):
+            solve(prob, SolverConfig(alpha=alpha))
 
     def test_deterministic(self, hard_problem):
         first = solve(hard_problem, SolverConfig(init="spectral"))
