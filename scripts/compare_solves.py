@@ -38,10 +38,12 @@ listed as removed or added, not counted as a mismatch.
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
 exactly, NaN equal to NaN).  It runs twice: with the tree's default batch
-budget (cells labelled ``run_grid/…``) and with
-``otsm.experiment._BATCH_STILDE_BYTES`` set to ``SPLIT_BUDGET`` in each tree
-(``run_grid_split/…``), which cuts the ``d = 20`` cells into several
-batches, so splitting a cell into batches must change no result either.
+budget (cells labelled ``run_grid/…``) and with ``_BATCH_STILDE_BYTES``
+set to ``SPLIT_BUDGET`` in whichever of ``otsm.solver`` and
+``otsm.experiment`` defines it in that tree (``run_grid_split/…``), which
+cuts the ``d = 20`` cells into several batches, so splitting a cell into
+batches must change no result either.  A tree where neither module
+defines the budget fails the run.
 A tree whose ``CellResult`` has no
 ``failure_reasons`` field counts as having none, which matches only when
 no rep failed.  The script prints the largest trace and certificate
@@ -138,21 +140,32 @@ def _corpus():
         yield f"sign/{k}", problem, SolverConfig(init="spectral")
 
 
+def _budget_module():
+    """The module of the otsm on sys.path that defines the batch budget."""
+    import otsm.experiment
+    import otsm.solver
+
+    for module in (otsm.solver, otsm.experiment):
+        if hasattr(module, "_BATCH_STILDE_BYTES"):
+            return module
+    raise SystemExit("neither otsm.solver nor otsm.experiment defines _BATCH_STILDE_BYTES")
+
+
 def _grid_cells():
     """Yield (label, fields) for every CellResult of the acceptance grid, run
     with the default batch budget and with SPLIT_BUDGET."""
     import dataclasses
 
-    import otsm.experiment
     from otsm.experiment import ExperimentGrid, run_grid
 
-    default = otsm.experiment._BATCH_STILDE_BYTES
+    module = _budget_module()
+    default = module._BATCH_STILDE_BYTES
     for name, budget in (("run_grid", default), ("run_grid_split", SPLIT_BUDGET)):
-        otsm.experiment._BATCH_STILDE_BYTES = budget
+        module._BATCH_STILDE_BYTES = budget
         try:
             cells = run_grid(ExperimentGrid(**GRID))
         finally:
-            otsm.experiment._BATCH_STILDE_BYTES = default
+            module._BATCH_STILDE_BYTES = default
         for cell in cells:
             fields = dataclasses.asdict(cell)
             fields.setdefault("failure_reasons", ())

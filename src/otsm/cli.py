@@ -176,18 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--alpha",
         type=float,
-        default=1000.0,
+        default=SolverConfig.alpha,
         help="proximity constant; 'inf' requests the unsafe classical mode",
     )
     p_solve.add_argument(
-        "--tol", type=float, default=1e-5, help="mean block-change stopping tolerance"
+        "--tol",
+        type=float,
+        default=SolverConfig.tol,
+        help="mean block-change stopping tolerance",
     )
     p_solve.add_argument(
-        "--max-iter", type=int, default=2000, help="maximum number of cycles"
+        "--max-iter",
+        type=int,
+        default=SolverConfig.max_iter,
+        help="maximum number of cycles",
     )
     p_solve.add_argument(
         "--init",
-        default="identity",
+        default=SolverConfig.init,
         help="starting point: identity, spectral, or file:PATH (solution file)",
     )
     p_solve.add_argument(
@@ -220,17 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="run the synthetic alignment benchmark grid and export CSV"
     )
-    p_bench.add_argument("--m", type=int, default=5, help="views per instance")
-    p_bench.add_argument("--n", type=int, default=100, help="samples per view")
+    p_bench.add_argument(
+        "--m", type=int, default=ExperimentGrid.m, help="views per instance"
+    )
+    p_bench.add_argument(
+        "--n", type=int, default=ExperimentGrid.n, help="samples per view"
+    )
     p_bench.add_argument(
         "--d", required=True, help="comma-separated landmark dimensions, e.g. 5,10,20"
     )
     p_bench.add_argument(
         "--sigma", required=True, help="comma-separated noise levels, e.g. 0.1,10"
     )
-    p_bench.add_argument("--r", type=int, default=3, help="solve rank")
-    p_bench.add_argument("--reps", type=int, default=20, help="instances per cell")
-    p_bench.add_argument("--seed", type=int, default=0, help="base seed")
+    p_bench.add_argument("--r", type=int, default=ExperimentGrid.r, help="solve rank")
+    p_bench.add_argument(
+        "--reps", type=int, default=ExperimentGrid.reps, help="instances per cell"
+    )
+    p_bench.add_argument(
+        "--seed", type=int, default=ExperimentGrid.base_seed, help="base seed"
+    )
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.set_defaults(handler=_cmd_bench)
 

@@ -16,6 +16,7 @@ certificates, builders) is written against these primitives.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import threading
 from dataclasses import dataclass
@@ -280,6 +281,16 @@ def _cross_sums(problem, blocks):
     return sums
 
 
+def _norm(a) -> float:
+    """``||a||_F``; entries from 2^500 up, whose squares could overflow, are
+    first divided by a power of two, which is exact."""
+    big = float(np.max(np.abs(a)))
+    if big < 2.0**500:
+        return float(np.linalg.norm(a))
+    e = int(np.frexp(big)[1])
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+
+
 def _first_order(problem, point):
     """Raw multipliers ``L_i = O_i^T G_i`` and the stationarity report, from one pass."""
     _check_match(problem, point)
@@ -288,9 +299,25 @@ def _first_order(problem, point):
     for o, g in zip(point.blocks, sums):
         lam = o.T @ g
         lams.append(lam)
-        residuals.append(float(np.linalg.norm(g - o @ lam)))
-        asyms.append(float(np.linalg.norm(lam - lam.T)))
+        residuals.append(_norm(g - o @ lam))
+        asyms.append(_norm(lam - lam.T))
     return lams, StationarityReport(tuple(residuals), tuple(asyms))
+
+
+def _stack_stilde(problems) -> np.ndarray:
+    """One zeroed (B, D, D) array whose slot k is ``assemble_stilde(problems[k])``.
+
+    The problems share one shape.  This is the one writer of couplings
+    into an assembled matrix.
+    """
+    dims = problems[0].dims
+    off = dims.offsets()
+    stack = np.zeros((len(problems), dims.total_dim, dims.total_dim))
+    for full, problem in zip(stack, problems):
+        for (i, j), s in problem.sblocks.items():
+            full[off[i] : off[i + 1], off[j] : off[j + 1]] = s
+            full[off[j] : off[j + 1], off[i] : off[i + 1]] = s.T
+    return stack
 
 
 def assemble_stilde(problem) -> np.ndarray:
@@ -300,13 +327,7 @@ def assemble_stilde(problem) -> np.ndarray:
     transpose, and diagonal blocks are zero; the result is exactly
     symmetric by construction.
     """
-    dims = problem.dims
-    off = dims.offsets()
-    full = np.zeros((dims.total_dim, dims.total_dim))
-    for (i, j), s in problem.sblocks.items():
-        full[off[i] : off[i + 1], off[j] : off[j + 1]] = s
-        full[off[j] : off[j + 1], off[i] : off[i + 1]] = s.T
-    return full
+    return _stack_stilde([problem])[0]
 
 
 _SPECTRUM_LOCK = threading.Lock()

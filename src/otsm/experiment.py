@@ -24,7 +24,7 @@ from .builders import synth_procrustes
 from .certificate import Verdict, certify
 from .core import ValidationError, _is_int, _is_real
 from .formats import atomic_write_text
-from .solver import SolverConfig, StopReason, _solve_batch
+from .solver import SolverConfig, StopReason, _runs_per_batch, _solve_batch
 
 __all__ = [
     "ExperimentGrid",
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 _KNOWN_INITS = ("identity", "spectral")
-
-#: Bytes of assembled coupling matrices, one per run, that one batch of a
-#: cell may hold; a cell whose runs need more is swept in several batches.
-_BATCH_STILDE_BYTES = 4 * 2**20
 
 #: Column order of the exported CSV, one row per (cell, init).
 CSV_HEADER = (
@@ -228,12 +224,15 @@ def _outcome(problem, config, report) -> _RepOutcome:
 def _cell_runs(grid, d, sigma):
     """Yield ``(rep, init, problem, config)`` for every run of a cell, rep by rep.
 
-    Each rep's problem is built once and shared by its starts.
+    Each rep's problem is built once and shared by its starts, and its
+    spectral start comes first: however the runs are cut into batches, the
+    rep's ``eigh`` then runs before any of its certificates.
     """
+    inits = sorted(grid.init_strategies, key=lambda init: init != "spectral")
     for rep in range(grid.reps):
         seed = _derived_seed(grid.base_seed, d, sigma, rep)
         problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
-        for init in grid.init_strategies:
+        for init in inits:
             yield rep, init, problem, SolverConfig(init=init)
 
 
@@ -282,12 +281,10 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
     instance.  A cell's runs (reps x starts, rep by rep) are swept in
-    batches (see :func:`otsm.solver.solve`) that hold one assembled
-    coupling matrix per run within a fixed memory budget; each solve
-    report is identical to solving that rep from that start alone.  A
-    rep's certificates read the eigenvalues of its spectral start's
-    ``eigh``, or, when its identity start ran in an earlier batch, of that
-    start's certificate's ``eigvalsh``; the two agree only to rounding.
+    batches within a fixed memory budget (see :func:`otsm.solver.solve`);
+    each solve report is identical to solving that rep from that start
+    alone.  A rep's certificates read the eigenvalues of its spectral
+    start's ``eigh`` when the grid has that start.
     A start, solve or certificate that rejects its data
     (``ValidationError``) or whose decomposition fails (``LinAlgError``)
     is tallied, with its reason, as a failure of its own rep and does not
@@ -298,8 +295,7 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     """
     results = []
     for d in grid.d_values:
-        total = grid.m * d
-        per_batch = max(1, _BATCH_STILDE_BYTES // (8 * total * total))
+        per_batch = _runs_per_batch(grid.m * d)
         for sigma in grid.sigma_values:
             per_init: dict[str, list[_RepOutcome]] = {
                 init: [None] * grid.reps for init in grid.init_strategies

@@ -31,7 +31,7 @@ from .core import (
     _is_int,
     _is_real,
     _spectrum,
-    assemble_stilde,
+    _stack_stilde,
     objective,
     polar_project,
     stationarity,
@@ -57,6 +57,9 @@ _STAGNATION_CYCLES = 10
 #: the nuclear norms ||B_i||_* of its block updates.
 _MONOTONE_SLACK = 1e-12
 _DESCENT_SLACK = 1e-10
+#: Bytes of assembled coupling matrices, one per run, that one batch of the
+#: sweep may hold.
+_BATCH_STILDE_BYTES = 4 * 2**20
 
 
 class StopReason(Enum):
@@ -158,7 +161,7 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     )
 
 
-def step_block(problem, point, i, alpha=1000.0):
+def step_block(problem, point, i, alpha=SolverConfig.alpha):
     """One block update: the polar factor of B = sum_{j != i} S_ij O_j + O_i/alpha.
 
     Returns the new d_i x r block; ``alpha=math.inf`` drops the proximal
@@ -217,6 +220,15 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     once; a problem's result does not depend on the batch it is swept in.
     """
     return _solve_batch([problem], [config])[0]
+
+
+def _runs_per_batch(total_dim) -> int:
+    """How many runs with ``D = total_dim`` one batch of the sweep takes.
+
+    As many as fit ``_BATCH_STILDE_BYTES`` of assembled coupling matrices,
+    and at least one.
+    """
+    return max(1, _BATCH_STILDE_BYTES // (8 * total_dim * total_dim))
 
 
 def _start(problem, init, stilde):
@@ -304,10 +316,10 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     array next to the ``(B, D, r)`` iterates, so a block step is one
     stacked product ``G = stilde[:, rows_i] @ O``, one stacked SVD for the
     polar factors, and the gains and change norms of the whole batch, with
-    the same arithmetic per item as a lone solve.  Audits, traces and
-    stopping rules are per item; an item that stops leaves the batch, whose
-    arrays are compacted in place.  Any error raised for one item ends the
-    whole call.
+    arithmetic per item that does not depend on the batch size.  Audits,
+    traces and stopping rules are per item; an item that stops leaves the
+    batch, whose arrays are compacted in place.  Any error raised for one
+    item ends the whole call.
     """
     configs = [SolverConfig() if c is None else c for c in configs]
     if not problems:
@@ -323,11 +335,10 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     m = dims.m
     off = dims.offsets()
     slices = [slice(off[i], off[i + 1]) for i in range(m)]
-    stilde = np.empty((len(problems), dims.total_dim, dims.total_dim))
+    stilde = _stack_stilde(problems)
     current = np.empty((len(problems), dims.total_dim, dims.r))  # updated in place
     items = []
     for position, (problem, config) in enumerate(zip(problems, configs)):
-        stilde[position] = assemble_stilde(problem)
         start = _start(problem, config.init, stilde[position])
         items.append(_Item(position, problem, config, start))
         np.concatenate(start.blocks, out=current[position])
@@ -349,17 +360,15 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
             delta = new - cur
             current[:, rows] = new
             np.add.reduce(delta * g, axis=(1, 2), out=sums[0, i])
-            # Row times column runs the same dot as np.linalg.norm of one
-            # block in a lone solve.
+            # Row times column is one dot per item, whatever the batch size.
             flat = delta.reshape(batch, 1, -1)
             np.matmul(flat, flat.transpose(0, 2, 1), out=sums[2, i, :, None, None])
             np.add.reduce(s, axis=1, out=sums[3, i])
 
         np.sqrt(sums[2], out=sums[1])
         np.multiply(sums[1], sums[1], out=sums[2])
-        # A sequential sum over the blocks, as a lone solve adds them; a
-        # pairwise np.sum could add them in an order that varies with the
-        # batch size.
+        # A sequential sum over the blocks; a pairwise np.sum could add
+        # them in an order that varies with the batch size.
         totals = np.add.accumulate(sums, axis=1)[:, -1].tolist()
         keep = []
         for j, (it, dg, cs, csq, nuc) in enumerate(zip(items, *totals)):

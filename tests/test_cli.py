@@ -6,14 +6,27 @@ from numpy.testing import assert_allclose
 
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_stiefel
 from otsm.builders import hard_example
-from otsm.cli import main
+from otsm.cli import build_parser, main
 from otsm.core import BlockOrthogonal, ValidationError, objective
-from otsm.experiment import CSV_HEADER
+from otsm.experiment import CSV_HEADER, ExperimentGrid
 from otsm.formats import load_problem, load_solution, save_problem, save_solution
+from otsm.solver import SolverConfig
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["solve", "--input", "p.json", "--out", "r.json"])
+    config = SolverConfig()
+    assert (args.alpha, args.tol, args.max_iter, args.init) == (
+        config.alpha, config.tol, config.max_iter, config.init)
+    args = parser.parse_args(["bench", "--d", "5", "--sigma", "0.1", "--out", "g.csv"])
+    grid = ExperimentGrid(d_values=(5,), sigma_values=(0.1,))
+    assert (args.m, args.n, args.r, args.reps, args.seed) == (
+        grid.m, grid.n, grid.r, grid.reps, grid.base_seed)
 
 
 @pytest.fixture
@@ -368,16 +381,24 @@ class TestSolveCommand:
     @pytest.mark.parametrize("init", ["identity", "spectral"])
     @pytest.mark.parametrize("value", [1.7e308, 1e300])
     def test_overflow_is_an_input_error(self, tmp_path, capsys, value, init):
-        # Entries of 1.7e308 overflow the objective or the sweep; entries of
-        # 1e300 solve, but their stationarity residuals overflow.  Either
-        # way the run is an input error and no file holds NaN or infinity.
+        # Entries of 1.7e308 overflow the objective or the sweep: the run is
+        # an input error and no file holds NaN or infinity.  Entries of
+        # 1e300 solve and certify, because the stationarity residuals are
+        # scaled before their squares are summed.
         path = tmp_path / "huge.json"
         write_json(path, {"dims": [3, 3], "r": 2,
                           "S": [{"i": 1, "j": 2, "data": [[value] * 3] * 3}]})
+        out = tmp_path / "r.json"
         argv = ["solve", "--input", str(path), "--init", init, "--certify",
-                "--out", str(tmp_path / "r.json")]
+                "--out", str(out)]
         with np.errstate(all="ignore"):
             code = main(argv)
+        if value == 1e300:
+            assert code == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["certificate"]["verdict"] == "certified_global"
+            assert 1e284 < report["stationarity"]["max_grad_residual"] < 1e286
+            return
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]

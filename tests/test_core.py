@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -307,6 +309,22 @@ class TestStationarity:
             report = stationarity(prob, random_point(rng, prob))
             assert all(v >= 0.0 for v in report.grad_residuals)
             assert all(v >= 0.0 for v in report.asymmetries)
+
+    @pytest.mark.parametrize("k", [-300, 0, 300, 600, 990])
+    def test_scales_exactly_with_the_couplings(self, k):
+        # Couplings of up to about 1e300 (k = 990): the residuals' squares
+        # would overflow unscaled, but the report stays 2^k times the
+        # unscaled one, bit for bit.
+        rng = np.random.default_rng(9)
+        prob = random_problem(rng, [3, 4, 5], 2)
+        point = random_point(rng, prob)
+        scaled = OtsmProblem(
+            prob.dims, {key: np.ldexp(s, k) for key, s in prob.sblocks.items()}
+        )
+        want = stationarity(prob, point)
+        got = stationarity(scaled, point)
+        assert got.grad_residuals == tuple(math.ldexp(v, k) for v in want.grad_residuals)
+        assert got.asymmetries == tuple(math.ldexp(v, k) for v in want.asymmetries)
 
 
 _BAD_MATRICES = {

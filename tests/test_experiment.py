@@ -1,9 +1,11 @@
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import otsm.solver
 from otsm.builders import synth_procrustes
 from otsm.certificate import Verdict, certify
 from otsm.core import InternalError, ValidationError
@@ -176,9 +178,29 @@ class TestRunGrid:
         monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
         # D = 12: a budget of three coupling matrices puts three runs in a
         # batch, so rep 1's two starts are swept in different batches.
-        monkeypatch.setattr(otsm.experiment, "_BATCH_STILDE_BYTES", 3 * 8 * 12 * 12)
+        monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", 3 * 8 * 12 * 12)
         assert run_grid(ExperimentGrid(**SMALL)) == whole
         assert sizes == [3, 3]
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_one_decomposition_per_rep(self, monkeypatch, runs):
+        # Budgets of one and three D = 12 coupling matrices cut a rep's two
+        # starts into different batches; its spectral start still runs
+        # first, so its certificates read that start's eigh.
+        work = Counter()
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                work[name] += a.shape == (12, 12)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", runs * 8 * 12 * 12)
+        run_grid(ExperimentGrid(**SMALL))
+        assert work == Counter(eigh=SMALL["reps"])
 
     def test_single_rep_single_init(self):
         grid = ExperimentGrid(

@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,10 @@ class TestConfig:
         assert config.tol == 1e-5
         assert config.max_iter == 2000
         assert config.init == "identity"
+
+    def test_step_block_reads_the_default_alpha(self):
+        default = inspect.signature(step_block).parameters["alpha"].default
+        assert default == SolverConfig().alpha
 
     def test_infinite_alpha_allowed(self):
         assert math.isinf(SolverConfig(alpha=math.inf).alpha)
@@ -395,6 +401,19 @@ class TestSolveBatch:
 
     def test_empty_batch(self):
         assert _solve_batch([], []) == []
+
+    def test_solve_holds_one_coupling_matrix(self):
+        # From a given start, the only D x D array is the batch's S-tilde.
+        problem, _ = synth_procrustes(4, 50, 100, 3, 1.0, 0)
+        config = SolverConfig(init=init_spectral(problem))
+        side = problem.dims.total_dim
+        tracemalloc.start()
+        try:
+            solve(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * side * side
 
 
 class TestSolveAudits:
