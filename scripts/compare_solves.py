@@ -21,7 +21,13 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   two-block and 200 scalar sign problems, and the oscillation demo's
   finite-alpha solve from ``(I, J, I)``;
 * the classical ascent (``alpha = inf``) on ``hard_example(3, 2)`` from
-  both starts and on the 100 two-block problems.
+  both starts and on the 100 two-block problems;
+* ``ols_dense/0``: an orthogonal least-squares problem from ``build_ols``
+  (249 regressors and a target, 60 x 4 each, seed 11; D = 1000, r = 4)
+  from the spectral start.  Its couplings carry the sign -1, so
+  ``lambda_min`` sets ``||S-tilde||_2``: where the start comes from the
+  Krylov solve (D >= 1000), this run shows ``tol_psd`` read ``theta_min``
+  and ``tol_tau`` read ``||S-tilde||_F``.
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
@@ -33,7 +39,11 @@ and ``lmin_full`` (and ``lmin_reduced`` where both trees report it) and a
 Those three read the extreme eigenvalues of the coupling matrix, which may
 come from ``eigh`` in one tree and ``eigvalsh`` in the other and then agree
 only to rounding.  A certificate field that only one tree reports is
-listed as removed or added, not counted as a mismatch.
+listed as removed or added, not counted as a mismatch.  Where solution
+blocks differ, the line also gives their Frobenius distance after the best
+common orthogonal alignment ``min_Q ||X Q - Y||_F`` of the stacked blocks,
+which is near rounding when the two solves followed the same path up to a
+global rotation; the run still counts as a mismatch.
 
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
@@ -82,7 +92,7 @@ SPLIT_BUDGET = 3 * 8 * 100 * 100
 def _corpus():
     """Yield (label, problem, config) for every solve in the corpus."""
     from otsm import load_problem, save_problem
-    from otsm.builders import hard_example, synth_procrustes
+    from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
     from otsm.core import BlockDims, BlockOrthogonal, OtsmProblem
     from otsm.experiment import _derived_seed
     from otsm.solver import SolverConfig, init_spectral
@@ -138,6 +148,11 @@ def _corpus():
         }
         problem = OtsmProblem(BlockDims((1,) * m, 1), couplings)
         yield f"sign/{k}", problem, SolverConfig(init="spectral")
+
+    rng = np.random.default_rng(11)
+    regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
+    problem, _ = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))
+    yield "ols_dense/0", problem, SolverConfig(init="spectral")
 
 
 def _budget_module():
@@ -208,6 +223,13 @@ def _run_dump(src, path):
                    env=env, check=True)
 
 
+def _aligned_distance(x, y) -> float:
+    """``min ||x Q - y||_F`` over orthogonal ``Q``, attained at the polar
+    factor of ``x^T y``."""
+    p, _, qt = np.linalg.svd(x.T @ y)
+    return float(np.linalg.norm(x @ (p @ qt) - y))
+
+
 def compare(base, new) -> list[tuple[str, str]]:
     """Mismatches between two dumps, one ``(field, line)`` pair each."""
     found = []
@@ -238,6 +260,9 @@ def compare(base, new) -> list[tuple[str, str]]:
             worst_spectral = max(worst_spectral, rel)
             if rel > SPECTRAL_REL:
                 found.append((what, f"{label}: {what} differs by {rel:.3e} (rel)"))
+        elif what == "blocks" and a.shape == b.shape and not np.array_equal(a, b):
+            found.append((what, f"{label}: blocks differ; {_aligned_distance(a, b):.3e} "
+                                f"after the best global orthogonal alignment"))
         elif not np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f"):
             found.append((what, f"{label}: {what} differs"))
     runs = sum(1 for key in base.files if key.endswith("|trace"))

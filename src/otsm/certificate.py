@@ -79,12 +79,12 @@ class CertificateReport:
     the diagnostics measured in the same pass over the couplings.
     ``tol_psd`` and ``tol_tau`` are the tolerances the verdict used; a
     caller re-judges by another rule from ``taus``, ``stationarity`` and
-    :attr:`lmin_full`, computed on demand from the kept problem and point.
+    :attr:`lmin_full`, computed on demand from the kept problem and point,
+    as is :attr:`dual_bound`.
     """
 
     lambdas: tuple[np.ndarray, ...]
     taus: tuple[float, ...]
-    dual_bound: float
     verdict: Verdict
     stationarity: StationarityReport
     tol_psd: float
@@ -103,6 +103,11 @@ class CertificateReport:
         stilde = assemble_stilde(self._problem)
         full = _certificate_from(stilde, self._point, self.lambdas, self.taus)
         return float(np.linalg.eigvalsh(full)[0])
+
+    @cached_property
+    def dual_bound(self) -> float:
+        """:func:`dual_upper_bound` of the problem, computed on first read and kept."""
+        return dual_upper_bound(self._problem)
 
 
 def _taus(lams):
@@ -201,31 +206,35 @@ def certify(problem, point) -> CertificateReport:
     and keeps the verdict.  Callers who want another rule re-judge from the
     report's ``taus``, ``stationarity`` and ``lmin_full``.
 
+    ``||stilde||_2`` comes as bounds ``lo <= ||stilde||_2 <= hi`` from the
+    spectrum memoized on the problem (:func:`otsm.core._spectrum`); each
+    verdict reads the one that can only make it harder to reach:
+    ``tol_psd`` and the stationarity gate ``lo``, ``tol_tau`` and the
+    zero-problem test ``hi``.  Both are exact except after a spectral
+    start from D = 1000 on (Ritz values below, ``||stilde||_F`` above).
+
     Cost: one pass over the couplings gives the multipliers and the
     report's ``stationarity``; ``stilde`` is assembled once and turned into
     ``L* + tol_psd I`` in place for at most one dense Cholesky
-    factorization.  ``lmin_full`` costs one ``eigvalsh`` of L* when first
-    read.  ``||stilde||_2`` and the dual bound come from the spectrum
-    memoized on the problem, which a fresh problem fills with one
-    ``eigvalsh(stilde)``.  After :func:`otsm.solver.init_spectral` or a
-    spectral ``solve`` the memo holds ``eigh`` eigenvalues, which agree with
-    ``eigvalsh`` only to rounding, so the tolerances and ``dual_bound`` may
-    differ in the last digits from a certificate on a fresh problem.
+    factorization.  A fresh problem fills the memo with one ``eigvalsh``;
+    ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
+    when first read.  A spectral start's ``eigh`` eigenvalues agree with
+    ``eigvalsh`` only to rounding, so the tolerances may differ in the
+    last digits from a certificate on a fresh problem.
     """
     lams, stat = _first_order(problem, point)
     taus = _taus(lams)
     stilde = assemble_stilde(problem)
-    s_eigs, _ = _spectrum(problem, stilde=stilde)
-    snorm = max(-float(s_eigs[0]), float(s_eigs[-1]))
+    lo, hi = _spectrum(problem, stilde=stilde)[0]
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-    tol_psd = _PSD_BASE * snorm + _RESIDUAL_FACTOR * r_stat
-    tol_tau = _TAU_BASE * snorm + _RESIDUAL_FACTOR * r_stat
+    tol_psd = _PSD_BASE * lo + _RESIDUAL_FACTOR * r_stat
+    tol_tau = _TAU_BASE * hi + _RESIDUAL_FACTOR * r_stat
 
-    if snorm == 0.0:
+    if hi == 0.0:
         verdict = Verdict.CERTIFIED_GLOBAL
     elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
-    elif r_stat <= _STATIONARITY_GATE * snorm and _psd_within(
+    elif r_stat <= _STATIONARITY_GATE * lo and _psd_within(
         _certificate_from(stilde, point, lams, taus), tol_psd
     ):
         verdict = Verdict.CERTIFIED_GLOBAL
@@ -235,7 +244,6 @@ def certify(problem, point) -> CertificateReport:
     return CertificateReport(
         lambdas=tuple(lams),
         taus=tuple(taus),
-        dual_bound=_dual_bound(problem.dims, float(s_eigs[-1])),
         verdict=verdict,
         stationarity=stat,
         tol_psd=tol_psd,
@@ -243,10 +251,6 @@ def certify(problem, point) -> CertificateReport:
         _problem=problem,
         _point=point,
     )
-
-
-def _dual_bound(dims, lam_max) -> float:
-    return 0.5 * dims.m * dims.r * lam_max
 
 
 def dual_upper_bound(problem) -> float:
@@ -257,10 +261,12 @@ def dual_upper_bound(problem) -> float:
     is involved.  Valid for every feasible point, whether or not the
     problem has been solved.
 
-    ``lambda_max`` is read from the spectrum memoized on the problem, so
-    this equals ``certify(problem, point).dual_bound`` in either call
-    order; on a fresh problem this call fills the memo with one
-    ``eigvalsh(stilde)``.  After a spectral start the memo holds ``eigh``
-    eigenvalues, which agree with ``eigvalsh`` only to rounding.
+    ``lambda_max`` is the exact eigenvalue from the spectrum memoized on
+    the problem, so this equals ``certify(problem, point).dual_bound`` in
+    either call order; where the memo holds no eigenvalues yet (a fresh
+    problem, or after a Krylov start) this adds them with one
+    ``eigvalsh(stilde)``.  A spectral start's ``eigh`` eigenvalues agree
+    with ``eigvalsh`` only to rounding.
     """
-    return _dual_bound(problem.dims, float(_spectrum(problem)[0][-1]))
+    dims = problem.dims
+    return 0.5 * dims.m * dims.r * float(_spectrum(problem, exact=True)[2][-1])

@@ -332,42 +332,115 @@ def assemble_stilde(problem) -> np.ndarray:
 
 _SPECTRUM_LOCK = threading.Lock()
 
+#: From this D on a spectral start comes from :func:`_krylov`.  Measured on
+#: ``synth_procrustes(10, 100, D/10, 3, 1.0, 0)``, one BLAS thread of a
+#: 2-CPU host, at D = 500/1000/2000: ``eigh`` 39/252/1660 ms, ``eigvalsh``
+#: 17/130/905 ms, the Krylov solve 19/69/384 ms.
+_KRYLOV_MIN_DIM = 1000
+#: Seed of the Krylov solve's private start block (not the global RNG).
+_KRYLOV_SEED = 1811_03521
+#: The Krylov basis takes at most this share of D and this many blocks.
+_KRYLOV_MAX_SHARE = 0.5
+_KRYLOV_MAX_BLOCKS = 60
 
-def _spectrum(problem, vectors=False, stilde=None):
+
+def _krylov(stilde, r):
+    """Top-``r`` eigenpairs of the symmetric ``stilde`` by a block Krylov solve.
+
+    Blocks of ``r + 2`` columns, reorthogonalized twice against the whole
+    basis; Rayleigh-Ritz every 3 steps, until each of the top ``r + 1``
+    Ritz pairs has the residual ``||stilde y - theta y|| <= 1e-10 |theta|``
+    (pair ``r + 1`` too: the second copy of a tied ``lambda_r`` can lag
+    far behind and fake a wide Ritz gap).  Returns ``((theta_min,
+    theta_max), top)``: the basis' extreme Ritz values and the ``D x r``
+    top Ritz vectors, largest first.  Returns None, for the caller to run
+    ``eigh``, when the basis would pass its cap of ``min(D/2, 60 (r + 2))``
+    columns (at once if that leaves no room for a Rayleigh-Ritz step),
+    when a new block is rank deficient (as when ``stilde`` has rank below
+    ``r + 2``), or when the largest residual is not below
+    ``1e-8 (theta_r - theta_{r+1})``.
+    """
+    d, b = stilde.shape[0], r + 2
+    cap = min(int(_KRYLOV_MAX_SHARE * d), _KRYLOV_MAX_BLOCKS * b)
+    if 3 * b > cap:
+        return None
+    basis, proj = np.empty((d, cap)), np.empty((cap, cap))
+    start = np.random.default_rng(_KRYLOV_SEED).standard_normal((d, b))
+    block = np.linalg.qr(start)[0]
+    w = stilde @ block
+    tiny = 1e-10 * np.linalg.norm(w)
+    k = 0
+    for step in itertools.count(1):
+        basis[:, k : k + b] = block
+        k += b
+        v = basis[:, :k]
+        h = v.T @ w
+        proj[:k, k - b : k] = h
+        proj[k - b : k, :k] = h.T
+        if step % 3 == 0:
+            theta, y = np.linalg.eigh(proj[:k, :k])
+            lead = theta[: -r - 2 : -1]
+            top = v @ y[:, : -r - 2 : -1]
+            res = np.linalg.norm(stilde @ top - top * lead, axis=0)
+            if np.all(res <= 1e-10 * np.abs(lead)):
+                if res.max() < 1e-8 * (lead[-2] - lead[-1]):
+                    return (float(theta[0]), float(theta[-1])), top[:, :r]
+                return None
+        if k + b > cap:
+            return None
+        w -= v @ h
+        w -= v @ (v.T @ w)
+        block, tri = np.linalg.qr(w)
+        if np.abs(np.diagonal(tri)).min() <= tiny:
+            return None
+        w = stilde @ block
+
+
+def _spectrum(problem, vectors=False, stilde=None, exact=False):
     """The memoized spectrum of the assembled coupling matrix.
 
-    Returns ``(eigenvalues, top)``: the eigenvalues of ``stilde`` in
-    ascending order and, once some call has asked for ``vectors``, a
-    ``D x r`` copy of the eigenvectors of the ``r`` largest eigenvalues,
-    largest first (``None`` before that).  Both arrays are read-only.
-    The first call computes them, with ``eigh`` when ``vectors`` is true
-    and ``eigvalsh`` otherwise, from ``stilde`` if the caller has
-    assembled it and from a fresh assembly otherwise.  Stored eigenvalues
+    Returns ``(norms, top, eigenvalues)``, each read-only: ``norms =
+    (lo, hi)`` with ``lo <= ||stilde||_2 <= hi``; the ``D x r`` top
+    eigenvectors, largest first; and all eigenvalues, ascending, or
+    ``None`` for either until some call computed it.  A call for
+    ``vectors`` runs ``eigh``, from ``D = _KRYLOV_MIN_DIM`` on
+    :func:`_krylov` first, whose Ritz values give ``lo`` while ``hi =
+    ||stilde||_F``; any other call, including one for ``exact``
+    eigenvalues, runs ``eigvalsh``.  ``stilde`` is decomposed if the
+    caller has assembled it, a fresh assembly otherwise.  Stored entries
     are never replaced, so every later reader sees the same values;
-    eigenvectors are added by the first call that needs them.  A failed
+    missing ones are added by the first call that needs them.  A failed
     decomposition raises ``numpy.linalg.LinAlgError`` and stores nothing.
-    The ``D x D`` eigenvector matrix is never kept.
+    No ``D x D`` array is kept.
     """
     memo = problem._spectrum
-    if memo is not None and (memo[1] is not None or not vectors):
+    if memo is not None and not (vectors and memo[1] is None or exact and memo[2] is None):
         return memo
     if stilde is None:
         stilde = assemble_stilde(problem)
-    if vectors:
-        vals, vecs = np.linalg.eigh(stilde)
-        top = vecs[:, ::-1][:, : problem.dims.r].copy()
+    top = vals = found = None
+    if vectors and problem.dims.total_dim >= _KRYLOV_MIN_DIM:
+        found = _krylov(stilde, problem.dims.r)
+    if found is not None:
+        (lo, hi), top = found
+        norms = (max(-lo, hi), float(np.linalg.norm(stilde)))
     else:
-        vals, top = np.linalg.eigvalsh(stilde), None
+        if vectors:
+            vals, vecs = np.linalg.eigh(stilde)
+            top = vecs[:, ::-1][:, : problem.dims.r].copy()
+        else:
+            vals = np.linalg.eigvalsh(stilde)
+        norms = (max(-float(vals[0]), float(vals[-1])),) * 2
     with _SPECTRUM_LOCK:
-        memo = problem._spectrum
-        if memo is not None:
-            vals = memo[0]
-            if top is None:
-                top = memo[1]
-        for a in (vals, top):
+        if problem._spectrum is not None:
+            norms, top, vals = (
+                old if old is not None else new
+                for old, new in zip(problem._spectrum, (norms, top, vals))
+            )
+        for a in (top, vals):
             if a is not None:
                 a.flags.writeable = False
-        problem._spectrum = (vals, top)
+        problem._spectrum = (norms, top, vals)
         return problem._spectrum
 
 

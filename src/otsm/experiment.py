@@ -226,7 +226,7 @@ def _cell_runs(grid, d, sigma):
 
     Each rep's problem is built once and shared by its starts, and its
     spectral start comes first: however the runs are cut into batches, the
-    rep's ``eigh`` then runs before any of its certificates.
+    start then fills the rep's spectrum memo before any certificate reads it.
     """
     inits = sorted(grid.init_strategies, key=lambda init: init != "spectral")
     for rep in range(grid.reps):
@@ -283,8 +283,8 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     instance.  A cell's runs (reps x starts, rep by rep) are swept in
     batches within a fixed memory budget (see :func:`otsm.solver.solve`);
     each solve report is identical to solving that rep from that start
-    alone.  A rep's certificates read the eigenvalues of its spectral
-    start's ``eigh`` when the grid has that start.
+    alone.  A rep's certificates read the spectrum its spectral start
+    computed when the grid has that start.
     A start, solve or certificate that rejects its data
     (``ValidationError``) or whose decomposition fails (``LinAlgError``)
     is tallied, with its reason, as a failure of its own rep and does not

@@ -156,18 +156,17 @@ def load_problem(path) -> OtsmProblem:
             raise _bad_field(
                 path, "problem", "views", "expected a list of at least 2 views"
             )
-        views = tuple(
-            _as_matrix(v, f"problem file {path}: field 'views[{k}]'")
-            for k, v in enumerate(views_raw)
-        )
-        if "dims" in raw:
-            dims_given = _dims_field(raw, path)
-            widths = tuple(v.shape[1] for v in views)
-            if dims_given != widths:
-                msg = f"{dims_given} does not match view widths {widths}"
-                raise _bad_field(path, "problem", "dims", msg)
+        dims_given = _dims_field(raw, path) if "dims" in raw else None
         try:
-            return build_maxdiff(ViewData(views), r)
+            views = ViewData(views_raw)
+        except ValidationError as exc:
+            raise _bad_field(path, "problem", "views", exc) from exc
+        widths = tuple(v.shape[1] for v in views.views)
+        if dims_given not in (None, widths):
+            msg = f"{dims_given} does not match view widths {widths}"
+            raise _bad_field(path, "problem", "dims", msg)
+        try:
+            return build_maxdiff(views, r)
         except ValidationError as exc:
             raise ValidationError(f"problem file {path}: {exc}") from exc
 
@@ -198,15 +197,19 @@ def load_problem(path) -> OtsmProblem:
             raise _bad_field(path, "problem", f"S[{k}]", msg)
         if (i - 1, j - 1) in sblocks:
             raise _bad_field(path, "problem", f"S[{k}]", f"duplicate pair (i={i}, j={j})")
-        data = _as_matrix(entry["data"], f"problem file {path}: field 'S[{k}].data'")
-        expected = (dims_list[i - 1], dims_list[j - 1])
-        if data.shape != expected:
-            msg = f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}"
-            raise _bad_field(path, "problem", f"S[{k}].data", msg)
-        sblocks[(i - 1, j - 1)] = data
+        sblocks[(i - 1, j - 1)] = entry["data"]
     try:
         return OtsmProblem(BlockDims(dims_list, r), sblocks)
     except ValidationError as exc:
+        # OtsmProblem names a coupling by its zero-based pair; on failure
+        # only, the entries are converted again to name the file's field.
+        for k, entry in enumerate(entries):
+            i, j, field = entry["i"], entry["j"], f"S[{k}].data"
+            data = _as_matrix(entry["data"], f"problem file {path}: field '{field}'")
+            expected = (dims_list[i - 1], dims_list[j - 1])
+            if data.shape != expected:
+                msg = f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}"
+                raise _bad_field(path, "problem", field, msg) from exc
         raise ValidationError(f"problem file {path}: {exc}") from exc
 
 

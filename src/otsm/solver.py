@@ -143,18 +143,18 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     block is polar-projected onto the orthonormal set.  Eigensolver
     failures propagate as ``numpy.linalg.LinAlgError``.
 
-    The first spectral start on a problem runs one dense ``eigh`` of
-    ``stilde`` and keeps, on the problem, its ascending eigenvalues and a
-    D x r copy of the top-r eigenvectors (not the D x D eigenvector
-    matrix); later starts, :func:`otsm.certificate.certify` and
-    :func:`otsm.certificate.dual_upper_bound` on the same problem read
-    them and decompose nothing.  If ``certify`` or ``dual_upper_bound``
-    ran first, their ``eigvalsh`` eigenvalues stay and only the vectors
-    are added; ``eigh`` and ``eigvalsh`` eigenvalues agree only to
-    rounding.
+    The eigenvectors come from the spectrum memoized on the problem (see
+    :func:`otsm.core._spectrum`), which the first spectral start fills
+    with one ``eigh`` of ``stilde`` below D = 1000 and from there on with
+    a block Krylov solve (``eigh`` where that does not converge); later
+    starts and :func:`otsm.certificate.certify` on the same problem
+    decompose nothing.  If ``certify`` ran first, its eigenvalues stay and
+    only the vectors are added.  The Krylov vectors span the same top-r
+    subspace as ``eigh``'s, up to rounding and a common orthogonal factor
+    of the blocks.
     """
     dims = problem.dims
-    _, top = _spectrum(problem, vectors=True)
+    top = _spectrum(problem, vectors=True)[1]
     off = dims.offsets()
     return BlockOrthogonal(
         [polar_project(top[off[i] : off[i + 1]]) for i in range(dims.m)]

@@ -14,7 +14,7 @@ import otsm.core
 import otsm.formats
 import otsm.solver
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
-from otsm.builders import hard_example, synth_procrustes
+from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -406,6 +406,104 @@ def test_spectral_pipeline_dense_work(monkeypatch):
     report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
     assert dual_upper_bound(prob) == report.dual_bound
     assert work == Counter(eigh=1, cholesky=1, assemble_stilde=2)
+
+
+class TestKrylovPipeline:
+    """From D = 1000 on a spectral start comes from the block Krylov solve."""
+
+    @pytest.fixture(params=range(4))
+    def problem(self, request):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, request.param)
+        assert prob.dims.total_dim == otsm.core._KRYLOV_MIN_DIM
+        return prob
+
+    def test_no_dense_decomposition(self, monkeypatch, problem):
+        work = count_dense_work(monkeypatch, problem)
+        report = certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
+        # norm: ||S-tilde||_F, the memo's upper bound on ||S-tilde||_2.
+        assert work == Counter(norm=1, cholesky=1, assemble_stilde=2)
+        _, top, eigenvalues = problem._spectrum  # no D x D array is kept
+        assert (top.shape, eigenvalues) == ((1000, 3), None)
+        bound = report.dual_bound
+        assert work == Counter(norm=1, eigvalsh=1, cholesky=1, assemble_stilde=3)
+        assert (report.dual_bound, dual_upper_bound(problem)) == (bound, bound)
+        assert work == Counter(norm=1, eigvalsh=1, cholesky=1, assemble_stilde=3)
+
+    def test_fresh_certify_runs_one_eigvalsh(self, monkeypatch):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+        point = solve(fresh_copy(prob), SolverConfig(init="spectral")).solution
+        monkeypatch.setattr(otsm.core, "_krylov", None)  # never called
+        work = count_dense_work(monkeypatch, prob)
+        report = certify(prob, point)
+        assert report.dual_bound == dual_upper_bound(prob)
+        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=1)
+
+    def test_falls_back_to_eigh(self, monkeypatch):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+        monkeypatch.setattr(otsm.core, "_krylov", lambda stilde, r: None)
+        work = count_dense_work(monkeypatch, prob)
+        start = init_spectral(prob)
+        assert work == Counter(eigh=1, assemble_stilde=1)
+        assert prob._spectrum[2].shape == (1000,)
+        monkeypatch.undo()
+        expected = init_spectral(fresh_copy(prob))
+        assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
+
+    def test_block_wider_than_the_basis_cap(self):
+        # r + 2 = 501 columns against a cap of D/2 = 500: the start and the
+        # certificate use eigh and eigvalsh as below D = 1000.
+        rng = np.random.default_rng(2)
+        prob = OtsmProblem(BlockDims([500, 500], 499), {(0, 1): rng.standard_normal((500, 500))})
+        report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
+        assert prob._spectrum[2].shape == (1000,)
+        assert report.verdict is Verdict.CERTIFIED_GLOBAL
+
+    def test_agrees_with_the_dense_path(self, monkeypatch, problem):
+        dense = fresh_copy(problem)
+        monkeypatch.setattr(otsm.core, "_KRYLOV_MIN_DIM", 10**9)
+        want = solve(dense, SolverConfig(init="spectral"))
+        want_cert = certify(dense, want.solution)
+        monkeypatch.undo()
+        got = solve(problem, SolverConfig(init="spectral"))
+        got_cert = certify(problem, got.solution)
+        assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+        assert got_cert.verdict is want_cert.verdict
+        assert got.objective == pytest.approx(want.objective, rel=1e-12)
+        assert got_cert.dual_bound == pytest.approx(want_cert.dual_bound, rel=1e-13)
+        # ||S-tilde||_2 is theta_max here, within 1e-13 of lambda_max.
+        lo, hi = problem._spectrum[0]
+        assert lo == pytest.approx(float(dense._spectrum[2][-1]), rel=1e-13)
+        assert hi == np.linalg.norm(assemble_stilde(problem))
+        # tol_psd = 1e-6 ||S-tilde||_2 + 100 r_stat, and r_stat is a residual
+        # some 1e-5 of ||S-tilde||_2 at the solver's tol, so its rounding
+        # differs by about 1e-11 relative between two starts that span the
+        # same subspace.
+        assert got_cert.tol_psd == pytest.approx(want_cert.tol_psd, rel=1e-9)
+
+    @pytest.mark.parametrize("shrink", [1.0, 1e-3])
+    def test_ritz_bounds_only_make_verdicts_harder(self, monkeypatch, shrink):
+        """tol_psd and the stationarity gate read the Ritz values, which may
+        fall short of ||S-tilde||_2; tol_tau reads ||S-tilde||_F, which
+        cannot.  Shrinking the Ritz values stands for an unconverged
+        theta_min on a problem it dominates."""
+        rng = np.random.default_rng(11)
+        regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
+        prob, _ = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))
+        assert prob.dims.total_dim == 1000
+        krylov = otsm.core._krylov
+
+        def shrunk(stilde, r):
+            (lo, hi), top = krylov(stilde, r)
+            return (shrink * lo, shrink * hi), top
+
+        monkeypatch.setattr(otsm.core, "_krylov", shrunk)
+        point = init_spectral(prob)
+        report, exact = certify(prob, point), certify(fresh_copy(prob), point)
+        vals = exact._problem._spectrum[2]
+        assert vals[0] < -vals[-1]  # lambda_min sets ||S-tilde||_2
+        assert report.tol_psd <= exact.tol_psd
+        assert report.tol_tau >= exact.tol_tau
+        assert report.taus == exact.taus
 
 
 class TestSpectrumMemo:

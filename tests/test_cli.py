@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_stiefel
-from otsm.builders import hard_example
+from otsm.builders import hard_example, synth_procrustes
 from otsm.cli import build_parser, main
 from otsm.core import BlockOrthogonal, ValidationError, objective
 from otsm.experiment import CSV_HEADER, ExperimentGrid
@@ -123,6 +123,15 @@ class TestProblemFile:
         )
         with pytest.raises(ValidationError, match="unknown"):
             load_problem(path)
+
+    def test_bad_coupling_data_names_its_entry(self, tmp_path):
+        path = tmp_path / "bad.json"
+        good = {"i": 1, "j": 2, "data": np.eye(2).tolist()}
+        for data in ([[1.0]], [[1.0, "x"], [0.0, 1.0]], [[1.0, float("nan")], [0.0, 1.0]]):
+            bad = {"i": 1, "j": 3, "data": data}
+            write_json(path, {"dims": [2, 2, 2], "r": 1, "S": [good, bad]})
+            with pytest.raises(ValidationError, match=r"bad\.json: field 'S\[1\]\.data'"):
+                load_problem(path)
 
     def test_views_dims_not_a_list(self, tmp_path):
         path = tmp_path / "views.json"
@@ -436,6 +445,25 @@ class TestSolveCommand:
         main(["solve", "--input", str(hard_file), "--out", str(out)])
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def test_krylov_path_reruns_are_byte_identical(tmp_path, capsys):
+    """At D = 1000 the spectral start comes from the seeded Krylov solve,
+    and two runs of otsm solve --init spectral --certify write the same bytes."""
+    problem, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    written = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"report-{tag}.json"
+        argv = ["solve", "--input", str(path), "--init", "spectral", "--certify",
+                "--out", str(out)]
+        assert main(argv) == 0
+        solution = tmp_path / f"report-{tag}.solution.json"
+        written.append((out.read_bytes(), solution.read_bytes()))
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert json.loads(written[0][0])["certificate"]["verdict"] == "certified_global"
 
 
 class TestCertifyCommand:

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -13,12 +16,14 @@ from conftest import (
     random_problem,
     random_stiefel,
 )
+import otsm.core
 from otsm.builders import OlsData, ViewData, ols_residual
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
     OtsmProblem,
     ValidationError,
+    _krylov,
     assemble_stilde,
     lagrange_multipliers,
     objective,
@@ -347,3 +352,91 @@ _INTAKES = {
 def test_bad_matrix_is_a_validation_error(intake, kind):
     with pytest.raises(ValidationError):
         _INTAKES[intake](_BAD_MATRICES[kind])
+
+
+def planted(rng, eigenvalues):
+    """A symmetric matrix with the given spectrum and random eigenvectors."""
+    q = random_stiefel(rng, len(eigenvalues), len(eigenvalues))
+    a = (q * eigenvalues) @ q.T
+    return (a + a.T) / 2.0
+
+
+@st.composite
+def planted_spectra(draw, tie=False):
+    """(matrix, r) with D <= 80 and a spectrum of any scale, whose largest
+    magnitude may be at either end; with ``tie``, lambda_r = lambda_{r+1}."""
+    d = draw(st.integers(12, 80))
+    r = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    vals = np.sort(rng.uniform(-1.0, 1.0, d))[::-1].copy()
+    vals[: r + 1] += draw(st.floats(0.0, 2.0))  # how far the top stands out
+    vals[-3:] -= draw(st.floats(0.0, 4.0))  # and the bottom, which may dominate
+    if tie:
+        vals[r] = vals[r - 1]
+    return planted(rng, scale * vals), r
+
+
+def krylov(a, r, max_blocks=None):
+    """core._krylov with its basis cap lifted to the whole space, or set to
+    ``max_blocks`` blocks of r + 2 columns."""
+    with mock.patch.multiple(
+        otsm.core,
+        _KRYLOV_MAX_SHARE=1.0,
+        _KRYLOV_MAX_BLOCKS=a.shape[0] if max_blocks is None else max_blocks,
+    ):
+        return _krylov(a, r)
+
+
+class TestKrylov:
+    """core._krylov, the block Krylov solve behind the spectral start from
+    D = 1000 on."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(planted_spectra())
+    def test_agrees_with_eigh_when_it_returns(self, case):
+        a, r = case
+        found = krylov(a, r)
+        if found is None:
+            return
+        (lo, hi), top = found
+        lam, vecs = np.linalg.eigh(a)
+        size = float(np.max(np.abs(lam)))
+        assert lam[0] - 1e-12 * size <= lo <= hi <= lam[-1] + 1e-12 * size
+        assert top.shape == (a.shape[0], r)
+        assert np.linalg.norm(top.T @ top - np.eye(r)) <= 1e-12
+        theta = np.sum(top * (a @ top), axis=0)
+        assert np.all(np.diff(theta) <= 1e-12 * size)  # largest first
+        residuals = np.linalg.norm(a @ top - top * theta, axis=0)
+        assert np.all(residuals <= 1e-10 * np.abs(theta) + 1e-14 * size)
+        ref = vecs[:, ::-1][:, :r]
+        sin_theta = np.linalg.norm(top - ref @ (ref.T @ top), 2)
+        assert sin_theta <= 1e-8
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(planted_spectra(tie=True))
+    def test_no_result_without_a_gap(self, case):
+        a, r = case
+        assert krylov(a, r) is None
+
+    def test_no_result_when_the_cap_is_spent(self):
+        rng = np.random.default_rng(5)
+        a = planted(rng, np.linspace(1.0, -1.0, 60) ** 3)
+        assert krylov(a, 2) is not None
+        for blocks in (1, 2, 3):
+            assert krylov(a, 2, max_blocks=blocks) is None
+
+    def test_no_result_when_a_block_exceeds_the_cap(self):
+        # At the default cap min(D/2, 60 (r + 2)), r = 5 on D = 12 leaves
+        # no room for even one block of 7 columns.
+        a = planted(np.random.default_rng(3), np.linspace(2.0, -1.0, 12))
+        assert _krylov(a, 5) is None
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_no_result_on_breakdown(self, rank):
+        # Rank below the block size r + 2 = 4 (rank 0 is the zero matrix):
+        # the Krylov space stops growing after the first product.
+        rng = np.random.default_rng(7)
+        vals = np.zeros(40)
+        vals[:rank] = [3.0, -2.0, 1.0][:rank]
+        assert krylov(planted(rng, vals), 2) is None
