@@ -24,21 +24,19 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   both starts and on the 100 two-block problems;
 * ``ols_dense/0``: an orthogonal least-squares problem from ``build_ols``
   (249 regressors and a target, 60 x 4 each, seed 11; D = 1000, r = 4)
-  from the spectral start.  Its couplings carry the sign -1, so
-  ``lambda_min`` sets ``||S-tilde||_2``: where the start comes from the
-  Krylov solve (D >= 1000), this run shows ``tol_psd`` read ``theta_min``
-  and ``tol_tau`` read ``||S-tilde||_F``.
+  from the spectral start, which comes from the Krylov solve.  Its
+  couplings carry the sign -1, so ``lambda_min`` sets ``||S-tilde||_2``.
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
 same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
-are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``
-and ``lmin_full`` (and ``lmin_reduced`` where both trees report it) and a
-``dual_bound``, ``tol_psd`` and ``tol_tau`` within ``1e-13`` relative.
-Those three read the extreme eigenvalues of the coupling matrix, which may
-come from ``eigh`` in one tree and ``eigvalsh`` in the other and then agree
-only to rounding.  A certificate field that only one tree reports is
+are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``,
+``lmin_full``, ``tol_psd`` and ``tol_tau`` (and ``lmin_reduced`` where both
+trees report it) and a ``dual_bound`` within ``1e-13`` relative.  That one
+reads the largest eigenvalue of the coupling matrix, which may come from
+``eigh`` in one tree and ``eigvalsh`` in the other and then agree only to
+rounding.  A certificate field that only one tree reports is
 listed as removed or added, not counted as a mismatch.  Where solution
 blocks differ, the line also gives their Frobenius distance after the best
 common orthogonal alignment ``min_Q ||X Q - Y||_F`` of the stacked blocks,
@@ -78,10 +76,11 @@ import numpy as np
 TRACE_REL = 1e-12
 SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
-SPECTRAL_FIELDS = ("dual_bound", "tol_psd", "tol_tau")
+SPECTRAL_FIELDS = ("dual_bound",)
 #: Certificate fields saved when the tree's report has them (older trees
 #: also report ``lmin_reduced``).
-CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced") + SPECTRAL_FIELDS
+CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced", "tol_psd",
+               "tol_tau") + SPECTRAL_FIELDS
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the
@@ -268,7 +267,7 @@ def compare(base, new) -> list[tuple[str, str]]:
     runs = sum(1 for key in base.files if key.endswith("|trace"))
     cells = sum(1 for key in base.files if key.endswith("|init"))
     print(f"{runs} runs compared; largest objective trace difference "
-          f"{worst:.3e} relative to 1 + |f|; largest dual_bound/tol_psd/tol_tau "
+          f"{worst:.3e} relative to 1 + |f|; largest dual_bound "
           f"difference {worst_spectral:.3e} relative; {cells} run_grid cells compared")
     return found
 

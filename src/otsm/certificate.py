@@ -16,6 +16,7 @@ with ``stilde``.  The report lets a caller re-judge by another rule.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,6 +30,7 @@ from .core import (
     StationarityReport,
     _check_match,
     _first_order,
+    _norm,
     _spectrum,
     assemble_stilde,
     lagrange_multipliers,
@@ -43,8 +45,8 @@ __all__ = [
     "dual_upper_bound",
 ]
 
-# Verdict tolerances are (base * ||stilde||_2) + (RESIDUAL_FACTOR * measured
-# stationarity error).  Eigenvalues of the multipliers and of L* move
+# Verdict tolerances are (base * a bound on ||stilde||_2) + (RESIDUAL_FACTOR *
+# measured stationarity error).  Eigenvalues of the multipliers and of L* move
 # linearly with the distance to the underlying exact stationary point, and
 # at mean-change stopping thresholds the certificate eigenvalue error is a
 # double-digit multiple of the gradient residual (measured ratio ~29 on the
@@ -53,11 +55,11 @@ _PSD_BASE = 1e-6
 _TAU_BASE = 1e-8
 _RESIDUAL_FACTOR = 100.0
 
-#: CERTIFIED_GLOBAL needs ``r_stat <= _STATIONARITY_GATE * ||stilde||_2``.
+#: CERTIFIED_GLOBAL needs ``r_stat <= _STATIONARITY_GATE * lo`` (see :func:`_scale`).
 #: The tolerances above grow with ``r_stat`` without bound, so far from
 #: stationarity they would accept any point.  Solver output at the default
-#: ``tol`` measures at most 1e-5 on this relative scale, random feasible
-#: points at least 0.2.
+#: ``tol`` on ``synth_procrustes`` measures at most 1e-5 on this relative
+#: scale, random feasible points at least 0.2.
 _STATIONARITY_GATE = 1e-3
 
 #: Relative tolerance, against ||L*||_F, of the reported check L* Obar = 0.
@@ -77,10 +79,11 @@ class CertificateReport:
     ``lambdas`` are the raw (unsymmetrized) multipliers; ``taus`` the
     smallest eigenvalues of their symmetrized versions; ``stationarity``
     the diagnostics measured in the same pass over the couplings.
-    ``tol_psd`` and ``tol_tau`` are the tolerances the verdict used; a
-    caller re-judges by another rule from ``taus``, ``stationarity`` and
-    :attr:`lmin_full`, computed on demand from the kept problem and point,
-    as is :attr:`dual_bound`.
+    ``tol_psd`` and ``tol_tau`` are the tolerances the verdict used, a
+    function of the couplings and the point alone; a caller re-judges by
+    another rule from ``taus``, ``stationarity`` and :attr:`lmin_full`,
+    computed on demand from the kept problem and point, as is
+    :attr:`dual_bound`.
     """
 
     lambdas: tuple[np.ndarray, ...]
@@ -186,46 +189,56 @@ def _psd_within(matrix, tol) -> bool:
     return True
 
 
+def _scale(problem, lams):
+    """Bounds ``(lo, hi)`` with ``lo <= ||stilde||_2 <= hi``, from data in hand.
+
+    ``lo`` is the largest ``|eigenvalue|`` of ``sym(sum_i L_i) / m`` for the
+    raw multipliers ``lams``: these are the Ritz values of ``stilde`` on the
+    span of the stacked point ``O``, because ``sum_i O_i^T O_i = m I_r``
+    and ``sum_i L_i = O^T stilde O`` (a point off orthonormality by ``e``
+    can raise ``lo`` by about ``e`` relative).  ``hi`` is ``||stilde||_F``,
+    from the stored blocks without overflow.
+    """
+    total = sum(lams)
+    ritz = np.linalg.eigvalsh((total + total.T) / (2.0 * problem.dims.m))
+    lo = max(-float(ritz[0]), float(ritz[-1]))
+    hi = math.sqrt(2.0) * math.hypot(*map(_norm, problem.sblocks.values()))
+    return lo, hi
+
+
 def certify(problem, point) -> CertificateReport:
     """Three-valued global-optimality verdict at a feasible point.
 
-    The zero problem (``||stilde||_2 = 0``), where every point attains the
-    optimum 0, is CERTIFIED_GLOBAL.  Otherwise, if ``min(taus) < -tol_tau``
-    the point cannot be a global maximizer (CERTIFIED_NOT_GLOBAL).  It is
+    The zero problem (``hi = 0``), where every point attains the optimum
+    0, is CERTIFIED_GLOBAL.  Otherwise, if ``min(taus) < -tol_tau`` the
+    point cannot be a global maximizer (CERTIFIED_NOT_GLOBAL).  It is
     certified (CERTIFIED_GLOBAL) when it is stationary relative to the
-    problem's scale, ``r_stat <= 1e-3 * ||stilde||_2``, and the Cholesky
+    problem's scale, ``r_stat <= 1e-3 * lo``, and the Cholesky
     factorization of ``L* + tol_psd I`` succeeds, that is when
     ``lambda_min(L*) >= -tol_psd`` up to the factorization's backward
     error.  Every other point is INCONCLUSIVE.
 
-    The tolerances depend only on the problem and the point:
-    ``tol_psd = 1e-6 * ||stilde||_2 + 100 * r_stat`` and
-    ``tol_tau = 1e-8 * ||stilde||_2 + 100 * r_stat``, where ``r_stat`` is
-    the larger of the gradient residual and multiplier asymmetry maxima.
-    Scaling the couplings by ``c > 0`` scales both, and the taus, by ``c``
-    and keeps the verdict.  Callers who want another rule re-judge from the
-    report's ``taus``, ``stationarity`` and ``lmin_full``.
-
-    ``||stilde||_2`` comes as bounds ``lo <= ||stilde||_2 <= hi`` from the
-    spectrum memoized on the problem (:func:`otsm.core._spectrum`); each
-    verdict reads the one that can only make it harder to reach:
-    ``tol_psd`` and the stationarity gate ``lo``, ``tol_tau`` and the
-    zero-problem test ``hi``.  Both are exact except after a spectral
-    start from D = 1000 on (Ritz values below, ``||stilde||_F`` above).
+    The tolerances are ``tol_psd = 1e-6 * lo + 100 * r_stat`` and
+    ``tol_tau = 1e-8 * hi + 100 * r_stat``, where ``r_stat`` is the larger
+    of the gradient residual and multiplier asymmetry maxima and ``lo <=
+    ||stilde||_2 <= hi`` come from the couplings and the point (see
+    :func:`_scale`), never from what ran before on the problem.  Each
+    verdict reads the bound that makes it harder to reach than the exact
+    ``||stilde||_2`` would.  Scaling the couplings by ``c > 0`` scales both
+    tolerances, and the taus, by ``c`` and keeps the verdict.  Callers who
+    want another rule re-judge from ``taus``, ``stationarity`` and
+    ``lmin_full``.
 
     Cost: one pass over the couplings gives the multipliers and the
-    report's ``stationarity``; ``stilde`` is assembled once and turned into
-    ``L* + tol_psd I`` in place for at most one dense Cholesky
-    factorization.  A fresh problem fills the memo with one ``eigvalsh``;
+    report's ``stationarity``; the scale costs one ``r x r`` ``eigvalsh``.
+    Only when the PSD test runs is ``stilde`` assembled and turned into
+    ``L* + tol_psd I`` in place for one dense Cholesky factorization.
     ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
-    when first read.  A spectral start's ``eigh`` eigenvalues agree with
-    ``eigvalsh`` only to rounding, so the tolerances may differ in the
-    last digits from a certificate on a fresh problem.
+    when first read.
     """
     lams, stat = _first_order(problem, point)
     taus = _taus(lams)
-    stilde = assemble_stilde(problem)
-    lo, hi = _spectrum(problem, stilde=stilde)[0]
+    lo, hi = _scale(problem, lams)
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
     tol_psd = _PSD_BASE * lo + _RESIDUAL_FACTOR * r_stat
     tol_tau = _TAU_BASE * hi + _RESIDUAL_FACTOR * r_stat
@@ -235,7 +248,7 @@ def certify(problem, point) -> CertificateReport:
     elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
     elif r_stat <= _STATIONARITY_GATE * lo and _psd_within(
-        _certificate_from(stilde, point, lams, taus), tol_psd
+        _certificate_from(assemble_stilde(problem), point, lams, taus), tol_psd
     ):
         verdict = Verdict.CERTIFIED_GLOBAL
     else:
@@ -261,12 +274,10 @@ def dual_upper_bound(problem) -> float:
     is involved.  Valid for every feasible point, whether or not the
     problem has been solved.
 
-    ``lambda_max`` is the exact eigenvalue from the spectrum memoized on
-    the problem, so this equals ``certify(problem, point).dual_bound`` in
-    either call order; where the memo holds no eigenvalues yet (a fresh
-    problem, or after a Krylov start) this adds them with one
-    ``eigvalsh(stilde)``.  A spectral start's ``eigh`` eigenvalues agree
-    with ``eigvalsh`` only to rounding.
+    ``lambda_max`` comes from the spectrum memoized on the problem (see
+    :func:`otsm.core._spectrum`): one ``eigvalsh(stilde)`` where it holds no
+    eigenvalues yet, none after a spectral start below D = 1000, whose
+    ``eigh`` eigenvalues agree with ``eigvalsh`` only to rounding.
     """
     dims = problem.dims
-    return 0.5 * dims.m * dims.r * float(_spectrum(problem, exact=True)[2][-1])
+    return 0.5 * dims.m * dims.r * float(_spectrum(problem)[1][-1])

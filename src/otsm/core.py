@@ -133,7 +133,7 @@ class OtsmProblem:
     after construction and instances are safe to share.  The spectrum of the
     assembled coupling matrix is memoized on the instance by the first call
     that needs it (see :func:`otsm.solver.init_spectral` and
-    :func:`otsm.certificate.certify`).
+    :func:`otsm.certificate.dual_upper_bound`).
 
     Parameters
     ----------
@@ -345,19 +345,18 @@ _KRYLOV_MAX_BLOCKS = 60
 
 
 def _krylov(stilde, r):
-    """Top-``r`` eigenpairs of the symmetric ``stilde`` by a block Krylov solve.
+    """Top-``r`` eigenvectors of the symmetric ``stilde`` by a block Krylov solve.
 
     Blocks of ``r + 2`` columns, reorthogonalized twice against the whole
     basis; Rayleigh-Ritz every 3 steps, until each of the top ``r + 1``
     Ritz pairs has the residual ``||stilde y - theta y|| <= 1e-10 |theta|``
     (pair ``r + 1`` too: the second copy of a tied ``lambda_r`` can lag
-    far behind and fake a wide Ritz gap).  Returns ``((theta_min,
-    theta_max), top)``: the basis' extreme Ritz values and the ``D x r``
-    top Ritz vectors, largest first.  Returns None, for the caller to run
-    ``eigh``, when the basis would pass its cap of ``min(D/2, 60 (r + 2))``
-    columns (at once if that leaves no room for a Rayleigh-Ritz step),
-    when a new block is rank deficient (as when ``stilde`` has rank below
-    ``r + 2``), or when the largest residual is not below
+    far behind and fake a wide Ritz gap).  Returns the ``D x r`` top Ritz
+    vectors, largest first.  Returns None, for the caller to run ``eigh``,
+    when the basis would pass its cap of ``min(D/2, 60 (r + 2))`` columns
+    (at once if that leaves no room for a Rayleigh-Ritz step), when a new
+    block is rank deficient (as when ``stilde`` has rank below ``r + 2``),
+    or when the largest residual is not below
     ``1e-8 (theta_r - theta_{r+1})``.
     """
     d, b = stilde.shape[0], r + 2
@@ -384,7 +383,7 @@ def _krylov(stilde, r):
             res = np.linalg.norm(stilde @ top - top * lead, axis=0)
             if np.all(res <= 1e-10 * np.abs(lead)):
                 if res.max() < 1e-8 * (lead[-2] - lead[-1]):
-                    return (float(theta[0]), float(theta[-1])), top[:, :r]
+                    return top[:, :r]
                 return None
         if k + b > cap:
             return None
@@ -396,51 +395,45 @@ def _krylov(stilde, r):
         w = stilde @ block
 
 
-def _spectrum(problem, vectors=False, stilde=None, exact=False):
+def _spectrum(problem, vectors=False, stilde=None):
     """The memoized spectrum of the assembled coupling matrix.
 
-    Returns ``(norms, top, eigenvalues)``, each read-only: ``norms =
-    (lo, hi)`` with ``lo <= ||stilde||_2 <= hi``; the ``D x r`` top
-    eigenvectors, largest first; and all eigenvalues, ascending, or
+    Returns ``(top, eigenvalues)``, each read-only: the ``D x r`` top
+    eigenvectors, largest first, and all eigenvalues, ascending, or
     ``None`` for either until some call computed it.  A call for
     ``vectors`` runs ``eigh``, from ``D = _KRYLOV_MIN_DIM`` on
-    :func:`_krylov` first, whose Ritz values give ``lo`` while ``hi =
-    ||stilde||_F``; any other call, including one for ``exact``
-    eigenvalues, runs ``eigvalsh``.  ``stilde`` is decomposed if the
-    caller has assembled it, a fresh assembly otherwise.  Stored entries
-    are never replaced, so every later reader sees the same values;
-    missing ones are added by the first call that needs them.  A failed
-    decomposition raises ``numpy.linalg.LinAlgError`` and stores nothing.
-    No ``D x D`` array is kept.
+    :func:`_krylov` first, which gives no eigenvalues; any other call is
+    for the eigenvalues and runs ``eigvalsh``.  ``stilde`` is decomposed
+    if the caller has assembled it, a fresh assembly otherwise.  Stored
+    entries are never replaced, so every later reader sees the same
+    values; missing ones are added by the first call that needs them.  A
+    failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
+    nothing.  No ``D x D`` array is kept.
     """
     memo = problem._spectrum
-    if memo is not None and not (vectors and memo[1] is None or exact and memo[2] is None):
+    if memo is not None and memo[0 if vectors else 1] is not None:
         return memo
     if stilde is None:
         stilde = assemble_stilde(problem)
-    top = vals = found = None
+    top = vals = None
     if vectors and problem.dims.total_dim >= _KRYLOV_MIN_DIM:
-        found = _krylov(stilde, problem.dims.r)
-    if found is not None:
-        (lo, hi), top = found
-        norms = (max(-lo, hi), float(np.linalg.norm(stilde)))
-    else:
+        top = _krylov(stilde, problem.dims.r)
+    if top is None:
         if vectors:
             vals, vecs = np.linalg.eigh(stilde)
             top = vecs[:, ::-1][:, : problem.dims.r].copy()
         else:
             vals = np.linalg.eigvalsh(stilde)
-        norms = (max(-float(vals[0]), float(vals[-1])),) * 2
     with _SPECTRUM_LOCK:
         if problem._spectrum is not None:
-            norms, top, vals = (
+            top, vals = (
                 old if old is not None else new
-                for old, new in zip(problem._spectrum, (norms, top, vals))
+                for old, new in zip(problem._spectrum, (top, vals))
             )
         for a in (top, vals):
             if a is not None:
                 a.flags.writeable = False
-        problem._spectrum = (norms, top, vals)
+        problem._spectrum = (top, vals)
         return problem._spectrum
 
 

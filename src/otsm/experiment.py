@@ -224,15 +224,12 @@ def _outcome(problem, config, report) -> _RepOutcome:
 def _cell_runs(grid, d, sigma):
     """Yield ``(rep, init, problem, config)`` for every run of a cell, rep by rep.
 
-    Each rep's problem is built once and shared by its starts, and its
-    spectral start comes first: however the runs are cut into batches, the
-    start then fills the rep's spectrum memo before any certificate reads it.
+    Each rep's problem is built once and shared by its starts.
     """
-    inits = sorted(grid.init_strategies, key=lambda init: init != "spectral")
     for rep in range(grid.reps):
         seed = _derived_seed(grid.base_seed, d, sigma, rep)
         problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
-        for init in inits:
+        for init in grid.init_strategies:
             yield rep, init, problem, SolverConfig(init=init)
 
 
@@ -282,14 +279,12 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     so the objective-gap records compare the two strategies on the same
     instance.  A cell's runs (reps x starts, rep by rep) are swept in
     batches within a fixed memory budget (see :func:`otsm.solver.solve`);
-    each solve report is identical to solving that rep from that start
-    alone.  A rep's certificates read the spectrum its spectral start
-    computed when the grid has that start.
-    A start, solve or certificate that rejects its data
-    (``ValidationError``) or whose decomposition fails (``LinAlgError``)
-    is tallied, with its reason, as a failure of its own rep and does not
-    abort the grid; an :class:`~otsm.core.InternalError` signals a bug and
-    propagates.
+    each solve report and certificate is identical to solving and
+    certifying that rep from that start alone.  A start, solve or
+    certificate that rejects its data (``ValidationError``) or whose
+    decomposition fails (``LinAlgError``) is tallied, with its reason, as a
+    failure of its own rep and does not abort the grid; an
+    :class:`~otsm.core.InternalError` signals a bug and propagates.
     Results are ordered by grid position (d outermost, then sigma, then
     init), independent of execution order.
     """

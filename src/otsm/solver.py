@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .builders import hard_example
 from .core import (
     BlockDims,
     BlockOrthogonal,
@@ -147,14 +148,13 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     :func:`otsm.core._spectrum`), which the first spectral start fills
     with one ``eigh`` of ``stilde`` below D = 1000 and from there on with
     a block Krylov solve (``eigh`` where that does not converge); later
-    starts and :func:`otsm.certificate.certify` on the same problem
-    decompose nothing.  If ``certify`` ran first, its eigenvalues stay and
-    only the vectors are added.  The Krylov vectors span the same top-r
-    subspace as ``eigh``'s, up to rounding and a common orthogonal factor
-    of the blocks.
+    starts on the same problem decompose nothing, and below D = 1000
+    neither does :func:`otsm.certificate.dual_upper_bound`.  The Krylov
+    vectors span the same top-r subspace as ``eigh``'s, up to rounding and
+    a common orthogonal factor of the blocks.
     """
     dims = problem.dims
-    top = _spectrum(problem, vectors=True)[1]
+    top = _spectrum(problem, vectors=True)[0]
     off = dims.offsets()
     return BlockOrthogonal(
         [polar_project(top[off[i] : off[i + 1]]) for i in range(dims.m)]
@@ -319,9 +319,10 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     arithmetic per item that does not depend on the batch size.  Audits,
     traces and stopping rules are per item; an item that stops leaves the
     batch, whose arrays are compacted in place.  Any error raised for one
-    item ends the whole call.
+    item ends the whole call, as does a ``configs`` of another length than
+    ``problems`` (``ValueError``).
     """
-    configs = [SolverConfig() if c is None else c for c in configs]
+    configs = [c or SolverConfig() for _, c in zip(problems, configs, strict=True)]
     if not problems:
         return []
     dims = problems[0].dims
@@ -420,12 +421,9 @@ def oscillation_demo() -> OscillationTrace:
     verified to be a fixed point of the finite-alpha solver.  Any check
     failing raises :class:`InternalError`.
     """
-    eye = np.eye(3)
-    i32 = eye[:, :2]
+    i32 = np.eye(3, 2)
     j32 = i32[:, ::-1]
-    problem = OtsmProblem(
-        BlockDims((3, 3, 3), 2), {(0, 1): -eye, (0, 2): eye, (1, 2): eye}
-    )
+    problem = hard_example(3, 2)
     states = [
         (i32, j32, i32),
         (-j32, i32, -j32),

@@ -14,18 +14,20 @@ import otsm.core
 import otsm.formats
 import otsm.solver
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
-from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
+from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
     OtsmProblem,
     assemble_stilde,
+    lagrange_multipliers,
     objective,
     stationarity,
 )
 from otsm.certificate import (
     Verdict,
     _psd_within,
+    _scale,
     certificate_matrix,
     certify,
     dual_upper_bound,
@@ -228,6 +230,30 @@ class TestScaleCovariance:
         assert report.tol_tau == c * base.tol_tau
 
 
+def dense_scale(prob, point):
+    """Reference ``(lo, hi)``: the largest |Ritz value| of S-tilde on the
+    stacked point's span and ||S-tilde||_F, from the assembled matrix."""
+    stilde, stack = assemble_stilde(prob), point.stack()
+    ritz = np.linalg.eigvalsh(stack.T @ stilde @ stack / prob.dims.m)
+    return float(np.max(np.abs(ritz))), float(np.linalg.norm(stilde))
+
+
+class TestScaleBounds:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances(), st.integers(-20, 20))
+    def test_bracket_the_spectral_norm(self, instance, j):
+        prob, point = instance
+        c = 4.0**j
+        lo, hi = _scale(prob, lagrange_multipliers(prob, point))
+        snorm = np.linalg.norm(assemble_stilde(prob), 2)
+        assert lo <= snorm * (1.0 + 1e-12)
+        assert snorm <= hi * (1.0 + 1e-12)
+        big = scaled(prob, c)
+        assert _scale(big, lagrange_multipliers(big, point)) == (c * lo, c * hi)
+
+
 class TestCertifyAgainstReference:
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -244,16 +270,19 @@ class TestCertifyAgainstReference:
         assert report.dual_bound == dual_upper_bound(prob)
         stat = stationarity(prob, point)
         r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-        snorm = np.linalg.norm(assemble_stilde(prob), 2)
-        assert report.tol_psd == pytest.approx(1e-6 * snorm + 100.0 * r_stat, rel=1e-12)
-        assert report.tol_tau == pytest.approx(1e-8 * snorm + 100.0 * r_stat, rel=1e-12)
+        lo, hi = dense_scale(prob, point)
+        # lo rounds differently through S-tilde than through the multipliers.
+        assert report.tol_psd == pytest.approx(
+            1e-6 * lo + 100.0 * r_stat, rel=1e-12, abs=1e-20 * hi
+        )
+        assert report.tol_tau == pytest.approx(1e-8 * hi + 100.0 * r_stat, rel=1e-12)
 
 
 def dense_rule(prob, point, report):
     """certify's verdict decided from eigenvalues, with the report's tolerances."""
     stat = stationarity(prob, point)
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
-    stationary = r_stat <= 1e-3 * np.linalg.norm(assemble_stilde(prob), 2)
+    stationary = r_stat <= 1e-3 * dense_scale(prob, point)[0]
     lmin = np.linalg.eigvalsh(certificate_matrix(prob, point))[0]
     if min(report.taus) < -report.tol_tau:
         return Verdict.CERTIFIED_NOT_GLOBAL
@@ -324,17 +353,28 @@ def count_dense_work(monkeypatch, prob):
 
 
 def test_certify_dense_linalg_calls(monkeypatch):
-    """On a fresh problem certify runs one eigvalsh of S-tilde and one Cholesky."""
+    """On a fresh problem certify decomposes nothing of S-tilde: one Cholesky."""
     solved, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     point = solve(solved, SolverConfig(init="spectral")).solution
     prob = fresh_copy(solved)
     work = count_dense_work(monkeypatch, prob)
     certify(prob, point)
-    assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=1)
+    assert work == Counter(cholesky=1, assemble_stilde=1)
+    assert prob._spectrum is None
+
+
+def test_certify_at_a_non_stationary_point_assembles_nothing(monkeypatch):
+    """The stationarity gate fails before S-tilde is needed."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    point = random_point(np.random.default_rng(3), prob)
+    work = count_dense_work(monkeypatch, prob)
+    report = certify(prob, point)
+    assert report.verdict is not Verdict.CERTIFIED_GLOBAL
+    assert work == Counter()
 
 
 def test_certify_dense_linalg_calls_after_spectral_solve(monkeypatch):
-    """After a spectral solve certify reuses its spectrum: one dense Cholesky."""
+    """After a spectral solve certify also runs only its Cholesky."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     point = solve(prob, SolverConfig(init="spectral")).solution
     work = count_dense_work(monkeypatch, prob)
@@ -420,14 +460,13 @@ class TestKrylovPipeline:
     def test_no_dense_decomposition(self, monkeypatch, problem):
         work = count_dense_work(monkeypatch, problem)
         report = certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
-        # norm: ||S-tilde||_F, the memo's upper bound on ||S-tilde||_2.
-        assert work == Counter(norm=1, cholesky=1, assemble_stilde=2)
-        _, top, eigenvalues = problem._spectrum  # no D x D array is kept
+        assert work == Counter(cholesky=1, assemble_stilde=2)
+        top, eigenvalues = problem._spectrum  # no D x D array is kept
         assert (top.shape, eigenvalues) == ((1000, 3), None)
         bound = report.dual_bound
-        assert work == Counter(norm=1, eigvalsh=1, cholesky=1, assemble_stilde=3)
+        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
         assert (report.dual_bound, dual_upper_bound(problem)) == (bound, bound)
-        assert work == Counter(norm=1, eigvalsh=1, cholesky=1, assemble_stilde=3)
+        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
 
     def test_fresh_certify_runs_one_eigvalsh(self, monkeypatch):
         prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
@@ -435,8 +474,9 @@ class TestKrylovPipeline:
         monkeypatch.setattr(otsm.core, "_krylov", None)  # never called
         work = count_dense_work(monkeypatch, prob)
         report = certify(prob, point)
+        assert work == Counter(cholesky=1, assemble_stilde=1)
         assert report.dual_bound == dual_upper_bound(prob)
-        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=1)
+        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=2)
 
     def test_falls_back_to_eigh(self, monkeypatch):
         prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
@@ -444,18 +484,18 @@ class TestKrylovPipeline:
         work = count_dense_work(monkeypatch, prob)
         start = init_spectral(prob)
         assert work == Counter(eigh=1, assemble_stilde=1)
-        assert prob._spectrum[2].shape == (1000,)
+        assert prob._spectrum[1].shape == (1000,)
         monkeypatch.undo()
         expected = init_spectral(fresh_copy(prob))
         assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
 
     def test_block_wider_than_the_basis_cap(self):
-        # r + 2 = 501 columns against a cap of D/2 = 500: the start and the
-        # certificate use eigh and eigvalsh as below D = 1000.
+        # r + 2 = 501 columns against a cap of D/2 = 500: the start uses
+        # eigh as below D = 1000.
         rng = np.random.default_rng(2)
         prob = OtsmProblem(BlockDims([500, 500], 499), {(0, 1): rng.standard_normal((500, 500))})
         report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
-        assert prob._spectrum[2].shape == (1000,)
+        assert prob._spectrum[1].shape == (1000,)
         assert report.verdict is Verdict.CERTIFIED_GLOBAL
 
     def test_agrees_with_the_dense_path(self, monkeypatch, problem):
@@ -470,40 +510,23 @@ class TestKrylovPipeline:
         assert got_cert.verdict is want_cert.verdict
         assert got.objective == pytest.approx(want.objective, rel=1e-12)
         assert got_cert.dual_bound == pytest.approx(want_cert.dual_bound, rel=1e-13)
-        # ||S-tilde||_2 is theta_max here, within 1e-13 of lambda_max.
-        lo, hi = problem._spectrum[0]
-        assert lo == pytest.approx(float(dense._spectrum[2][-1]), rel=1e-13)
-        assert hi == np.linalg.norm(assemble_stilde(problem))
-        # tol_psd = 1e-6 ||S-tilde||_2 + 100 r_stat, and r_stat is a residual
-        # some 1e-5 of ||S-tilde||_2 at the solver's tol, so its rounding
-        # differs by about 1e-11 relative between two starts that span the
-        # same subspace.
+        # tol_psd = 1e-6 lo + 100 r_stat, and r_stat is a residual some 1e-5
+        # of ||S-tilde||_2 at the solver's tol, so its rounding differs by
+        # about 1e-11 relative between two starts that span the same
+        # subspace.
         assert got_cert.tol_psd == pytest.approx(want_cert.tol_psd, rel=1e-9)
 
-    @pytest.mark.parametrize("shrink", [1.0, 1e-3])
-    def test_ritz_bounds_only_make_verdicts_harder(self, monkeypatch, shrink):
-        """tol_psd and the stationarity gate read the Ritz values, which may
-        fall short of ||S-tilde||_2; tol_tau reads ||S-tilde||_F, which
-        cannot.  Shrinking the Ritz values stands for an unconverged
-        theta_min on a problem it dominates."""
-        rng = np.random.default_rng(11)
-        regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
-        prob, _ = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))
-        assert prob.dims.total_dim == 1000
-        krylov = otsm.core._krylov
-
-        def shrunk(stilde, r):
-            (lo, hi), top = krylov(stilde, r)
-            return (shrink * lo, shrink * hi), top
-
-        monkeypatch.setattr(otsm.core, "_krylov", shrunk)
-        point = init_spectral(prob)
-        report, exact = certify(prob, point), certify(fresh_copy(prob), point)
-        vals = exact._problem._spectrum[2]
-        assert vals[0] < -vals[-1]  # lambda_min sets ||S-tilde||_2
-        assert report.tol_psd <= exact.tol_psd
-        assert report.tol_tau >= exact.tol_tau
-        assert report.taus == exact.taus
+    def test_certificate_ignores_the_memo(self, problem):
+        point = solve(fresh_copy(problem), SolverConfig(init="spectral")).solution
+        fresh, started, bounded = (fresh_copy(problem) for _ in range(3))
+        init_spectral(started)
+        dual_upper_bound(bounded)
+        assert started._spectrum[1] is None  # Krylov: vectors only
+        reports = [certify(p, point) for p in (fresh, started, bounded)]
+        for report in reports[1:]:
+            assert (report.verdict, report.tol_psd, report.tol_tau) == (
+                reports[0].verdict, reports[0].tol_psd, reports[0].tol_tau
+            )
 
 
 class TestSpectrumMemo:
@@ -522,11 +545,13 @@ class TestSpectrumMemo:
         start = init_spectral(warm)
         hot = certify(warm, point)
         assert hot.dual_bound == dual_upper_bound(warm)
-        assert hot.verdict is cold.verdict
+        # The certificate never reads the memo: equal in every call order.
+        for report in (certify(bound_first, point), hot):
+            assert report.verdict is cold.verdict
+            assert (report.tol_psd, report.tol_tau) == (cold.tol_psd, cold.tol_tau)
         assert hot.taus == cold.taus
         assert hot.lmin_full == cold.lmin_full
         assert hot.dual_bound == pytest.approx(cold.dual_bound, rel=1e-13)
-        assert hot.tol_psd == pytest.approx(cold.tol_psd, rel=1e-13)
         again = init_spectral(warm)
         for a, b in zip(start.blocks, again.blocks):
             assert np.array_equal(a, b)

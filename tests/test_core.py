@@ -396,13 +396,11 @@ class TestKrylov:
     @given(planted_spectra())
     def test_agrees_with_eigh_when_it_returns(self, case):
         a, r = case
-        found = krylov(a, r)
-        if found is None:
+        top = krylov(a, r)
+        if top is None:
             return
-        (lo, hi), top = found
         lam, vecs = np.linalg.eigh(a)
         size = float(np.max(np.abs(lam)))
-        assert lam[0] - 1e-12 * size <= lo <= hi <= lam[-1] + 1e-12 * size
         assert top.shape == (a.shape[0], r)
         assert np.linalg.norm(top.T @ top - np.eye(r)) <= 1e-12
         theta = np.sum(top * (a @ top), axis=0)

@@ -185,8 +185,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("runs", [1, 3])
     def test_one_decomposition_per_rep(self, monkeypatch, runs):
         # Budgets of one and three D = 12 coupling matrices cut a rep's two
-        # starts into different batches; its spectral start still runs
-        # first, so its certificates read that start's eigh.
+        # starts into different batches; only the spectral start decomposes
+        # S-tilde, because the certificates never do.
         work = Counter()
 
         def counted(name, fn):

@@ -402,6 +402,13 @@ class TestSolveBatch:
     def test_empty_batch(self):
         assert _solve_batch([], []) == []
 
+    @pytest.mark.parametrize("configs", [[None], [None] * 3])
+    def test_config_per_problem(self, hard_problem, configs):
+        with pytest.raises(ValueError):
+            _solve_batch([hard_problem] * 2, configs)
+        with pytest.raises(ValueError):
+            _solve_batch([], configs)
+
     def test_solve_holds_one_coupling_matrix(self):
         # From a given start, the only D x D array is the batch's S-tilde.
         problem, _ = synth_procrustes(4, 50, 100, 3, 1.0, 0)
