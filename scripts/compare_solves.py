@@ -32,12 +32,11 @@ A run matches when its solution blocks are ``numpy.array_equal``, its
 same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
 are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``,
-``lmin_full``, ``tol_psd`` and ``tol_tau`` (and ``lmin_reduced`` where both
-trees report it) and a ``dual_bound`` within ``1e-13`` relative.  That one
-reads the largest eigenvalue of the coupling matrix, which may come from
-``eigh`` in one tree and ``eigvalsh`` in the other and then agree only to
-rounding.  A certificate field that only one tree reports is
-listed as removed or added, not counted as a mismatch.  Where solution
+``lmin_full``, ``tol_psd`` and ``tol_tau`` and a ``dual_bound`` within
+``1e-13`` relative.  That one reads the largest eigenvalue of the coupling
+matrix, which may come from ``eigh`` in one tree and ``eigvalsh`` in the
+other and then agree only to rounding.  A certificate field that only one
+tree reports is listed as removed or added, not counted as a mismatch.  Where solution
 blocks differ, the line also gives their Frobenius distance after the best
 common orthogonal alignment ``min_Q ||X Q - Y||_F`` of the stacked blocks,
 which is near rounding when the two solves followed the same path up to a
@@ -46,19 +45,15 @@ global rotation; the run still counts as a mismatch.
 A second pass runs the acceptance grid through ``run_grid`` in each tree
 and requires every field of every ``CellResult`` to be equal (floats
 exactly, NaN equal to NaN).  It runs twice: with the tree's default batch
-budget (cells labelled ``run_grid/…``) and with ``_BATCH_STILDE_BYTES``
-set to ``SPLIT_BUDGET`` in whichever of ``otsm.solver`` and
-``otsm.experiment`` defines it in that tree (``run_grid_split/…``), which
-cuts the ``d = 20`` cells into several batches, so splitting a cell into
-batches must change no result either.  A tree where neither module
-defines the budget fails the run.
-A tree whose ``CellResult`` has no
-``failure_reasons`` field counts as having none, which matches only when
-no rep failed.  The script prints the largest trace and certificate
-differences and exits 1 on any mismatch.  Its output ends with one line
-per mismatched field and the number of runs or cells it differs in (for
-example ``tol_psd: 548``), so a field that a change moves on purpose shows
-as one line and any other field stands out.
+budget (cells labelled ``run_grid/…``) and with
+``otsm.solver._BATCH_STILDE_BYTES`` set to ``SPLIT_BUDGET``
+(``run_grid_split/…``), which cuts the ``d = 20`` cells into several
+batches, so splitting a cell into batches must change no result either.
+The script prints the largest trace and certificate differences and exits
+1 on any mismatch.  Its output ends with one line per mismatched field and
+the number of runs or cells it differs in (for example ``tol_psd: 548``),
+so a field that a change moves on purpose shows as one line and any other
+field stands out.
 """
 
 from __future__ import annotations
@@ -77,10 +72,8 @@ TRACE_REL = 1e-12
 SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
 SPECTRAL_FIELDS = ("dual_bound",)
-#: Certificate fields saved when the tree's report has them (older trees
-#: also report ``lmin_reduced``).
-CERT_FIELDS = ("verdict", "taus", "lmin_full", "lmin_reduced", "tol_psd",
-               "tol_tau") + SPECTRAL_FIELDS
+#: Certificate fields saved when the tree's report has them.
+CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau") + SPECTRAL_FIELDS
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the
@@ -154,36 +147,23 @@ def _corpus():
     yield "ols_dense/0", problem, SolverConfig(init="spectral")
 
 
-def _budget_module():
-    """The module of the otsm on sys.path that defines the batch budget."""
-    import otsm.experiment
-    import otsm.solver
-
-    for module in (otsm.solver, otsm.experiment):
-        if hasattr(module, "_BATCH_STILDE_BYTES"):
-            return module
-    raise SystemExit("neither otsm.solver nor otsm.experiment defines _BATCH_STILDE_BYTES")
-
-
 def _grid_cells():
     """Yield (label, fields) for every CellResult of the acceptance grid, run
     with the default batch budget and with SPLIT_BUDGET."""
     import dataclasses
 
+    from otsm import solver
     from otsm.experiment import ExperimentGrid, run_grid
 
-    module = _budget_module()
-    default = module._BATCH_STILDE_BYTES
+    default = solver._BATCH_STILDE_BYTES
     for name, budget in (("run_grid", default), ("run_grid_split", SPLIT_BUDGET)):
-        module._BATCH_STILDE_BYTES = budget
+        solver._BATCH_STILDE_BYTES = budget
         try:
             cells = run_grid(ExperimentGrid(**GRID))
         finally:
-            module._BATCH_STILDE_BYTES = default
+            solver._BATCH_STILDE_BYTES = default
         for cell in cells:
-            fields = dataclasses.asdict(cell)
-            fields.setdefault("failure_reasons", ())
-            yield f"{name}/{cell.d}/{cell.sigma}/{cell.init}", fields
+            yield f"{name}/{cell.d}/{cell.sigma}/{cell.init}", dataclasses.asdict(cell)
 
 
 def dump(path):

@@ -275,6 +275,29 @@ def hard_example(d: int, r: int) -> OtsmProblem:
     return OtsmProblem(dims, {(0, 1): -eye, (0, 2): eye, (1, 2): eye})
 
 
+def _check_synth(m, n, d, r, sigma):
+    """Check the sizes and noise level of :func:`synth_procrustes`.
+
+    Returns them as ``(int, int, int, int, float)``.
+    :class:`~otsm.experiment.ExperimentGrid` checks each of its cells here.
+    """
+    for name, value in (("m", m), ("n", n), ("d", d), ("r", r)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    m, n, d, r = int(m), int(n), int(d), int(r)
+    if m < 2:
+        raise ValidationError(f"need at least 2 views, got m={m}")
+    if n < 1:
+        raise ValidationError(f"need at least one sample, got n={n}")
+    if not 1 <= r <= d:
+        raise ValidationError(f"rank r={r} must satisfy 1 <= r <= d={d}")
+    if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
+        raise ValidationError(
+            f"noise level must be finite and nonnegative, got {sigma!r}"
+        )
+    return m, n, d, r, float(sigma)
+
+
 def synth_procrustes(m, n, d, r, sigma, seed):
     """Seeded synthetic alignment instance with known ground truth.
 
@@ -305,23 +328,12 @@ def synth_procrustes(m, n, d, r, sigma, seed):
         from a solve is only ever expected up to a common orthogonal
         right factor shared by all blocks.
     """
-    for name, value in (("m", m), ("n", n), ("d", d), ("r", r), ("seed", seed)):
-        if not _is_int(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    m, n, d, r, seed = int(m), int(n), int(d), int(r), int(seed)
-    if m < 2:
-        raise ValidationError(f"need at least 2 views, got m={m}")
-    if n < 1:
-        raise ValidationError(f"need at least one sample, got n={n}")
-    if not 1 <= r <= d:
-        raise ValidationError(f"rank r={r} must satisfy 1 <= r <= d={d}")
-    if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
-        raise ValidationError(
-            f"noise level must be finite and nonnegative, got {sigma!r}"
-        )
+    m, n, d, r, sigma = _check_synth(m, n, d, r, sigma)
+    if not _is_int(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    sigma = float(sigma)
     rng = np.random.default_rng(seed)
     landmarks = rng.standard_normal((n, d))
     views = []

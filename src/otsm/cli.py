@@ -50,7 +50,7 @@ _CERTIFY_EXIT = {
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.input)
-    if args.init in ("identity", "spectral"):
+    if args.init in SolverConfig._STARTS:
         init = args.init
     elif args.init.startswith("file:"):
         init = load_solution(args.init[len("file:") :], dims=problem.dims)

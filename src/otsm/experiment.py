@@ -14,15 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import synth_procrustes
+from .builders import _check_synth, synth_procrustes
 from .certificate import Verdict, certify
-from .core import ValidationError, _is_int, _is_real
+from .core import ValidationError, _is_int
 from .formats import atomic_write_text
 from .solver import SolverConfig, StopReason, _runs_per_batch, _solve_batch
 
@@ -34,8 +33,6 @@ __all__ = [
     "export_results",
     "CSV_HEADER",
 ]
-
-_KNOWN_INITS = ("identity", "spectral")
 
 #: Column order of the exported CSV, one row per (cell, init).
 CSV_HEADER = (
@@ -59,9 +56,9 @@ class ExperimentGrid:
     Parameters
     ----------
     d_values : tuple of int
-        Landmark dimensions to sweep.
+        Landmark dimensions to sweep, non-empty.
     sigma_values : tuple of float
-        Noise levels to sweep, finite and nonnegative.
+        Noise levels to sweep, non-empty.
     m, n, r : int
         Views per instance, samples per view, solve rank (fixed across
         the grid).
@@ -69,12 +66,14 @@ class ExperimentGrid:
         Instances per (d, sigma) cell.
     base_seed : int
         Root of the per-rep seed derivation, nonnegative.
-
-    Sizes and the seed must be integers (NumPy integers are kept as
-    ``int``; bools and floats are rejected); lists become tuples.
     init_strategies : tuple of str
-        Subset of {"identity", "spectral"}; every instance is solved once
-        per strategy.
+        Named starts of :class:`~otsm.solver.SolverConfig`; every instance
+        is solved once per strategy.
+
+    Every ``(m, n, d, r, sigma)`` of the grid must pass the checks of
+    :func:`~otsm.builders.synth_procrustes`.  Sizes and the seed must be
+    integers (NumPy integers are kept as ``int``; bools and floats are
+    rejected); lists become tuples.
     """
 
     d_values: tuple[int, ...]
@@ -84,53 +83,43 @@ class ExperimentGrid:
     r: int = 3
     reps: int = 20
     base_seed: int = 0
-    init_strategies: tuple[str, ...] = ("identity", "spectral")
+    init_strategies: tuple[str, ...] = SolverConfig._STARTS
 
     def __post_init__(self):
-        for name in ("m", "n", "r", "reps", "base_seed"):
+        for name in ("reps", "base_seed"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        d_values, sigma_values = tuple(self.d_values), tuple(self.sigma_values)
-        if not all(_is_int(d) for d in d_values):
-            raise ValidationError(f"dimensions must be integers, got {d_values}")
-        if not all(_is_real(s) and math.isfinite(s) and s >= 0 for s in sigma_values):
-            raise ValidationError(
-                f"noise levels must be finite and nonnegative, got {sigma_values}"
-            )
-        object.__setattr__(self, "d_values", tuple(int(d) for d in d_values))
-        object.__setattr__(self, "sigma_values", tuple(float(s) for s in sigma_values))
-        object.__setattr__(
-            self, "init_strategies", tuple(str(s) for s in self.init_strategies)
-        )
-        if not self.d_values:
-            raise ValidationError("d_values must be non-empty")
-        if not self.sigma_values:
-            raise ValidationError("sigma_values must be non-empty")
-        if any(d < 1 for d in self.d_values):
-            raise ValidationError(f"dimensions must be positive, got {self.d_values}")
-        if self.m < 2:
-            raise ValidationError(f"need at least 2 views, got m={self.m}")
-        if self.n < 1:
-            raise ValidationError(f"need at least one sample, got n={self.n}")
-        if not 1 <= self.r <= min(self.d_values):
-            raise ValidationError(
-                f"rank r={self.r} must satisfy 1 <= r <= min(d_values)="
-                f"{min(self.d_values)}"
-            )
         if self.reps < 1:
             raise ValidationError(f"reps must be at least 1, got {self.reps}")
         if self.base_seed < 0:
             raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
+        d_values, sigma_values = tuple(self.d_values), tuple(self.sigma_values)
+        if not d_values:
+            raise ValidationError("d_values must be non-empty")
+        if not sigma_values:
+            raise ValidationError("sigma_values must be non-empty")
+        # Every cell must be a valid synth_procrustes instance.
+        for d, sigma in itertools.product(d_values, sigma_values):
+            m, n, _, r, _ = _check_synth(self.m, self.n, d, self.r, sigma)
+        for name, value in (
+            ("m", m),
+            ("n", n),
+            ("r", r),
+            ("d_values", tuple(int(d) for d in d_values)),
+            ("sigma_values", tuple(float(s) for s in sigma_values)),
+            ("init_strategies", tuple(str(s) for s in self.init_strategies)),
+        ):
+            object.__setattr__(self, name, value)
         if not self.init_strategies:
             raise ValidationError("init_strategies must be non-empty")
         if len(set(self.init_strategies)) != len(self.init_strategies):
             raise ValidationError(f"duplicate strategies in {self.init_strategies}")
         for s in self.init_strategies:
-            if s not in _KNOWN_INITS:
+            if s not in SolverConfig._STARTS:
                 raise ValidationError(
-                    f"unknown init strategy {s!r}; choose from {_KNOWN_INITS}"
+                    f"unknown init strategy {s!r}; choose from {SolverConfig._STARTS}"
                 )
 
 

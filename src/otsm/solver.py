@@ -88,6 +88,9 @@ class SolverConfig:
     max_iter: int = 2000
     init: str | BlockOrthogonal = "identity"
 
+    #: The named starts ``init`` accepts (a class constant, not a field).
+    _STARTS = ("identity", "spectral")
+
     def __post_init__(self):
         if not (_is_real(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive (or inf), got {self.alpha!r}")
@@ -97,10 +100,7 @@ class SolverConfig:
         object.__setattr__(self, "tol", float(self.tol))
         if not (_is_int(self.max_iter) and self.max_iter >= 1):
             raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not isinstance(self.init, BlockOrthogonal) and self.init not in (
-            "identity",
-            "spectral",
-        ):
+        if not isinstance(self.init, BlockOrthogonal) and self.init not in self._STARTS:
             raise ValidationError(
                 f"init must be 'identity', 'spectral', or a BlockOrthogonal, got {self.init!r}"
             )
@@ -167,13 +167,12 @@ def step_block(problem, point, i, alpha=SolverConfig.alpha):
     Returns the new d_i x r block; ``alpha=math.inf`` drops the proximal
     term, in which case B may be rank deficient and the maximizer is not
     unique (the deterministic SVD completion is returned).  ``i`` is an
-    integer (not a bool) and ``alpha`` a real number (not a bool).
+    integer (not a bool); ``alpha`` follows :class:`SolverConfig`'s rule.
     """
     _check_match(problem, point)
     if not (_is_int(i) and 0 <= i < problem.dims.m):
         raise ValidationError(f"block index {i!r} out of range for m={problem.dims.m}")
-    if not (_is_real(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive (or inf), got {alpha!r}")
+    alpha = SolverConfig(alpha=alpha).alpha
     b = _cross_sums(problem, point.blocks)[i]
     if not math.isinf(alpha):
         b += point.blocks[i] / alpha

@@ -46,7 +46,7 @@ class TestExperimentGrid:
                              ("base_seed", 0.5), ("m", True)):
             with pytest.raises(ValidationError, match=f"{field} must be an integer"):
                 ExperimentGrid(d_values=(5,), sigma_values=(0.1,), **{field: value})
-        with pytest.raises(ValidationError, match="dimensions must be integers"):
+        with pytest.raises(ValidationError, match="d must be an integer"):
             ExperimentGrid(d_values=(5.9,), sigma_values=(0.1,))
 
     def test_negative_seed_rejected(self):
@@ -57,13 +57,40 @@ class TestExperimentGrid:
         grid = ExperimentGrid(d_values=(5,), sigma_values=(np.float32(0.1),))
         assert grid.sigma_values == (float(np.float32(0.1)),)
         assert type(grid.sigma_values[0]) is float
-        with pytest.raises(ValidationError, match="noise levels must be finite"):
+        with pytest.raises(ValidationError, match="noise level must be finite"):
             ExperimentGrid(d_values=(5,), sigma_values=(np.True_,))
 
     def test_non_finite_noise_rejected(self):
         for sigma in (math.nan, math.inf, "0.1"):
-            with pytest.raises(ValidationError, match="noise levels must be finite"):
+            with pytest.raises(ValidationError, match="noise level must be finite"):
                 ExperimentGrid(d_values=(5,), sigma_values=(sigma,))
+
+    @pytest.mark.parametrize(
+        "m, n, d, r, sigma",
+        [
+            (1, 20, 4, 2, 0.1),
+            (3.0, 20, 4, 2, 0.1),
+            (True, 20, 4, 2, 0.1),
+            (3, 0, 4, 2, 0.1),
+            (3, 20.5, 4, 2, 0.1),
+            (3, 20, 0, 1, 0.1),
+            (3, 20, 4.5, 2, 0.1),
+            (3, 20, 4, 5, 0.1),
+            (3, 20, 4, 0, 0.1),
+            (3, 20, 4, np.float64(2), 0.1),
+            (3, 20, 4, 2, -0.5),
+            (3, 20, 4, 2, math.nan),
+            (3, 20, 4, 2, math.inf),
+            (3, 20, 4, 2, "0.1"),
+            (3, 20, 4, 2, np.True_),
+        ],
+    )
+    def test_cell_rules_are_synth_procrustes_rules(self, m, n, d, r, sigma):
+        with pytest.raises(ValidationError) as from_builder:
+            synth_procrustes(m, n, d, r, sigma, 0)
+        with pytest.raises(ValidationError) as from_grid:
+            ExperimentGrid(d_values=(d,), sigma_values=(sigma,), m=m, n=n, r=r)
+        assert str(from_grid.value) == str(from_builder.value)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValidationError):
