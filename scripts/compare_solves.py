@@ -49,6 +49,17 @@ budget (cells labelled ``run_grid/…``) and with
 ``otsm.solver._BATCH_STILDE_BYTES`` set to ``SPLIT_BUDGET``
 (``run_grid_split/…``), which cuts the ``d = 20`` cells into several
 batches, so splitting a cell into batches must change no result either.
+A third pass runs in the tree under test alone.  It solves and certifies
+each corpus problem that takes the factored coupling backend (a view
+problem with ``D >= 3 n``: ``align_dense/0`` and ``ols_dense/0``) twice,
+as built and as its dense twin ``OtsmProblem(p.dims, p.sblocks)``, which
+has no views, and requires equal ``iterations``, ``stop_reason`` and
+``verdict`` and objective traces within ``TRACE_REL`` (lines
+``backends/…``).  Against a tree without the factored backend those two
+runs differ only by rounding: their lines give the blocks' aligned
+distance, and their traces, multipliers and tolerances differ in the last
+digits.
+
 The script prints the largest trace and certificate differences and exits
 1 on any mismatch.  Its output ends with one line per mismatched field and
 the number of runs or cells it differs in (for example ``tol_psd: 548``),
@@ -196,10 +207,43 @@ def dump(path):
     np.savez(path, **arrays)
 
 
-def _run_dump(src, path):
+def backends() -> list[tuple[str, str]]:
+    """Solve and certify every corpus problem on the factored backend and
+    as its dense twin; one ``(field, line)`` pair per disagreement."""
+    from otsm.certificate import certify
+    from otsm.core import OtsmProblem
+    from otsm.solver import solve
+
+    found = []
+    for label, problem, config in _corpus():
+        if problem._factor is None:
+            continue
+        dense = OtsmProblem(problem.dims, problem.sblocks)
+        runs = []
+        for p in (problem, dense):
+            report = solve(p, config)
+            runs.append((report, certify(p, report.solution)))
+        (got, got_cert), (want, want_cert) = runs
+        for what in ("iterations", "stop_reason"):
+            if getattr(got, what) != getattr(want, what):
+                found.append((what, f"backends/{label}: {what} differs"))
+        if got_cert.verdict is not want_cert.verdict:
+            found.append(("verdict", f"backends/{label}: verdict differs"))
+        a, b = np.array(got.objective_trace), np.array(want.objective_trace)
+        rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) if a.shape == b.shape else np.inf
+        print(f"backends/{label}: {got.iterations} cycles, trace difference {rel:.3e} "
+              f"relative, {_aligned_distance(got.solution.stack(), want.solution.stack()):.3e} "
+              f"aligned distance")
+        if rel > TRACE_REL:
+            found.append(("trace", f"backends/{label}: trace differs by {rel:.3e} (rel)"))
+    return found
+
+
+def _run(src, *args):
+    """Run this script with ``args`` on the tree ``src``; return its output."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", path],
-                   env=env, check=True)
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
 
 
 def _aligned_distance(x, y) -> float:
@@ -258,18 +302,29 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                         help="src directory of the tree under test (default: this tree)")
     parser.add_argument("--dump", help=argparse.SUPPRESS)
+    parser.add_argument("--backends", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
         dump(args.dump)
+        return 0
+    if args.backends:
+        found = backends()
+        for field, line in found:
+            print(f"{field}\t{line}")
         return 0
     if not args.baseline_src:
         parser.error("--baseline-src is required")
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, "base.npz"), os.path.join(tmp, "new.npz")]
-        _run_dump(args.baseline_src, paths[0])
-        _run_dump(args.src, paths[1])
+        _run(args.baseline_src, "--dump", paths[0])
+        _run(args.src, "--dump", paths[1])
         with np.load(paths[0]) as base, np.load(paths[1]) as new:
             found = compare(base, new)
+    for line in _run(args.src, "--backends").splitlines():
+        if "\t" in line:
+            found.append(tuple(line.split("\t", 1)))
+        else:
+            print(line)
     for _, line in found:
         print(line)
     print("match" if not found else f"{len(found)} mismatches")

@@ -20,6 +20,7 @@ from .core import (
     OtsmProblem,
     ValidationError,
     _as_matrix,
+    _from_views,
     _is_int,
     _is_real,
     polar_project,
@@ -124,22 +125,14 @@ class OlsData:
         return self.target.shape[1]
 
 
-def _gram_couplings(views, sign=1.0):
-    """Upper-triangular cross-Gram couplings S_ij = sign * A_i^T A_j."""
-    out = {}
-    for i in range(len(views)):
-        for j in range(i + 1, len(views)):
-            out[(i, j)] = sign * (views[i].T @ views[j])
-    return out
-
-
 def build_maxdiff(data: ViewData, r: int) -> OtsmProblem:
     """Reduce multi-set agreement maximization to a trace-sum problem.
 
     The couplings are the cross-Gram matrices ``S_ij = A_i^T A_j``, so the
     trace-sum objective at ``(O_1, ..., O_m)`` is the total pairwise
     agreement ``sum_{i<j} tr((A_i O_i)^T (A_j O_j))`` of the transformed
-    views.
+    views.  From ``D >= 3 n`` the problem keeps the views as the factor of
+    its couplings (see :func:`otsm.core._from_views`).
 
     Parameters
     ----------
@@ -147,8 +140,7 @@ def build_maxdiff(data: ViewData, r: int) -> OtsmProblem:
     r : int
         Number of components to extract; needs ``r <= min(d_i)``.
     """
-    dims = BlockDims(data.dims, r)
-    return OtsmProblem(dims, _gram_couplings(data.views))
+    return _from_views(BlockDims(data.dims, r), data.views)
 
 
 def build_procrustes(data: ViewData, r: int | None = None):
@@ -215,7 +207,8 @@ def build_ols(data: OlsData):
     augmented problem on ``m = K + 1`` blocks with couplings
     ``S_ij = -A_i^T A_j`` (the target enters as block ``K + 1``).  A
     solution ``(Ot_1, ..., Ot_{K+1})`` of the augmented problem maps back
-    to the minimizer ``O_k = -Ot_k Ot_{K+1}^T``.
+    to the minimizer ``O_k = -Ot_k Ot_{K+1}^T``.  From ``D >= 3 n`` the
+    problem keeps ``A_1, ..., A_K, Y`` and the sign -1 as its factor.
 
     Parameters
     ----------
@@ -229,7 +222,7 @@ def build_ols(data: OlsData):
     """
     stacked = list(data.regressors) + [data.target]
     dims = BlockDims(tuple(a.shape[1] for a in stacked), data.d)
-    problem = OtsmProblem(dims, _gram_couplings(stacked, sign=-1.0))
+    problem = _from_views(dims, stacked, -1.0)
     k = data.k
 
     def recover(point):

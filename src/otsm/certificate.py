@@ -118,16 +118,20 @@ def _taus(lams):
     return [float(np.linalg.eigvalsh((lam + lam.T) / 2.0)[0]) for lam in lams]
 
 
+def _multiplier_block(o, lam, tau):
+    """``O L O^T + tau (I - O O^T)`` for the symmetrized ``lam``, symmetric."""
+    lam_sym = (lam + lam.T) / 2.0
+    blk = o @ lam_sym @ o.T + tau * (np.eye(o.shape[0]) - o @ o.T)
+    return (blk + blk.T) / 2.0
+
+
 def _certificate_from(stilde, point, lams, taus):
     """Turn an assembled ``stilde`` into L* in place, symmetrizing ``lams``."""
-    dims = point.dims
-    off = dims.offsets()
+    off = point.dims.offsets()
     full = np.negative(stilde, out=stilde)
-    for i in range(dims.m):
-        o = point.blocks[i]
-        lam_sym = (lams[i] + lams[i].T) / 2.0
-        blk = o @ lam_sym @ o.T + taus[i] * (np.eye(dims.dims[i]) - o @ o.T)
-        full[off[i] : off[i + 1], off[i] : off[i + 1]] += (blk + blk.T) / 2.0
+    for i, o in enumerate(point.blocks):
+        rows = slice(off[i], off[i + 1])
+        full[rows, rows] += _multiplier_block(o, lams[i], taus[i])
     return full
 
 
@@ -189,6 +193,36 @@ def _psd_within(matrix, tol) -> bool:
     return True
 
 
+def _psd_by_schur(views, point, lams, taus, tol) -> bool:
+    """Whether ``L* + tol I`` is positive definite for couplings ``A_i^T A_j``.
+
+    With the views ``A_i`` and ``A = [A_1 ... A_m]``, ``L* + tol I = B - A^T A``
+    for the block diagonal ``B_i = Lambda_i + A_i^T A_i + tol I``.  With
+    ``B_i = C_i C_i^T`` and ``W_i = C_i^{-1} A_i^T``, it is positive definite
+    exactly when every ``B_i`` and the Schur complement ``I_n - sum_i W_i^T
+    W_i`` are.  A failed ``B_i`` settles it alone: ``B_i`` dominates
+    ``Lambda_i + tol I``, a diagonal block of ``L* + tol I``.
+    """
+    schur = np.eye(views[0].shape[0])
+    for a, o, lam, tau in zip(views, point.blocks, lams, taus):
+        b = _multiplier_block(o, lam, tau) + a.T @ a
+        b.flat[:: b.shape[0] + 1] += tol
+        try:
+            w = np.linalg.solve(np.linalg.cholesky(b), a.T)
+        except np.linalg.LinAlgError:
+            return False
+        schur -= w.T @ w
+    return _psd_within(schur, 0.0)
+
+
+def _psd(problem, point, lams, taus, tol) -> bool:
+    """:func:`_psd_within` for L*, or :func:`_psd_by_schur` where it applies."""
+    factor = problem._factor
+    if factor is not None and factor[1] > 0:
+        return _psd_by_schur(factor[0], point, lams, taus, tol)
+    return _psd_within(_certificate_from(assemble_stilde(problem), point, lams, taus), tol)
+
+
 def _scale(problem, lams):
     """Bounds ``(lo, hi)`` with ``lo <= ||stilde||_2 <= hi``, from data in hand.
 
@@ -232,7 +266,10 @@ def certify(problem, point) -> CertificateReport:
     Cost: one pass over the couplings gives the multipliers and the
     report's ``stationarity``; the scale costs one ``r x r`` ``eigvalsh``.
     Only when the PSD test runs is ``stilde`` assembled and turned into
-    ``L* + tol_psd I`` in place for one dense Cholesky factorization.
+    ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
+    the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
+    per block and one of an ``n x n`` Schur complement, with no D x D
+    array (see :func:`_psd_by_schur`).
     ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
     when first read.
     """
@@ -247,9 +284,7 @@ def certify(problem, point) -> CertificateReport:
         verdict = Verdict.CERTIFIED_GLOBAL
     elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
-    elif r_stat <= _STATIONARITY_GATE * lo and _psd_within(
-        _certificate_from(assemble_stilde(problem), point, lams, taus), tol_psd
-    ):
+    elif r_stat <= _STATIONARITY_GATE * lo and _psd(problem, point, lams, taus, tol_psd):
         verdict = Verdict.CERTIFIED_GLOBAL
     else:
         verdict = Verdict.INCONCLUSIVE

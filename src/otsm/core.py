@@ -133,7 +133,9 @@ class OtsmProblem:
     after construction and instances are safe to share.  The spectrum of the
     assembled coupling matrix is memoized on the instance by the first call
     that needs it (see :func:`otsm.solver.init_spectral` and
-    :func:`otsm.certificate.dual_upper_bound`).
+    :func:`otsm.certificate.dual_upper_bound`).  The view builders may keep
+    the views privately, as a factor of the couplings for the solver and
+    the certificate (see :func:`_from_views`); this constructor keeps none.
 
     Parameters
     ----------
@@ -144,7 +146,7 @@ class OtsmProblem:
         shape must be ``d_i x d_j``.
     """
 
-    __slots__ = ("dims", "sblocks", "_spectrum")
+    __slots__ = ("dims", "sblocks", "_spectrum", "_factor")
 
     def __init__(self, dims, sblocks):
         if not isinstance(dims, BlockDims):
@@ -170,6 +172,7 @@ class OtsmProblem:
         self.dims = dims
         self.sblocks = MappingProxyType(clean)
         self._spectrum = None
+        self._factor = None
 
     def coupling(self, i, j):
         """Return the coupling between blocks i and j (integers i != j in 0..m-1).
@@ -330,6 +333,100 @@ def assemble_stilde(problem) -> np.ndarray:
     return _stack_stilde([problem])[0]
 
 
+def _from_views(dims, views, sign=1.0):
+    """The problem with couplings ``S_ij = sign A_i^T A_j`` for the read-only
+    ``n x d_i`` ``views``, which it keeps with the sign as its ``_factor``
+    when they take the factored backend (see :func:`_factored`)."""
+    pairs = itertools.combinations(range(len(views)), 2)
+    problem = OtsmProblem(dims, {(i, j): sign * (views[i].T @ views[j]) for i, j in pairs})
+    if _factored(views[0].shape[0], dims.total_dim):
+        problem._factor = (tuple(views), float(sign))
+    return problem
+
+
+#: Views ``A_i`` (n x d_i) take the factored backend from ``D = _FACTOR_RATIO
+#: * n`` on: a dense sweep does about ``D r`` work per row of S-tilde, a
+#: factored one about ``3 n r`` in more calls.  Dense/factored ms per cycle
+#: at n = 100 (one BLAS thread): 0.56/0.65 at D = 300, 1.27/0.81 at 1000.
+_FACTOR_RATIO = 3
+
+
+def _factored(rows, total_dim) -> bool:
+    """Whether views of ``rows`` rows and ``D = total_dim`` take the factored backend."""
+    return _FACTOR_RATIO * rows <= total_dim
+
+
+class _Coupling:
+    """Products with the coupling matrices S-tilde of a batch of same-shape problems.
+
+    The problems pick the backend, factored where they keep a ``_factor``.
+    Dense holds the ``(B, D, D)`` stack of assembled matrices; factored
+    the views ``A`` (B, n, D) and signs ``s``, with ``S-tilde = s (A^T A -
+    blockdiag(A_i^T A_i))``, and, for the iterates ``x`` (B, D, r) of a
+    sweep, ``U = A x`` (B, n, r), which :meth:`update` keeps current.
+    """
+
+    def __init__(self, problems):
+        factors = [p._factor for p in problems]
+        kinds = {None if f is None else f[0][0].shape[0] for f in factors}
+        if len(kinds) > 1:
+            raise ValidationError(f"a batch needs one coupling backend, got views of rows {kinds}")
+        off = problems[0].dims.offsets()
+        self.rows = [slice(off[i], off[i + 1]) for i in range(problems[0].dims.m)]
+        self.stilde = self.a = self.sign = self.x = self.u = None
+        if factors[0] is None:
+            self.stilde = _stack_stilde(problems)
+        else:
+            self.a = np.empty((len(problems), kinds.pop(), off[-1]))
+            for a, f in zip(self.a, factors):
+                np.concatenate(f[0], axis=1, out=a)
+            self.sign = np.array([f[1] for f in factors])[:, None, None]
+
+    def product(self, k, x):
+        """``S-tilde x`` for item ``k`` and a ``D x c`` matrix ``x``."""
+        if self.a is None:
+            return self.stilde[k] @ x
+        a, out = self.a[k], np.empty_like(x)
+        u = a @ x
+        for rows in self.rows:
+            out[rows] = a[:, rows].T @ (u - a[:, rows] @ x[rows])
+        return self.sign[k] * out
+
+    def track(self, x):
+        """Make ``x``, which :meth:`update` changes in place, the iterates."""
+        self.x = x
+        if self.a is not None:
+            self.u = np.matmul(self.a, x)
+
+    def block(self, i):
+        """``G_i = sum_{j != i} S_ij x_j`` for every item."""
+        rows = self.rows[i]
+        if self.a is None:
+            return np.matmul(self.stilde[:, rows], self.x)
+        a = self.a[:, :, rows]
+        g = np.matmul(a.transpose(0, 2, 1), self.u - np.matmul(a, self.x[:, rows]))
+        return np.multiply(g, self.sign, out=g)
+
+    def update(self, i, new):
+        """Set block ``i`` of the iterates to ``new``; return the change."""
+        rows = self.rows[i]
+        delta = new - self.x[:, rows]
+        self.x[:, rows] = new
+        if self.a is not None:
+            self.u += np.matmul(self.a[:, :, rows], delta)
+        return delta
+
+    def keep(self, keep):
+        """Keep only the items at the ascending indices ``keep``, moved down in
+        place (a fancy-indexed copy would briefly hold two stacks)."""
+        for name in ("x",) + (("stilde",) if self.a is None else ("a", "sign", "u")):
+            arr = getattr(self, name)
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    arr[dst] = arr[src]
+            setattr(self, name, arr[: len(keep)])
+
+
 _SPECTRUM_LOCK = threading.Lock()
 
 #: From this D on a spectral start comes from :func:`_krylov`.  Measured on
@@ -344,29 +441,32 @@ _KRYLOV_MAX_SHARE = 0.5
 _KRYLOV_MAX_BLOCKS = 60
 
 
-def _krylov(stilde, r):
-    """Top-``r`` eigenvectors of the symmetric ``stilde`` by a block Krylov solve.
+def _krylov(product, d, r):
+    """Top-``r`` eigenvectors of a symmetric ``d x d`` matrix by a block Krylov solve.
+
+    The matrix is seen only through ``product``, which maps a ``d x c``
+    matrix ``x`` to the matrix times ``x``.
 
     Blocks of ``r + 2`` columns, reorthogonalized twice against the whole
     basis; Rayleigh-Ritz every 3 steps, until each of the top ``r + 1``
-    Ritz pairs has the residual ``||stilde y - theta y|| <= 1e-10 |theta|``
+    Ritz pairs has the residual ``||S y - theta y|| <= 1e-10 |theta|``
     (pair ``r + 1`` too: the second copy of a tied ``lambda_r`` can lag
     far behind and fake a wide Ritz gap).  Returns the ``D x r`` top Ritz
     vectors, largest first.  Returns None, for the caller to run ``eigh``,
     when the basis would pass its cap of ``min(D/2, 60 (r + 2))`` columns
     (at once if that leaves no room for a Rayleigh-Ritz step), when a new
-    block is rank deficient (as when ``stilde`` has rank below ``r + 2``),
+    block is rank deficient (as when the matrix has rank below ``r + 2``),
     or when the largest residual is not below
     ``1e-8 (theta_r - theta_{r+1})``.
     """
-    d, b = stilde.shape[0], r + 2
+    b = r + 2
     cap = min(int(_KRYLOV_MAX_SHARE * d), _KRYLOV_MAX_BLOCKS * b)
     if 3 * b > cap:
         return None
     basis, proj = np.empty((d, cap)), np.empty((cap, cap))
     start = np.random.default_rng(_KRYLOV_SEED).standard_normal((d, b))
     block = np.linalg.qr(start)[0]
-    w = stilde @ block
+    w = product(block)
     tiny = 1e-10 * np.linalg.norm(w)
     k = 0
     for step in itertools.count(1):
@@ -380,7 +480,7 @@ def _krylov(stilde, r):
             theta, y = np.linalg.eigh(proj[:k, :k])
             lead = theta[: -r - 2 : -1]
             top = v @ y[:, : -r - 2 : -1]
-            res = np.linalg.norm(stilde @ top - top * lead, axis=0)
+            res = np.linalg.norm(product(top) - top * lead, axis=0)
             if np.all(res <= 1e-10 * np.abs(lead)):
                 if res.max() < 1e-8 * (lead[-2] - lead[-1]):
                     return top[:, :r]
@@ -392,10 +492,10 @@ def _krylov(stilde, r):
         block, tri = np.linalg.qr(w)
         if np.abs(np.diagonal(tri)).min() <= tiny:
             return None
-        w = stilde @ block
+        w = product(block)
 
 
-def _spectrum(problem, vectors=False, stilde=None):
+def _spectrum(problem, vectors=False, op=None, k=0):
     """The memoized spectrum of the assembled coupling matrix.
 
     Returns ``(top, eigenvalues)``, each read-only: the ``D x r`` top
@@ -403,8 +503,10 @@ def _spectrum(problem, vectors=False, stilde=None):
     ``None`` for either until some call computed it.  A call for
     ``vectors`` runs ``eigh``, from ``D = _KRYLOV_MIN_DIM`` on
     :func:`_krylov` first, which gives no eigenvalues; any other call is
-    for the eigenvalues and runs ``eigvalsh``.  ``stilde`` is decomposed
-    if the caller has assembled it, a fresh assembly otherwise.  Stored
+    for the eigenvalues and runs ``eigvalsh``.  Both read item ``k`` of the
+    caller's :class:`_Coupling` ``op``, or of a new one: Krylov its
+    products, so a factored problem forms no ``D x D`` array there, and
+    the decompositions its dense matrix or a fresh assembly.  Stored
     entries are never replaced, so every later reader sees the same
     values; missing ones are added by the first call that needs them.  A
     failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
@@ -413,15 +515,17 @@ def _spectrum(problem, vectors=False, stilde=None):
     memo = problem._spectrum
     if memo is not None and memo[0 if vectors else 1] is not None:
         return memo
-    if stilde is None:
-        stilde = assemble_stilde(problem)
+    if op is None:
+        op = _Coupling([problem])
+    dims = problem.dims
     top = vals = None
-    if vectors and problem.dims.total_dim >= _KRYLOV_MIN_DIM:
-        top = _krylov(stilde, problem.dims.r)
+    if vectors and dims.total_dim >= _KRYLOV_MIN_DIM:
+        top = _krylov(lambda x: op.product(k, x), dims.total_dim, dims.r)
     if top is None:
+        stilde = assemble_stilde(problem) if op.stilde is None else op.stilde[k]
         if vectors:
             vals, vecs = np.linalg.eigh(stilde)
-            top = vecs[:, ::-1][:, : problem.dims.r].copy()
+            top = vecs[:, ::-1][:, : dims.r].copy()
         else:
             vals = np.linalg.eigvalsh(stilde)
     with _SPECTRUM_LOCK:

@@ -279,7 +279,8 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     """
     results = []
     for d in grid.d_values:
-        per_batch = _runs_per_batch(grid.m * d)
+        # synth_procrustes problems keep their views of grid.n rows.
+        per_batch = _runs_per_batch(grid.m * d, grid.n)
         for sigma in grid.sigma_values:
             per_init: dict[str, list[_RepOutcome]] = {
                 init: [None] * grid.reps for init in grid.init_strategies

@@ -28,11 +28,12 @@ from .core import (
     StationarityReport,
     ValidationError,
     _check_match,
+    _Coupling,
     _cross_sums,
+    _factored,
     _is_int,
     _is_real,
     _spectrum,
-    _stack_stilde,
     objective,
     polar_project,
     stationarity,
@@ -58,8 +59,8 @@ _STAGNATION_CYCLES = 10
 #: the nuclear norms ||B_i||_* of its block updates.
 _MONOTONE_SLACK = 1e-12
 _DESCENT_SLACK = 1e-10
-#: Bytes of assembled coupling matrices, one per run, that one batch of the
-#: sweep may hold.
+#: Bytes of coupling data that one batch of the sweep may hold: per run an
+#: assembled S-tilde (dense backend) or the views (factored backend).
 _BATCH_STILDE_BYTES = 4 * 2**20
 
 
@@ -147,7 +148,8 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     The eigenvectors come from the spectrum memoized on the problem (see
     :func:`otsm.core._spectrum`), which the first spectral start fills
     with one ``eigh`` of ``stilde`` below D = 1000 and from there on with
-    a block Krylov solve (``eigh`` where that does not converge); later
+    a block Krylov solve (``eigh`` where that does not converge), which
+    forms no D x D array on the factored backend; later
     starts on the same problem decompose nothing, and below D = 1000
     neither does :func:`otsm.certificate.dual_upper_bound`.  The Krylov
     vectors span the same top-r subspace as ``eigh``'s, up to rounding and
@@ -168,15 +170,16 @@ def step_block(problem, point, i, alpha=SolverConfig.alpha):
     term, in which case B may be rank deficient and the maximizer is not
     unique (the deterministic SVD completion is returned).  ``i`` is an
     integer (not a bool); ``alpha`` follows :class:`SolverConfig`'s rule.
+    The arithmetic is that of the block's update in a :func:`solve` sweep,
+    on the problem's coupling backend; the dense one assembles ``stilde``.
     """
     _check_match(problem, point)
     if not (_is_int(i) and 0 <= i < problem.dims.m):
         raise ValidationError(f"block index {i!r} out of range for m={problem.dims.m}")
     alpha = SolverConfig(alpha=alpha).alpha
-    b = _cross_sums(problem, point.blocks)[i]
-    if not math.isinf(alpha):
-        b += point.blocks[i] / alpha
-    return polar_project(b)
+    op = _Coupling([problem])
+    op.track(point.stack()[None])
+    return _polar_step(op, i, 0.0 if math.isinf(alpha) else 1.0 / alpha)[1][0]
 
 
 def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -197,9 +200,9 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     Notes
     -----
     A cycle updates block i to the polar factor of ``B_i = G_i + O_i/alpha``,
-    with ``G_i = stilde[rows_i] @ O`` read from the assembled coupling
-    matrix, and advances the objective by the exact gain
-    ``tr((O_i^+ - O_i)^T G_i)``; ``objective`` runs only at the start.
+    with ``G_i = stilde[rows_i] @ O``, and advances the objective by the
+    exact gain ``tr((O_i^+ - O_i)^T G_i)``; ``objective`` runs only at the
+    start.
     With finite alpha each cycle's gain is checked to be nonnegative and
     checked against the descent inequality
 
@@ -214,6 +217,12 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     or cycle gain that is not finite (the couplings overflow float64)
     raises :class:`ValidationError`.
 
+    A problem built from views ``A_i`` with ``D >= 3 n`` (``n`` samples)
+    takes the factored backend: ``G_i = s A_i^T (U - A_i O_i)`` with ``U =
+    sum_j A_j O_j`` updated after each block, about ``3 n r`` work per row
+    against ``D r`` for ``stilde``, and no D x D array; the two backends
+    agree to rounding, not bit for bit.
+
     A solve is the batch of one of the sweep that
     :func:`otsm.experiment.run_grid` runs over many same-shape problems at
     once; a problem's result does not depend on the batch it is swept in.
@@ -221,25 +230,38 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     return _solve_batch([problem], [config])[0]
 
 
-def _runs_per_batch(total_dim) -> int:
+def _runs_per_batch(total_dim, rows=None) -> int:
     """How many runs with ``D = total_dim`` one batch of the sweep takes.
 
-    As many as fit ``_BATCH_STILDE_BYTES`` of assembled coupling matrices,
-    and at least one.
+    As many as fit ``_BATCH_STILDE_BYTES``, and at least one; a run holds
+    ``8 n D`` bytes on the factored backend (views of ``n = rows`` rows),
+    ``8 D^2`` on the dense one.
     """
-    return max(1, _BATCH_STILDE_BYTES // (8 * total_dim * total_dim))
+    width = rows if rows is not None and _factored(rows, total_dim) else total_dim
+    return max(1, _BATCH_STILDE_BYTES // (8 * width * total_dim))
 
 
-def _start(problem, init, stilde):
-    """The starting point ``init`` asks for; ``stilde`` is the problem's assembly."""
+def _start(problem, init, op, k):
+    """The starting point ``init`` asks for; the problem is item k of ``op``."""
     if isinstance(init, BlockOrthogonal):
         return init
     if init == "identity":
         return init_identity(problem.dims)
-    # Fill the spectrum memo from this stilde, so that init_spectral
-    # assembles no second copy.
-    _spectrum(problem, vectors=True, stilde=stilde)
+    # Fill the spectrum memo from the batch's operator, so that
+    # init_spectral assembles no second copy.
+    _spectrum(problem, vectors=True, op=op, k=k)
     return init_spectral(problem)
+
+
+def _polar_step(op, i, inv_alpha):
+    """Block i's update in each item of ``op`` at its iterates ``x``.
+
+    Returns ``G_i``, the polar factor of ``G_i + inv_alpha x_i`` and its
+    singular values; ``inv_alpha`` is 0 for alpha = inf, the classical ascent.
+    """
+    g = op.block(i)
+    u, s, vt = np.linalg.svd(g + inv_alpha * op.x[:, op.rows[i]], full_matrices=False)
+    return g, u @ vt, s
 
 
 class _Item:
@@ -311,15 +333,16 @@ class _Item:
 def _solve_batch(problems, configs) -> list[SolveReport]:
     """Solve same-shape problems in one sweep; item k is ``solve(problems[k], configs[k])``.
 
-    The batch holds one assembled ``stilde`` per item in a ``(B, D, D)``
-    array next to the ``(B, D, r)`` iterates, so a block step is one
-    stacked product ``G = stilde[:, rows_i] @ O``, one stacked SVD for the
-    polar factors, and the gains and change norms of the whole batch, with
-    arithmetic per item that does not depend on the batch size.  Audits,
-    traces and stopping rules are per item; an item that stops leaves the
-    batch, whose arrays are compacted in place.  Any error raised for one
-    item ends the whole call, as does a ``configs`` of another length than
-    ``problems`` (``ValueError``).
+    The batch's :class:`~otsm.core._Coupling` holds the ``(B, D, r)``
+    iterates beside a ``(B, D, D)`` stack of ``stilde`` or ``(B, n, D)`` of
+    views.  A block step is one stacked product for ``G_i``, one stacked
+    SVD for the polar factors, and the gains and change norms of the whole
+    batch, with arithmetic per item that does not depend on the batch size.
+    Audits, traces and stopping rules are per item; an item that stops
+    leaves the batch, whose arrays are compacted in place.  Any error
+    raised for one item ends the whole call, as does a ``configs`` of
+    another length than ``problems`` (``ValueError``) or a batch that mixes
+    shapes or coupling backends (``ValidationError``).
     """
     configs = [c or SolverConfig() for _, c in zip(problems, configs, strict=True)]
     if not problems:
@@ -333,15 +356,14 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
                 f"custom init dims {config.init.dims} do not match problem {dims}"
             )
     m = dims.m
-    off = dims.offsets()
-    slices = [slice(off[i], off[i + 1]) for i in range(m)]
-    stilde = _stack_stilde(problems)
-    current = np.empty((len(problems), dims.total_dim, dims.r))  # updated in place
+    op = _Coupling(problems)
+    current = np.empty((len(problems), dims.total_dim, dims.r))
     items = []
     for position, (problem, config) in enumerate(zip(problems, configs)):
-        start = _start(problem, config.init, stilde[position])
+        start = _start(problem, config.init, op, position)
         items.append(_Item(position, problem, config, start))
         np.concatenate(start.blocks, out=current[position])
+    op.track(current)  # updated in place
     reports = [None] * len(items)
 
     k = 0
@@ -351,14 +373,9 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
         inv_alpha = np.array([it.inv_alpha for it in items])[:, None, None]
         # Per block and item: the gain, the change, its square and ||B||_*.
         sums = np.empty((4, m, batch))
-        for i, rows in enumerate(slices):
-            g = np.matmul(stilde[:, rows], current)
-            cur = current[:, rows]
-            # inv_alpha is 0 for alpha = inf, the classical ascent.
-            u, s, vt = np.linalg.svd(g + inv_alpha * cur, full_matrices=False)
-            new = u @ vt
-            delta = new - cur
-            current[:, rows] = new
+        for i in range(m):
+            g, new, s = _polar_step(op, i, inv_alpha)
+            delta = op.update(i, new)
             np.add.reduce(delta * g, axis=(1, 2), out=sums[0, i])
             # Row times column is one dot per item, whatever the batch size.
             flat = delta.reshape(batch, 1, -1)
@@ -376,18 +393,11 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
             if stop is None:
                 keep.append(j)
                 continue
-            point = BlockOrthogonal([current[j, rows] for rows in slices])
+            point = BlockOrthogonal([op.x[j, rows] for rows in op.rows])
             reports[it.position] = it.report(point, k, stop)
         if len(keep) < batch:
-            # Move the kept items down in place; a fancy-indexed copy of
-            # stilde would briefly hold two stacks.
-            for dst, src in enumerate(keep):
-                if dst != src:
-                    stilde[dst] = stilde[src]
-                    current[dst] = current[src]
+            op.keep(keep)
             items = [items[j] for j in keep]
-            stilde = stilde[: len(keep)]
-            current = current[: len(keep)]
     return reports
 
 

@@ -30,6 +30,12 @@ def make_hard_problem(d=3, r=2):
     )
 
 
+def fresh_copy(prob):
+    """A new problem object with the same couplings, nothing memoized and no
+    views, so that it takes the dense coupling backend."""
+    return OtsmProblem(prob.dims, prob.sblocks)
+
+
 @pytest.fixture
 def hard_problem():
     return make_hard_problem()

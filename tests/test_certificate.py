@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,7 +14,15 @@ import otsm.cli
 import otsm.core
 import otsm.formats
 import otsm.solver
-from conftest import HARD_OPT, I32, J32, make_hard_problem, random_point, random_problem
+from conftest import (
+    HARD_OPT,
+    I32,
+    J32,
+    fresh_copy,
+    make_hard_problem,
+    random_point,
+    random_problem,
+)
 from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
@@ -318,11 +327,6 @@ class TestCholeskyVerdict:
         assert not _psd_within(certificate_matrix(hard_problem, point), -lmin * (1.0 - 1e-3))
 
 
-def fresh_copy(prob):
-    """A new problem object with the same data and nothing memoized."""
-    return OtsmProblem(prob.dims, prob.sblocks)
-
-
 def count_dense_work(monkeypatch, prob):
     """Count dense numpy.linalg calls on prob's D x D matrices and S-tilde assemblies.
 
@@ -344,11 +348,10 @@ def count_dense_work(monkeypatch, prob):
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "norm"):
+    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "norm", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     build = counted("assemble_stilde", otsm.core._stack_stilde, dense_only=False)
-    for module in (otsm.core, otsm.solver):
-        monkeypatch.setattr(module, "_stack_stilde", build)
+    monkeypatch.setattr(otsm.core, "_stack_stilde", build)
     return work
 
 
@@ -453,7 +456,8 @@ class TestKrylovPipeline:
 
     @pytest.fixture(params=range(4))
     def problem(self, request):
-        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, request.param)
+        # Without its views: these tests pin the dense backend's work.
+        prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, request.param)[0])
         assert prob.dims.total_dim == otsm.core._KRYLOV_MIN_DIM
         return prob
 
@@ -469,7 +473,7 @@ class TestKrylovPipeline:
         assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
 
     def test_fresh_certify_runs_one_eigvalsh(self, monkeypatch):
-        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+        prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, 0)[0])
         point = solve(fresh_copy(prob), SolverConfig(init="spectral")).solution
         monkeypatch.setattr(otsm.core, "_krylov", None)  # never called
         work = count_dense_work(monkeypatch, prob)
@@ -479,8 +483,8 @@ class TestKrylovPipeline:
         assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=2)
 
     def test_falls_back_to_eigh(self, monkeypatch):
-        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
-        monkeypatch.setattr(otsm.core, "_krylov", lambda stilde, r: None)
+        prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, 0)[0])
+        monkeypatch.setattr(otsm.core, "_krylov", lambda product, d, r: None)
         work = count_dense_work(monkeypatch, prob)
         start = init_spectral(prob)
         assert work == Counter(eigh=1, assemble_stilde=1)
@@ -527,6 +531,60 @@ class TestKrylovPipeline:
             assert (report.verdict, report.tol_psd, report.tol_tau) == (
                 reports[0].verdict, reports[0].tol_psd, reports[0].tol_tau
             )
+
+
+class TestFactoredPipeline:
+    """TestKrylovPipeline's problems with their views: S-tilde is never formed."""
+
+    @pytest.fixture(params=range(4))
+    def problem(self, request):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, request.param)
+        assert prob._factor is not None
+        return prob
+
+    def test_no_dense_decomposition(self, monkeypatch, problem):
+        work = count_dense_work(monkeypatch, problem)
+        report = certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
+        assert report.verdict is Verdict.CERTIFIED_GLOBAL
+        assert work == Counter()
+        assert report.dual_bound == dual_upper_bound(problem)
+        assert work == Counter(eigvalsh=1, assemble_stilde=1)
+
+    def test_fresh_certify_forms_nothing(self, monkeypatch):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+        point = solve(fresh_copy(prob), SolverConfig(init="spectral")).solution
+        work = count_dense_work(monkeypatch, prob)
+        assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
+        assert work == Counter()
+
+    def test_falls_back_to_eigh(self, monkeypatch):
+        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
+        monkeypatch.setattr(otsm.core, "_krylov", lambda product, d, r: None)
+        work = count_dense_work(monkeypatch, prob)
+        start = init_spectral(prob)
+        assert work == Counter(eigh=1, assemble_stilde=1)
+        monkeypatch.undo()
+        expected = init_spectral(fresh_copy(prob))
+        assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
+
+    def test_pipeline_holds_no_dense_matrix(self, problem):
+        side = problem.dims.total_dim
+        tracemalloc.start()
+        try:
+            certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * side * side
+
+    def test_agrees_with_the_dense_backend(self, problem):
+        want = solve(fresh_copy(problem), SolverConfig(init="spectral"))
+        want_cert = certify(fresh_copy(problem), want.solution)
+        got = solve(problem, SolverConfig(init="spectral"))
+        got_cert = certify(problem, got.solution)
+        assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+        assert got_cert.verdict is want_cert.verdict
+        assert got.objective == pytest.approx(want.objective, rel=1e-12)
 
 
 class TestSpectrumMemo:

@@ -385,7 +385,7 @@ def krylov(a, r, max_blocks=None):
         _KRYLOV_MAX_SHARE=1.0,
         _KRYLOV_MAX_BLOCKS=a.shape[0] if max_blocks is None else max_blocks,
     ):
-        return _krylov(a, r)
+        return _krylov(a.__matmul__, a.shape[0], r)
 
 
 class TestKrylov:
@@ -428,7 +428,7 @@ class TestKrylov:
         # At the default cap min(D/2, 60 (r + 2)), r = 5 on D = 12 leaves
         # no room for even one block of 7 columns.
         a = planted(np.random.default_rng(3), np.linspace(2.0, -1.0, 12))
-        assert _krylov(a, 5) is None
+        assert _krylov(a.__matmul__, 12, 5) is None
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_no_result_on_breakdown(self, rank):

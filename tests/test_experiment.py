@@ -151,13 +151,13 @@ class TestRunGrid:
         real = otsm.solver._spectrum
         seen = []
 
-        def flaky(problem, vectors=False, stilde=None):
+        def flaky(problem, vectors=False, op=None, k=0):
             if vectors:  # a spectral start asks for the eigenvectors
                 if not any(p is problem for p in seen):
                     seen.append(problem)
                 if len(seen) > 1 and problem is seen[1]:  # rep 1 of the one cell
                     raise np.linalg.LinAlgError("injected")
-            return real(problem, vectors, stilde)
+            return real(problem, vectors, op, k)
 
         monkeypatch.setattr(otsm.solver, "_spectrum", flaky)
         by_init = {c.init: c for c in run_grid(ExperimentGrid(**SMALL))}
@@ -208,6 +208,30 @@ class TestRunGrid:
         monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", 3 * 8 * 12 * 12)
         assert run_grid(ExperimentGrid(**SMALL)) == whole
         assert sizes == [3, 3]
+
+    def test_factored_cells_batch_by_their_views(self, monkeypatch):
+        # D = 40 >= 3 n: a run holds its 10 x 40 views (3200 bytes, not
+        # the 12800 of S-tilde), and neither several runs per batch nor
+        # one changes a result.
+        import otsm.experiment
+
+        grid = ExperimentGrid(d_values=(10,), sigma_values=(0.1, 10.0), m=4, n=10, r=2,
+                              reps=3, base_seed=5)
+        sizes = []
+        real = otsm.experiment._solve_batch
+
+        def counted(problems, configs):
+            sizes.append(len(problems))
+            return real(problems, configs)
+
+        monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
+        whole = run_grid(grid)
+        assert sizes == [6, 6]
+        for runs, expected in ((3, [3, 3] * 2), (1, [1] * 12)):
+            sizes.clear()
+            monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", runs * 8 * 10 * 40)
+            assert run_grid(grid) == whole
+            assert sizes == expected
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_one_decomposition_per_rep(self, monkeypatch, runs):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import I32, J32, make_hard_problem, random_point, random_problem
+from conftest import I32, J32, fresh_copy, make_hard_problem, random_point, random_problem
 from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
@@ -16,7 +16,9 @@ from otsm.core import (
     InternalError,
     OtsmProblem,
     ValidationError,
+    _cross_sums,
     objective,
+    polar_project,
 )
 from otsm.solver import (
     SolverConfig,
@@ -270,13 +272,16 @@ class TestSweepAgainstPerPair:
     @_PROPERTY
     @given(sparse_instances(), st.sampled_from((1.0, 1000.0)))
     def test_one_cycle_matches_successive_step_block(self, instance, alpha):
-        # The solver's sweep reads G_i from the assembled matrix; step_block
-        # sums only the stored pairs.  One cycle is m successive block steps.
+        # One cycle is m successive block steps.  The sweep and step_block
+        # read G_i from the assembled matrix; the reference sums only the
+        # stored pairs.
         prob, start = instance
         report = solve(prob, SolverConfig(alpha=alpha, init=start, max_iter=1))
         blocks = list(start.blocks)
         for i in range(prob.dims.m):
+            want = polar_project(_cross_sums(prob, blocks)[i] + blocks[i] / alpha)
             blocks[i] = step_block(prob, BlockOrthogonal(blocks), i, alpha=alpha)
+            assert_allclose(blocks[i], want, rtol=0.0, atol=1e-12)
         for got, want in zip(report.solution.blocks, blocks):
             assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -410,8 +415,9 @@ class TestSolveBatch:
             _solve_batch([], configs)
 
     def test_solve_holds_one_coupling_matrix(self):
-        # From a given start, the only D x D array is the batch's S-tilde.
-        problem, _ = synth_procrustes(4, 50, 100, 3, 1.0, 0)
+        # From a given start, the only D x D array is the batch's S-tilde
+        # (a problem without its views takes the dense backend).
+        problem = fresh_copy(synth_procrustes(4, 50, 100, 3, 1.0, 0)[0])
         config = SolverConfig(init=init_spectral(problem))
         side = problem.dims.total_dim
         tracemalloc.start()
@@ -421,6 +427,20 @@ class TestSolveBatch:
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * 8 * side * side
+
+    def test_factored_solve_holds_no_dense_matrix(self):
+        # With its views (D = 400 >= 3 n) the batch holds the 50 x 400 views
+        # (an eighth of one D x D array) and arrays of n x r or D x r.
+        problem, _ = synth_procrustes(4, 50, 100, 3, 1.0, 0)
+        config = SolverConfig(init=init_spectral(fresh_copy(problem)))
+        side = problem.dims.total_dim
+        tracemalloc.start()
+        try:
+            solve(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 50 * side
 
 
 class TestSolveAudits:
