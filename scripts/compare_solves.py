@@ -54,11 +54,20 @@ each corpus problem that takes the factored coupling backend (a view
 problem with ``D >= 3 n``: ``align_dense/0`` and ``ols_dense/0``) twice,
 as built and as its dense twin ``OtsmProblem(p.dims, p.sblocks)``, which
 has no views, and requires equal ``iterations``, ``stop_reason`` and
-``verdict`` and objective traces within ``TRACE_REL`` (lines
-``backends/…``).  Against a tree without the factored backend those two
-runs differ only by rounding: their lines give the blocks' aligned
-distance, and their traces, multipliers and tolerances differ in the last
-digits.
+``verdict``, objective traces within ``TRACE_REL``, and ``objective`` of
+the two twins at the factored run's solution within ``TRACE_REL`` of each
+other, which checks the views' product ``S-tilde X`` against the stored
+pairs (lines ``backends/…``).
+
+Which runs move against another tree depends on how it forms
+``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
+them another way, or that has no factored backend, the two factored runs
+move by rounding: their lines give the blocks' aligned distance, and their
+traces, multipliers and tolerances differ in the last digits.  Against a
+tree whose ``objective`` sums over the stored pairs, not ``sum (X/2) *
+(S-tilde X)``, every trace moves in the last digits, within ``TRACE_REL``,
+and so do the grid cells' ``mean_final_objective`` and
+``objective_gap_records``, which count as mismatches.
 
 The script prints the largest trace and certificate differences and exits
 1 on any mismatch.  Its output ends with one line per mismatched field and
@@ -211,7 +220,7 @@ def backends() -> list[tuple[str, str]]:
     """Solve and certify every corpus problem on the factored backend and
     as its dense twin; one ``(field, line)`` pair per disagreement."""
     from otsm.certificate import certify
-    from otsm.core import OtsmProblem
+    from otsm.core import OtsmProblem, objective
     from otsm.solver import solve
 
     found = []
@@ -231,11 +240,16 @@ def backends() -> list[tuple[str, str]]:
             found.append(("verdict", f"backends/{label}: verdict differs"))
         a, b = np.array(got.objective_trace), np.array(want.objective_trace)
         rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) if a.shape == b.shape else np.inf
+        f, g = (objective(p, got.solution) for p in (problem, dense))
+        obj_rel = abs(f - g) / (1.0 + abs(g))
         print(f"backends/{label}: {got.iterations} cycles, trace difference {rel:.3e} "
               f"relative, {_aligned_distance(got.solution.stack(), want.solution.stack()):.3e} "
-              f"aligned distance")
+              f"aligned distance, objective difference {obj_rel:.3e} relative")
         if rel > TRACE_REL:
             found.append(("trace", f"backends/{label}: trace differs by {rel:.3e} (rel)"))
+        if obj_rel > TRACE_REL:
+            found.append(("objective",
+                          f"backends/{label}: objective differs by {obj_rel:.3e} (rel)"))
     return found
 
 

@@ -263,8 +263,9 @@ def certify(problem, point) -> CertificateReport:
     want another rule re-judge from ``taus``, ``stationarity`` and
     ``lmin_full``.
 
-    Cost: one pass over the couplings gives the multipliers and the
-    report's ``stationarity``; the scale costs one ``r x r`` ``eigvalsh``.
+    Cost: one product pass (``n D r`` work through the views, ``D^2 r``
+    over the stored pairs) gives the multipliers and ``stationarity``; the
+    scale costs one ``r x r`` ``eigvalsh`` and the stored pairs' norms.
     Only when the PSD test runs is ``stilde`` assembled and turned into
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
     the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky

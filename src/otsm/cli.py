@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .certificate import Verdict, certify
-from .core import InternalError, ValidationError, objective
+from .core import InternalError, ValidationError
 from .experiment import ExperimentGrid, ExportError, export_results, run_grid
 from .formats import (
     _save_certify_report,
@@ -85,7 +85,8 @@ def _cmd_certify(args) -> int:
     problem = load_problem(args.input)
     point = load_solution(args.solution, dims=problem.dims)
     cert = certify(problem, point)
-    _save_certify_report(args.out, objective(problem, point), cert)
+    # f = (1/2) sum_i tr(L_i): the multipliers' pass gives the objective too.
+    _save_certify_report(args.out, 0.5 * float(sum(map(np.trace, cert.lambdas))), cert)
     print(f"certificate verdict: {cert.verdict.value}")
     print(f"smallest certificate eigenvalue: {cert.lmin_full:.6e}")
     print(f"report: {args.out}")

@@ -271,19 +271,6 @@ def _check_match(problem, point):
         )
 
 
-def _cross_sums(problem, blocks):
-    """Per-block coupling sums G_i = sum_{j != i} S_ij O_j over the stored pairs.
-
-    ``blocks`` is any sequence of ``d_i x r`` matrices, one per block.
-    """
-    dims = problem.dims
-    sums = [np.zeros((d, dims.r)) for d in dims.dims]
-    for (i, j), s in problem.sblocks.items():
-        sums[i] += s @ blocks[j]
-        sums[j] += s.T @ blocks[i]
-    return sums
-
-
 def _norm(a) -> float:
     """``||a||_F``; entries from 2^500 up, whose squares could overflow, are
     first divided by a power of two, which is exact."""
@@ -295,11 +282,13 @@ def _norm(a) -> float:
 
 
 def _first_order(problem, point):
-    """Raw multipliers ``L_i = O_i^T G_i`` and the stationarity report, from one pass."""
+    """Raw multipliers ``L_i = O_i^T G_i`` and the stationarity report, from one product."""
     _check_match(problem, point)
-    sums = _cross_sums(problem, point.blocks)
+    off = problem.dims.offsets()
+    sums = _product(problem, point.stack())
     lams, residuals, asyms = [], [], []
-    for o, g in zip(point.blocks, sums):
+    for o, start, stop in zip(point.blocks, off, off[1:]):
+        g = sums[start:stop]
         lam = o.T @ g
         lams.append(lam)
         residuals.append(_norm(g - o @ lam))
@@ -356,8 +345,27 @@ def _factored(rows, total_dim) -> bool:
     return _FACTOR_RATIO * rows <= total_dim
 
 
+def _product(problem, x):
+    """``S-tilde x`` for a ``D x c`` matrix ``x``, from the problem's own storage:
+    the sum over the stored pairs, or for views ``G_i = s A_i^T (U - A_i x_i)``
+    with ``U = sum_j A_j x_j``.  Nothing ``D x D`` is formed."""
+    off = problem.dims.offsets()
+    out = np.zeros(x.shape)
+    outs, xs = ([a[start:stop] for start, stop in zip(off, off[1:])] for a in (out, x))
+    if problem._factor is None:
+        for (i, j), s in problem.sblocks.items():
+            outs[i] += s @ xs[j]
+            outs[j] += s.T @ xs[i]
+        return out
+    views, sign = problem._factor
+    u = sum(a @ b for a, b in zip(views, xs))
+    for a, b, g in zip(views, xs, outs):
+        g[...] = a.T @ (u - a @ b)
+    return sign * out
+
+
 class _Coupling:
-    """Products with the coupling matrices S-tilde of a batch of same-shape problems.
+    """The batched sweep's block products ``G_i`` with the S-tilde of same-shape problems.
 
     The problems pick the backend, factored where they keep a ``_factor``.
     Dense holds the ``(B, D, D)`` stack of assembled matrices; factored
@@ -381,16 +389,6 @@ class _Coupling:
             for a, f in zip(self.a, factors):
                 np.concatenate(f[0], axis=1, out=a)
             self.sign = np.array([f[1] for f in factors])[:, None, None]
-
-    def product(self, k, x):
-        """``S-tilde x`` for item ``k`` and a ``D x c`` matrix ``x``."""
-        if self.a is None:
-            return self.stilde[k] @ x
-        a, out = self.a[k], np.empty_like(x)
-        u = a @ x
-        for rows in self.rows:
-            out[rows] = a[:, rows].T @ (u - a[:, rows] @ x[rows])
-        return self.sign[k] * out
 
     def track(self, x):
         """Make ``x``, which :meth:`update` changes in place, the iterates."""
@@ -503,11 +501,11 @@ def _spectrum(problem, vectors=False, op=None, k=0):
     ``None`` for either until some call computed it.  A call for
     ``vectors`` runs ``eigh``, from ``D = _KRYLOV_MIN_DIM`` on
     :func:`_krylov` first, which gives no eigenvalues; any other call is
-    for the eigenvalues and runs ``eigvalsh``.  Both read item ``k`` of the
-    caller's :class:`_Coupling` ``op``, or of a new one: Krylov its
-    products, so a factored problem forms no ``D x D`` array there, and
-    the decompositions its dense matrix or a fresh assembly.  Stored
-    entries are never replaced, so every later reader sees the same
+    for the eigenvalues and runs ``eigvalsh``.  Krylov multiplies by a
+    dense problem's ``stilde`` (item ``k`` of the caller's :class:`_Coupling`
+    ``op``, or a fresh assembly), which the decompositions read too, and
+    by a view problem's :func:`_product`, which forms no ``D x D`` array.
+    Stored entries are never replaced, so every later reader sees the same
     values; missing ones are added by the first call that needs them.  A
     failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
     nothing.  No ``D x D`` array is kept.
@@ -515,14 +513,15 @@ def _spectrum(problem, vectors=False, op=None, k=0):
     memo = problem._spectrum
     if memo is not None and memo[0 if vectors else 1] is not None:
         return memo
-    if op is None:
-        op = _Coupling([problem])
     dims = problem.dims
-    top = vals = None
+    stilde = top = vals = None
+    if problem._factor is None:
+        stilde = assemble_stilde(problem) if op is None else op.stilde[k]
     if vectors and dims.total_dim >= _KRYLOV_MIN_DIM:
-        top = _krylov(lambda x: op.product(k, x), dims.total_dim, dims.r)
+        product = stilde.__matmul__ if stilde is not None else lambda x: _product(problem, x)
+        top = _krylov(product, dims.total_dim, dims.r)
     if top is None:
-        stilde = assemble_stilde(problem) if op.stilde is None else op.stilde[k]
+        stilde = assemble_stilde(problem) if stilde is None else stilde
         if vectors:
             vals, vecs = np.linalg.eigh(stilde)
             top = vecs[:, ::-1][:, : dims.r].copy()
@@ -552,14 +551,13 @@ def objective(problem, point) -> float:
     Returns
     -------
     float
-        ``sum_{i<j} tr(O_i^T S_ij O_j)``, which equals
-        ``0.5 * tr(O^T stilde O)`` for the stacked ``O``.
+        ``sum_{i<j} tr(O_i^T S_ij O_j) = tr((O/2)^T stilde O)`` for the
+        stacked ``O``, from one product with ``stilde``.
     """
     _check_match(problem, point)
-    total = 0.0
-    for (i, j), s in problem.sblocks.items():
-        total += float(np.sum(point.blocks[i] * (s @ point.blocks[j])))
-    return total
+    x = point.stack()
+    # Halving x first keeps the sum finite wherever the pair sums are.
+    return float(np.sum((0.5 * x) * _product(problem, x)))
 
 
 def polar_project(b) -> np.ndarray:

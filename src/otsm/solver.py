@@ -29,10 +29,10 @@ from .core import (
     ValidationError,
     _check_match,
     _Coupling,
-    _cross_sums,
     _factored,
     _is_int,
     _is_real,
+    _product,
     _spectrum,
     objective,
     polar_project,
@@ -451,7 +451,7 @@ def oscillation_demo() -> OscillationTrace:
         work = list(state)
         target = states[(k + 1) % len(states)]
         for i in range(3):
-            b = _cross_sums(problem, work)[i]
+            b = _product(problem, np.vstack(work))[3 * i : 3 * i + 3]
             nuclear = float(np.sum(np.linalg.svd(b, compute_uv=False)))
             attained = float(np.sum(target[i] * b))
             gap = abs(attained - nuclear)

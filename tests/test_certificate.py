@@ -401,13 +401,13 @@ def test_reading_lmin_full_costs_one_eigvalsh(monkeypatch):
 def count_coupling_passes(monkeypatch):
     """Count the passes over the couplings that compute G_i = sum_j S_ij O_j."""
     passes = Counter()
-    cross_sums = otsm.core._cross_sums
+    product = otsm.core._product
 
     def counted(*args, **kwargs):
-        passes["_cross_sums"] += 1
-        return cross_sums(*args, **kwargs)
+        passes["_product"] += 1
+        return product(*args, **kwargs)
 
-    monkeypatch.setattr(otsm.core, "_cross_sums", counted)
+    monkeypatch.setattr(otsm.core, "_product", counted)
     return passes
 
 
@@ -417,15 +417,16 @@ def test_certify_makes_one_pass_over_the_couplings(monkeypatch):
     point = solve(prob, SolverConfig(init="spectral")).solution
     passes = count_coupling_passes(monkeypatch)
     report = certify(prob, point)
-    assert passes["_cross_sums"] == 1
+    assert passes["_product"] == 1
     lmin = report.lmin_full
-    assert passes["_cross_sums"] == 1
+    assert passes["_product"] == 1
     assert report.stationarity == stationarity(prob, point)
     assert lmin == np.linalg.eigvalsh(certificate_matrix(prob, point))[0]
 
 
 def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, capsys):
-    """otsm certify makes one pass; otsm solve --certify one for the solve, one for certify."""
+    """otsm certify makes one pass; otsm solve --certify three: the start's
+    objective, the solve's final stationarity and certify."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     problem_path = str(tmp_path / "problem.json")
     report_path = str(tmp_path / "run.json")
@@ -433,12 +434,12 @@ def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, caps
     passes = count_coupling_passes(monkeypatch)
     code = otsm.cli.main(["solve", "--input", problem_path, "--init", "spectral",
                           "--certify", "--out", report_path])
-    assert (code, passes["_cross_sums"]) == (0, 2)
+    assert (code, passes["_product"]) == (0, 3)
     passes.clear()
     code = otsm.cli.main(["certify", "--input", problem_path,
                           "--solution", str(tmp_path / "run.solution.json"),
                           "--out", str(tmp_path / "check.json")])
-    assert (code, passes["_cross_sums"]) == (0, 1)
+    assert (code, passes["_product"]) == (0, 1)
     capsys.readouterr()
 
 

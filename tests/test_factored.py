@@ -6,6 +6,8 @@ and, for ``s = +1``, the certificate tests an n x n Schur complement.  Its
 dense twin is the same couplings without the views (``fresh_copy``).
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import otsm.core
 import otsm.solver
-from conftest import fresh_copy, random_point
+from conftest import fresh_copy, random_point, random_problem
 from otsm.builders import OlsData, ViewData, build_maxdiff, build_ols, synth_procrustes
 from otsm.certificate import (
     _certificate_from,
@@ -22,7 +24,15 @@ from otsm.certificate import (
     _scale,
     certify,
 )
-from otsm.core import ValidationError, assemble_stilde
+from otsm.core import (
+    OtsmProblem,
+    ValidationError,
+    _product,
+    assemble_stilde,
+    lagrange_multipliers,
+    objective,
+    stationarity,
+)
 from otsm.solver import SolverConfig, _runs_per_batch, _solve_batch, solve, step_block
 
 _PROPERTY = settings(
@@ -106,6 +116,84 @@ class TestAgainstDense:
         assert np.array_equal(
             step_block(prob, start, 0, alpha=alpha), report.solution.blocks[0]
         )
+
+
+@st.composite
+def coupled_problems(draw, scale=True):
+    """A dense problem (random couplings, some pairs absent) or a factored
+    ``build_maxdiff`` or ``build_ols`` problem, D <= 60; entries of order 1
+    unless ``scale``.  Returns ``(kind, problem, views)``, ``views`` None
+    when dense."""
+    kind = draw(st.sampled_from(("dense", "maxdiff", "ols")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "dense":
+        widths = draw(st.lists(st.integers(1, 10), min_size=2, max_size=6))
+        size = 10.0 ** draw(st.integers(-3, 3)) if scale else 1.0
+        density = draw(st.sampled_from((0.3, 1.0)))
+        rng = np.random.default_rng(seed)
+        return kind, random_problem(rng, widths, 1, scale=size, density=density), None
+    _, views, r = draw(view_instances(kinds=(kind,)))
+    if not scale:
+        big = max(float(np.max(np.abs(a))) for a in views)
+        views = [a / big for a in views]
+    prob = views_problem(kind, views, r)
+    assert prob._factor is not None
+    return kind, prob, views
+
+
+class TestProduct:
+    @_PROPERTY
+    @given(coupled_problems(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_product_is_the_assembled_product(self, instance, columns, seed):
+        _, prob, _ = instance
+        x = np.random.default_rng(seed).standard_normal((prob.dims.total_dim, columns))
+        stilde = assemble_stilde(prob)
+        err = np.linalg.norm(_product(prob, x) - stilde @ x)
+        assert err <= 1e-12 * np.linalg.norm(stilde) * np.linalg.norm(x)
+
+    @_PROPERTY
+    @given(coupled_problems(scale=False), st.integers(-990, 990), st.integers(0, 2**32 - 1))
+    def test_objective_scales_exactly(self, instance, k, seed):
+        # Couplings times c = 2^k: dense ones directly, views by 2^(k/2)
+        # for even k.  Every float operation of the product scales by c.
+        kind, prob, views = instance
+        if kind == "dense":
+            big = OtsmProblem(prob.dims, {key: 2.0**k * s for key, s in prob.sblocks.items()})
+        else:
+            k -= k % 2
+            big = views_problem(kind, [2.0 ** (k // 2) * a for a in views], prob.dims.r)
+        point = random_point(np.random.default_rng(seed), prob)
+        assert objective(big, point) == 2.0**k * objective(prob, point)
+
+
+class _NoPairs(Mapping):
+    """Stands in for ``sblocks``; any read of a stored pair fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read the stored pair {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("iterated over the stored pairs")
+
+    def __len__(self):
+        raise AssertionError("counted the stored pairs")
+
+
+def test_view_problem_reads_no_stored_pair():
+    # certify still reads the pairs for its scale bound ||S-tilde||_F.
+    prob, _ = synth_procrustes(4, 10, 30, 3, 1.0, 0)
+    dense = fresh_copy(prob)
+    point = random_point(np.random.default_rng(0), prob)
+    prob.sblocks = _NoPairs()
+    assert objective(prob, point) == pytest.approx(objective(dense, point), rel=1e-12)
+    got, want = stationarity(prob, point), stationarity(dense, point)
+    assert got.grad_residuals == pytest.approx(want.grad_residuals, rel=1e-12)
+    assert got.asymmetries == pytest.approx(want.asymmetries, rel=1e-12)
+    lams = lagrange_multipliers(prob, point)
+    for got, want in zip(lams, lagrange_multipliers(dense, point), strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    report = solve(prob, SolverConfig(init="identity"))
+    assert report.iterations == solve(dense, SolverConfig(init="identity")).iterations
 
 
 class TestScaleRetrace:
