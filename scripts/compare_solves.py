@@ -32,8 +32,8 @@ A run matches when its solution blocks are ``numpy.array_equal``, its
 same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
 are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``,
-``lmin_full``, ``tol_psd`` and ``tol_tau`` and a ``dual_bound`` within
-``1e-13`` relative.  That one reads the largest eigenvalue of the coupling
+``lmin_full``, ``tol_psd``, ``tol_tau`` and ``gap_bound`` and a
+``dual_bound`` within ``1e-13`` relative.  That one reads the largest eigenvalue of the coupling
 matrix, which may come from ``eigh`` in one tree and ``eigvalsh`` in the
 other and then agree only to rounding.  A certificate field that only one
 tree reports is listed as removed or added, not counted as a mismatch.  Where solution
@@ -93,7 +93,9 @@ SPECTRAL_REL = 1e-13
 #: Certificate fields compared within SPECTRAL_REL; the others must be equal.
 SPECTRAL_FIELDS = ("dual_bound",)
 #: Certificate fields saved when the tree's report has them.
-CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau") + SPECTRAL_FIELDS
+CERT_FIELDS = (
+    "verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound"
+) + SPECTRAL_FIELDS
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the

@@ -12,6 +12,12 @@ lies an inconclusive region: the certificate is sufficient, not necessary.
 ``L* + tol_psd I`` and gives ``CERTIFIED_GLOBAL`` only at points that are
 stationary relative to the scale of ``stilde``, by tolerances that scale
 with ``stilde``.  The report lets a caller re-judge by another rule.
+
+At any feasible point, stationary or not, ``L* + t I`` PSD proves the gap
+bound ``f* - f <= (m r / 2) t`` by weak duality: ``stilde`` is then below
+``Lambda + t I`` for the block diagonal ``Lambda`` above, and by Ky Fan
+``tr(P_i^T Lambda_i P_i) <= tr(L_i)`` for every ``d_i x r`` frame ``P_i``,
+with ``sum_i tr(L_i) = 2 f``.
 """
 
 from __future__ import annotations
@@ -80,10 +86,13 @@ class CertificateReport:
     smallest eigenvalues of their symmetrized versions; ``stationarity``
     the diagnostics measured in the same pass over the couplings.
     ``tol_psd`` and ``tol_tau`` are the tolerances the verdict used, a
-    function of the couplings and the point alone; a caller re-judges by
-    another rule from ``taus``, ``stationarity`` and :attr:`lmin_full`,
-    computed on demand from the kept problem and point, as is
-    :attr:`dual_bound`.
+    function of the couplings and the point alone.  ``gap_bound`` is a
+    bound ``(m r / 2) t`` on ``f* - f``, proven by weak duality at any
+    feasible point for a shift ``t`` with ``L* + t I`` PSD (see
+    :func:`certify` for how ``t`` is chosen).  A caller re-judges by
+    another rule from ``taus``, ``stationarity`` and ``gap_bound``, with
+    :attr:`lmin_full` computed on demand from the kept problem and point,
+    as is :attr:`dual_bound`.
     """
 
     lambdas: tuple[np.ndarray, ...]
@@ -92,6 +101,7 @@ class CertificateReport:
     stationarity: StationarityReport
     tol_psd: float
     tol_tau: float
+    gap_bound: float
     _problem: OtsmProblem = field(repr=False, compare=False)
     _point: BlockOrthogonal = field(repr=False, compare=False)
 
@@ -261,7 +271,15 @@ def certify(problem, point) -> CertificateReport:
     ``||stilde||_2`` would.  Scaling the couplings by ``c > 0`` scales both
     tolerances, and the taus, by ``c`` and keeps the verdict.  Callers who
     want another rule re-judge from ``taus``, ``stationarity`` and
-    ``lmin_full``.
+    ``gap_bound``, with ``lmin_full`` on demand.
+
+    ``gap_bound = (m r / 2) t`` bounds ``f* - f`` at the point, stationary
+    or not, by weak duality whenever ``L* + t I`` is PSD.  Two shifts are
+    proven with no further factorization: ``hi - min(taus)`` (clipped at
+    0), because ``lambda_min(L*) >= min(taus) - ||stilde||_2``, and, where
+    the verdict's Cholesky factorization succeeded, ``tol_psd``; ``t`` is
+    the smaller.  It is 0 for the zero problem, scales with the couplings
+    and is at most ``(m r / 2) tol_psd`` at a CERTIFIED_GLOBAL point.
 
     Cost: one product pass (``n D r`` work through the views, ``D^2 r``
     over the stored pairs) gives the multipliers and ``stationarity``; the
@@ -270,7 +288,7 @@ def certify(problem, point) -> CertificateReport:
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
     the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
     per block and one of an ``n x n`` Schur complement, with no D x D
-    array (see :func:`_psd_by_schur`).
+    array (see :func:`_psd_by_schur`).  ``gap_bound`` costs nothing more.
     ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
     when first read.
     """
@@ -281,12 +299,15 @@ def certify(problem, point) -> CertificateReport:
     tol_psd = _PSD_BASE * lo + _RESIDUAL_FACTOR * r_stat
     tol_tau = _TAU_BASE * hi + _RESIDUAL_FACTOR * r_stat
 
+    # lambda_min(L*) >= min(taus) - ||stilde||_2 >= min(taus) - hi.
+    shift = max(0.0, hi - min(taus))
     if hi == 0.0:
         verdict = Verdict.CERTIFIED_GLOBAL
     elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
     elif r_stat <= _STATIONARITY_GATE * lo and _psd(problem, point, lams, taus, tol_psd):
         verdict = Verdict.CERTIFIED_GLOBAL
+        shift = min(shift, tol_psd)
     else:
         verdict = Verdict.INCONCLUSIVE
 
@@ -297,6 +318,7 @@ def certify(problem, point) -> CertificateReport:
         stationarity=stat,
         tol_psd=tol_psd,
         tol_tau=tol_tau,
+        gap_bound=0.5 * problem.dims.m * problem.dims.r * shift,
         _problem=problem,
         _point=point,
     )

@@ -88,7 +88,7 @@ def _cmd_certify(args) -> int:
     # f = (1/2) sum_i tr(L_i): the multipliers' pass gives the objective too.
     _save_certify_report(args.out, 0.5 * float(sum(map(np.trace, cert.lambdas))), cert)
     print(f"certificate verdict: {cert.verdict.value}")
-    print(f"smallest certificate eigenvalue: {cert.lmin_full:.6e}")
+    print(f"gap bound: {cert.gap_bound:.6e}")
     print(f"report: {args.out}")
     return _CERTIFY_EXIT[cert.verdict]
 

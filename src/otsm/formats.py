@@ -23,9 +23,10 @@ Every file is written atomically via a temporary sibling.
   1e-4 error out.
 
 * report file — objective, iterations, stop_reason, stationarity maxima,
-  optional certificate summary and objective trace.  Numbers are written
-  in shortest round-trip form.  A solve report ``X.json`` has its
-  solution written beside it as ``X.solution.json``.
+  optional certificate summary (``taus``, ``verdict`` and ``gap_bound``)
+  and objective trace.  Numbers are written in shortest round-trip form.
+  A solve report ``X.json`` has its solution written beside it as
+  ``X.solution.json``.
 """
 
 from __future__ import annotations
@@ -297,9 +298,8 @@ def _solution_sibling(report_path) -> str:
 def _certificate_payload(cert) -> dict:
     return {
         "taus": list(cert.taus),
-        "lmin_full": cert.lmin_full,
         "verdict": cert.verdict.value,
-        "dual_bound": cert.dual_bound,
+        "gap_bound": cert.gap_bound,
     }
 
 

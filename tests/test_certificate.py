@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -23,7 +25,7 @@ from conftest import (
     random_point,
     random_problem,
 )
-from otsm.builders import hard_example, synth_procrustes
+from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -443,6 +445,46 @@ def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, caps
     capsys.readouterr()
 
 
+def test_cli_reports_decompose_nothing_beyond_the_verdict(monkeypatch, tmp_path, capsys):
+    """otsm solve --init spectral --certify runs the start's eigh and the
+    verdict's Cholesky, otsm certify only the Cholesky: no report field
+    needs an eigenvalue of L* or S-tilde."""
+    prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
+    problem_path = str(tmp_path / "problem.json")
+    otsm.formats.save_problem(prob, problem_path)
+    work = count_dense_work(monkeypatch, prob)
+    code = otsm.cli.main(["solve", "--input", problem_path, "--init", "spectral",
+                          "--certify", "--out", str(tmp_path / "run.json")])
+    assert code == 0
+    assert work.pop("assemble_stilde") <= 2
+    assert work == Counter(eigh=1, cholesky=1)
+    work.clear()
+    code = otsm.cli.main(["certify", "--input", problem_path,
+                          "--solution", str(tmp_path / "run.solution.json"),
+                          "--out", str(tmp_path / "check.json")])
+    assert code == 0
+    assert work == Counter(cholesky=1, assemble_stilde=1)
+    assert "gap bound:" in capsys.readouterr().out
+
+
+def test_cli_certify_of_a_views_file_forms_no_dense_matrix(monkeypatch, tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    problem_path = tmp_path / "views.json"
+    problem_path.write_text(json.dumps(
+        {"r": 3, "views": [rng.standard_normal((30, 40)).tolist() for _ in range(5)]}
+    ))
+    prob = otsm.formats.load_problem(problem_path)
+    assert prob._factor is not None
+    otsm.formats.save_solution(init_spectral(prob), tmp_path / "start.json")
+    work = count_dense_work(monkeypatch, prob)
+    otsm.cli.main(["certify", "--input", str(problem_path),
+                   "--solution", str(tmp_path / "start.json"),
+                   "--out", str(tmp_path / "check.json")])
+    assert work == Counter()
+    assert "gap_bound" in json.loads((tmp_path / "check.json").read_text())["certificate"]
+    capsys.readouterr()
+
+
 def test_spectral_pipeline_dense_work(monkeypatch):
     """Spectral solve, certify and dual bound share one eigh and one assembly each."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
@@ -750,3 +792,113 @@ class TestSoundness:
                 proj = np.eye(prob.dims.dims[i]) - o @ o.T
                 shifted[off[i] : off[i + 1], off[i] : off[i + 1]] -= delta * proj
             assert np.linalg.eigvalsh(shifted)[0] <= lmin + 1e-12
+
+
+def half_mr(prob):
+    return 0.5 * prob.dims.m * prob.dims.r
+
+
+class TestGapBound:
+    """gap_bound = (m r / 2) t bounds f* - f for a shift t with L* + t I PSD."""
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.integers(3, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_covers_the_brute_force_optimum(self, m, seed, exponent):
+        prob = sign_problem(np.random.default_rng(seed), m, scale=10.0**exponent)
+        points = [sign_point(bits) for bits in enumerate_signs(m)]
+        values = [objective(prob, point) for point in points]
+        best = max(values)
+        for point, f in zip(points, values):
+            assert certify(prob, point).gap_bound >= best - f - 1e-8 * (1.0 + abs(f))
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_covers_the_two_block_optimum(self, d1, d2, data):
+        # The optimum is the sum of the r largest singular values of S_12.
+        r = data.draw(st.integers(1, min(d1, d2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        s = rng.standard_normal((d1, d2))
+        prob = OtsmProblem(BlockDims((d1, d2), r), {(0, 1): s})
+        best = float(np.sum(np.linalg.svd(s, compute_uv=False)[:r]))
+        points = [
+            random_point(rng, prob),
+            solve(prob, SolverConfig(init="identity", max_iter=1)).solution,
+            solve(prob, SolverConfig(init="spectral")).solution,
+        ]
+        for point in points:
+            f = objective(prob, point)
+            assert certify(prob, point).gap_bound >= best - f - 1e-8 * (1.0 + abs(f))
+
+    def test_hard_example_points(self, hard_problem):
+        for blocks in (HARD_OPT, (I32, J32, I32), (I32, I32, I32)):
+            point = BlockOrthogonal(blocks)
+            f = objective(hard_problem, point)
+            assert certify(hard_problem, point).gap_bound >= 3.0 - f - 1e-12
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances(), st.integers(-40, 40))
+    def test_scales_exactly(self, instance, k):
+        prob, point = instance
+        c = 2.0**k
+        base = certify(scaled(prob, 1.0), point)
+        assert certify(scaled(prob, c), point).gap_bound == c * base.gap_bound
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(st.one_of(small_instances(), random_feasible_points()))
+    def test_finite_and_proven_at_every_verdict(self, instance):
+        prob, point = instance
+        report = certify(prob, point)
+        assert math.isfinite(report.gap_bound)
+        assert report.gap_bound >= 0.0
+        # The shift behind the bound makes L* + t I PSD, up to the backward
+        # error of the Cholesky factorization that may have proven it.
+        t = report.gap_bound / half_mr(prob)
+        band = 1e-10 * float(np.linalg.norm(certificate_matrix(prob, point)))
+        assert report.lmin_full >= -t - band
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(small_instances())
+    def test_shift_rule(self, instance):
+        # t = max(0, hi - min(taus)), or tol_psd where the verdict's Cholesky
+        # factorization proved that shift and it is smaller: at most tol_psd
+        # at a CERTIFIED_GLOBAL point.
+        prob, point = instance
+        report = certify(prob, point)
+        t = max(0.0, _scale(prob, report.lambdas)[1] - min(report.taus))
+        if report.verdict is Verdict.CERTIFIED_GLOBAL:
+            assert report.gap_bound <= half_mr(prob) * report.tol_psd
+            t = min(t, report.tol_psd)
+        assert report.gap_bound == half_mr(prob) * t
+
+    def test_zero_problem(self):
+        prob = OtsmProblem(BlockDims((3, 3, 3), 2), {})
+        for point in (BlockOrthogonal([I32, J32, I32]),
+                      random_point(np.random.default_rng(5), prob)):
+            assert certify(prob, point).gap_bound == 0.0
+
+    def test_covers_a_better_start_at_an_unconverged_certified_point(self):
+        # Both starts stop at the cycle cap.  The identity start's point is
+        # certified because tol_psd = 1e-6 lo + 100 r_stat is large there,
+        # yet the spectral start ends higher; the gap bound says how far
+        # the certified point may be from optimal, and covers the difference.
+        rng = np.random.default_rng(11)
+        regressors = [rng.standard_normal((30, 4)) for _ in range(20)]
+        prob, _ = build_ols(OlsData(rng.standard_normal((30, 4)), regressors))
+        assert (prob.dims.total_dim, prob.dims.r) == (84, 4)
+        found = solve(prob, SolverConfig(alpha=1000.0, init="identity"))
+        better = solve(prob, SolverConfig(alpha=1000.0, init="spectral"))
+        report = certify(prob, found.solution)
+        assert report.verdict is Verdict.CERTIFIED_GLOBAL
+        assert found.objective == pytest.approx(1268.692870, abs=1e-6)
+        assert better.objective == pytest.approx(1268.713033, abs=1e-6)
+        assert report.gap_bound >= better.objective - found.objective
