@@ -57,7 +57,12 @@ has no views, and requires equal ``iterations``, ``stop_reason`` and
 ``verdict``, objective traces within ``TRACE_REL``, and ``objective`` of
 the two twins at the factored run's solution within ``TRACE_REL`` of each
 other, which checks the views' product ``S-tilde X`` against the stored
-pairs (lines ``backends/…``).
+pairs.  It also requires the certificates' ``tol_tau`` and ``gap_bound``
+to agree within ``TRACE_REL`` of their scales, ``hi = ||S-tilde||_F`` and
+``(m r / 2) hi``, which checks ``hi`` from the views' Grams against the
+stored pairs; both also read ``100 r_stat``, which each twin measures at
+its own solution, so they agree to that scale, not to their own size
+(lines ``backends/…``).
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
@@ -67,7 +72,10 @@ traces, multipliers and tolerances differ in the last digits.  Against a
 tree whose ``objective`` sums over the stored pairs, not ``sum (X/2) *
 (S-tilde X)``, every trace moves in the last digits, within ``TRACE_REL``,
 and so do the grid cells' ``mean_final_objective`` and
-``objective_gap_records``, which count as mismatches.
+``objective_gap_records``, which count as mismatches.  Against a tree
+whose view problems store their pairs and take ``hi`` from them, only
+``tol_tau``, and ``gap_bound`` where it comes from ``hi`` (not from
+``tol_psd``), of the two factored runs can move, by rounding.
 
 The script prints the largest trace and certificate differences and exits
 1 on any mismatch.  Its output ends with one line per mismatched field and
@@ -221,7 +229,7 @@ def dump(path):
 def backends() -> list[tuple[str, str]]:
     """Solve and certify every corpus problem on the factored backend and
     as its dense twin; one ``(field, line)`` pair per disagreement."""
-    from otsm.certificate import certify
+    from otsm.certificate import _scale, certify
     from otsm.core import OtsmProblem, objective
     from otsm.solver import solve
 
@@ -240,6 +248,12 @@ def backends() -> list[tuple[str, str]]:
                 found.append((what, f"backends/{label}: {what} differs"))
         if got_cert.verdict is not want_cert.verdict:
             found.append(("verdict", f"backends/{label}: verdict differs"))
+        hi = _scale(dense, want_cert.lambdas)[1]
+        for what, scale in (("tol_tau", hi), ("gap_bound", 0.5 * dense.dims.m * dense.dims.r * hi)):
+            rel = abs(getattr(got_cert, what) - getattr(want_cert, what)) / scale
+            print(f"backends/{label}: {what} difference {rel:.3e} relative to its scale")
+            if rel > TRACE_REL:
+                found.append((what, f"backends/{label}: {what} differs by {rel:.3e} (rel)"))
         a, b = np.array(got.objective_trace), np.array(want.objective_trace)
         rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) if a.shape == b.shape else np.inf
         f, g = (objective(p, got.solution) for p in (problem, dense))

@@ -132,7 +132,8 @@ def build_maxdiff(data: ViewData, r: int) -> OtsmProblem:
     trace-sum objective at ``(O_1, ..., O_m)`` is the total pairwise
     agreement ``sum_{i<j} tr((A_i O_i)^T (A_j O_j))`` of the transformed
     views.  From ``D >= 3 n`` the problem keeps the views as the factor of
-    its couplings (see :func:`otsm.core._from_views`).
+    its couplings and forms the pairs only when ``sblocks`` is read (see
+    :func:`otsm.core._from_views`).
 
     Parameters
     ----------

@@ -35,6 +35,7 @@ from .core import (
     OtsmProblem,
     StationarityReport,
     _check_match,
+    _exponent,
     _first_order,
     _norm,
     _spectrum,
@@ -240,14 +241,54 @@ def _scale(problem, lams):
     raw multipliers ``lams``: these are the Ritz values of ``stilde`` on the
     span of the stacked point ``O``, because ``sum_i O_i^T O_i = m I_r``
     and ``sum_i L_i = O^T stilde O`` (a point off orthonormality by ``e``
-    can raise ``lo`` by about ``e`` relative).  ``hi`` is ``||stilde||_F``,
-    from the stored blocks without overflow.
+    can raise ``lo`` by about ``e`` relative).  ``hi`` is ``||stilde||_F``
+    without overflow: ``sqrt(2)`` times the root sum of squares of the
+    pairs' norms, from the stored pairs, or on the factored backend from
+    the views' ``n x n`` Grams (see :func:`_view_pair_norms`), which forms
+    no pair.  ``stilde`` has zero trace, so ``||stilde||_2 < ||stilde||_F``
+    by a relative ``1 / (2 D)`` at least, far above the rounding of either.
     """
     total = sum(lams)
     ritz = np.linalg.eigvalsh((total + total.T) / (2.0 * problem.dims.m))
     lo = max(-float(ritz[0]), float(ritz[-1]))
-    hi = math.sqrt(2.0) * math.hypot(*map(_norm, problem.sblocks.values()))
+    if problem._factor is None:
+        norms = map(_norm, problem.sblocks.values())
+    else:
+        norms = _view_pair_norms(problem._factor[0])
+    hi = math.sqrt(2.0) * math.hypot(*norms)
     return lo, hi
+
+
+def _view_pair_norms(views) -> np.ndarray:
+    """``||A_i^T A_j||_F`` for the pairs ``i < j`` of ``views``, in the order of
+    ``itertools.combinations``, from the ``n x n`` Grams ``K_i = A_i A_i^T``.
+
+    ``||A_i^T A_j||_F^2 = <K_i, K_j>``, an off-diagonal entry of the
+    ``m x m`` Gram of the flattened ``K_i``; it is nonnegative, so only
+    its rounding is clipped at 0.  Each view is first divided by its own
+    power of two (see :func:`otsm.core._exponent`), so that neither Gram
+    overflows, nor underflows where the views' scales lie far apart, and
+    the norms are scaled back.  The ``K_i`` are formed ``D / m`` rows at a
+    time, so that the scaled views and one step each hold ``n D`` entries
+    at most, as the views do; the whole ``K_i``, ``m n^2`` entries, can
+    outnumber the pairs where the views are many and tall.  Cost:
+    ``n^2 D`` for the ``K_i`` and ``m^2 n^2`` for their Gram, against
+    ``n D^2`` for the pairs.
+    """
+    m, n = len(views), views[0].shape[0]
+    exps = np.array([_exponent(a) for a in views])
+    scaled = [np.ldexp(a, -e) for a, e in zip(views, exps)]
+    step = max(1, sum(a.shape[1] for a in views) // m)
+    flat = np.empty((m, step * n))
+    gram = np.zeros((m, m))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        block = flat[:, : rows * n]
+        for b, out in zip(scaled, block):
+            np.matmul(b[start : start + rows], b.T, out=out.reshape(rows, n))
+        gram += block @ block.T
+    i, j = np.triu_indices(m, 1)
+    return np.ldexp(np.sqrt(np.maximum(gram[i, j], 0.0)), exps[i] + exps[j])
 
 
 def certify(problem, point) -> CertificateReport:
@@ -283,7 +324,9 @@ def certify(problem, point) -> CertificateReport:
 
     Cost: one product pass (``n D r`` work through the views, ``D^2 r``
     over the stored pairs) gives the multipliers and ``stationarity``; the
-    scale costs one ``r x r`` ``eigvalsh`` and the stored pairs' norms.
+    scale costs one ``r x r`` ``eigvalsh`` and the pairs' norms, read from
+    the stored pairs or, through the views, from ``n x n`` Grams (``n^2 D
+    + m^2 n^2`` work, no pair formed).
     Only when the PSD test runs is ``stilde`` assembled and turned into
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
     the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky

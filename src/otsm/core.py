@@ -136,6 +136,8 @@ class OtsmProblem:
     :func:`otsm.certificate.dual_upper_bound`).  The view builders may keep
     the views privately, as a factor of the couplings for the solver and
     the certificate (see :func:`_from_views`); this constructor keeps none.
+    A problem that keeps its views stores no pairs: :attr:`sblocks` forms
+    them from the views on first read and keeps them.
 
     Parameters
     ----------
@@ -146,7 +148,7 @@ class OtsmProblem:
         shape must be ``d_i x d_j``.
     """
 
-    __slots__ = ("dims", "sblocks", "_spectrum", "_factor")
+    __slots__ = ("dims", "_sblocks", "_spectrum", "_factor")
 
     def __init__(self, dims, sblocks):
         if not isinstance(dims, BlockDims):
@@ -170,9 +172,24 @@ class OtsmProblem:
                 )
             clean[(i, j)] = a
         self.dims = dims
-        self.sblocks = MappingProxyType(clean)
+        self._sblocks = MappingProxyType(clean)
         self._spectrum = None
         self._factor = None
+
+    @property
+    def sblocks(self):
+        """Read-only mapping ``(i, j) -> S_ij`` of the couplings, ``i < j``;
+        on a problem that keeps its views, formed on first read and kept."""
+        pairs = self._sblocks
+        if pairs is None:
+            formed = dict(_pairs(self))
+            for s in formed.values():
+                s.flags.writeable = False
+            with _MEMO_LOCK:
+                if self._sblocks is None:
+                    self._sblocks = MappingProxyType(formed)
+                pairs = self._sblocks
+        return pairs
 
     def coupling(self, i, j):
         """Return the coupling between blocks i and j (integers i != j in 0..m-1).
@@ -271,6 +288,12 @@ def _check_match(problem, point):
         )
 
 
+def _exponent(a) -> int:
+    """The ``e`` with ``2^(e-1) <= max |a| < 2^e`` (0 for zero): dividing ``a``
+    by ``2^e``, which is exact, leaves entries whose squares cannot overflow."""
+    return int(np.frexp(np.max(np.abs(a)))[1])
+
+
 def _norm(a) -> float:
     """``||a||_F``; entries from 2^500 up, whose squares could overflow, are
     first divided by a power of two, which is exact."""
@@ -296,17 +319,31 @@ def _first_order(problem, point):
     return lams, StationarityReport(tuple(residuals), tuple(asyms))
 
 
+def _pairs(problem):
+    """Yield ``((i, j), S_ij)`` for the problem's pairs: the stored ones, or,
+    where none are stored, each ``sign A_i^T A_j`` formed from the views
+    and kept by no one but the caller."""
+    stored = problem._sblocks
+    if stored is not None:
+        yield from stored.items()
+        return
+    views, sign = problem._factor
+    for i, j in itertools.combinations(range(len(views)), 2):
+        yield (i, j), sign * (views[i].T @ views[j])
+
+
 def _stack_stilde(problems) -> np.ndarray:
     """One zeroed (B, D, D) array whose slot k is ``assemble_stilde(problems[k])``.
 
     The problems share one shape.  This is the one writer of couplings
-    into an assembled matrix.
+    into an assembled matrix; it stores no pair on a problem that keeps
+    its views.
     """
     dims = problems[0].dims
     off = dims.offsets()
     stack = np.zeros((len(problems), dims.total_dim, dims.total_dim))
     for full, problem in zip(stack, problems):
-        for (i, j), s in problem.sblocks.items():
+        for (i, j), s in _pairs(problem):
             full[off[i] : off[i + 1], off[j] : off[j + 1]] = s
             full[off[j] : off[j + 1], off[i] : off[i + 1]] = s.T
     return stack
@@ -323,14 +360,47 @@ def assemble_stilde(problem) -> np.ndarray:
 
 
 def _from_views(dims, views, sign=1.0):
-    """The problem with couplings ``S_ij = sign A_i^T A_j`` for the read-only
-    ``n x d_i`` ``views``, which it keeps with the sign as its ``_factor``
-    when they take the factored backend (see :func:`_factored`)."""
-    pairs = itertools.combinations(range(len(views)), 2)
-    problem = OtsmProblem(dims, {(i, j): sign * (views[i].T @ views[j]) for i, j in pairs})
-    if _factored(views[0].shape[0], dims.total_dim):
-        problem._factor = (tuple(views), float(sign))
+    """The problem with couplings ``S_ij = sign A_i^T A_j`` for the finite,
+    read-only ``n x d_i`` ``views`` and ``sign = +-1``.
+
+    Where they take the factored backend (see :func:`_factored`) it keeps
+    the views with the sign as its ``_factor`` and stores no pair; like
+    the constructor, it raises ValidationError for a pair with a
+    non-finite entry (see :func:`_check_view_pairs`).  Otherwise it stores
+    the pairs and keeps no views.
+    """
+    if not _factored(views[0].shape[0], dims.total_dim):
+        pairs = itertools.combinations(range(len(views)), 2)
+        return OtsmProblem(dims, {(i, j): sign * (views[i].T @ views[j]) for i, j in pairs})
+    _check_view_pairs(views)
+    problem = OtsmProblem(dims, {})
+    problem._sblocks = None
+    problem._factor = (tuple(views), float(sign))
     return problem
+
+
+def _log2_column_norm(a) -> float:
+    """``log2`` of the largest column norm of ``a`` (``-inf`` for zero),
+    without overflow (see :func:`_exponent`)."""
+    e = _exponent(a)
+    big = float(np.max(np.linalg.norm(np.ldexp(a, -e), axis=0)))
+    return math.log2(big) + e if big > 0.0 else -math.inf
+
+
+def _check_view_pairs(views):
+    """Raise ValidationError, as the constructor would, for the first pair
+    ``A_i^T A_j`` with a non-finite entry, without storing any pair.
+
+    By Cauchy-Schwarz ``|(A_i^T A_j)_kl| <= ||a_ik|| ||a_jl||`` for the
+    columns, and a dot product computed in floating point exceeds that
+    bound by a relative ``n eps`` at most; so a pair can overflow only
+    where the bound from the largest column norms reaches ``2^1023``, and
+    only such a pair is formed, then dropped.
+    """
+    logs = [_log2_column_norm(a) for a in views]
+    for i, j in itertools.combinations(range(len(views)), 2):
+        if logs[i] + logs[j] >= 1023.0 and not np.all(np.isfinite(views[i].T @ views[j])):
+            raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")
 
 
 #: Views ``A_i`` (n x d_i) take the factored backend from ``D = _FACTOR_RATIO
@@ -425,7 +495,8 @@ class _Coupling:
             setattr(self, name, arr[: len(keep)])
 
 
-_SPECTRUM_LOCK = threading.Lock()
+#: Guards the first store of a problem's pairs and of its spectrum.
+_MEMO_LOCK = threading.Lock()
 
 #: From this D on a spectral start comes from :func:`_krylov`.  Measured on
 #: ``synth_procrustes(10, 100, D/10, 3, 1.0, 0)``, one BLAS thread of a
@@ -527,7 +598,7 @@ def _spectrum(problem, vectors=False, op=None, k=0):
             top = vecs[:, ::-1][:, : dims.r].copy()
         else:
             vals = np.linalg.eigvalsh(stilde)
-    with _SPECTRUM_LOCK:
+    with _MEMO_LOCK:
         if problem._spectrum is not None:
             top, vals = (
                 old if old is not None else new

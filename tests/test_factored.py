@@ -6,7 +6,10 @@ and, for ``s = +1``, the certificate tests an n x n Schur complement.  Its
 dense twin is the same couplings without the views (``fresh_copy``).
 """
 
-from collections.abc import Mapping
+import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,8 +51,9 @@ def views_problem(kind, views, r):
 
 
 @st.composite
-def view_instances(draw, kinds=("maxdiff", "ols")):
-    """``(kind, views, r)`` with D <= 60 and n <= D / 3: a factored problem."""
+def view_instances(draw, kinds=("maxdiff", "ols"), scaled=True):
+    """``(kind, views, r)`` with D <= 60 and n <= D / 3: a factored problem;
+    views of order ``10^k``, ``|k| <= 3``, or of order 1 unless ``scaled``."""
     kind = draw(st.sampled_from(kinds))
     m = draw(st.integers(2, 6))
     if kind == "maxdiff":
@@ -61,18 +65,21 @@ def view_instances(draw, kinds=("maxdiff", "ols")):
     assume(sum(widths) >= 3)
     n = draw(st.integers(1, sum(widths) // 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.integers(-3, 3))
+    scale = 10.0 ** draw(st.integers(-3, 3)) if scaled else 1.0
     views = [scale * rng.standard_normal((n, w)) for w in widths]
     return kind, views, r
 
 
 class TestAgainstDense:
     @_PROPERTY
-    @given(view_instances(), st.sampled_from(("identity", "spectral", "random")),
+    @given(view_instances(scaled=False), st.sampled_from(("identity", "spectral", "random")),
            st.sampled_from((1.0, 1000.0)), st.integers(0, 2**32 - 1))
     def test_solve_retraces_the_dense_solve(self, instance, init, alpha, seed):
         # Finite alpha only: at alpha = inf a rank-deficient G_i (n < r)
-        # leaves the polar factor to rounding on either backend.
+        # leaves the polar factor to rounding on either backend.  Views of
+        # order 1 only, since alpha and the trace tolerance are absolute:
+        # with views of 1e3, 1/alpha is 1e-9 of the couplings, and stops
+        # moved a cycle apart.  TestScaleRetrace covers other scales.
         prob = views_problem(*instance)
         assert prob._factor is not None
         if init == "random":
@@ -166,25 +173,12 @@ class TestProduct:
         assert objective(big, point) == 2.0**k * objective(prob, point)
 
 
-class _NoPairs(Mapping):
-    """Stands in for ``sblocks``; any read of a stored pair fails."""
-
-    def __getitem__(self, key):
-        raise AssertionError(f"read the stored pair {key!r}")
-
-    def __iter__(self):
-        raise AssertionError("iterated over the stored pairs")
-
-    def __len__(self):
-        raise AssertionError("counted the stored pairs")
-
-
 def test_view_problem_reads_no_stored_pair():
-    # certify still reads the pairs for its scale bound ||S-tilde||_F.
+    # The spectral start's eigh assembles S-tilde from the views (D = 120 <
+    # 1000); nothing in a solve plus certify forms the pairs for the problem.
     prob, _ = synth_procrustes(4, 10, 30, 3, 1.0, 0)
-    dense = fresh_copy(prob)
+    dense = fresh_copy(synth_procrustes(4, 10, 30, 3, 1.0, 0)[0])
     point = random_point(np.random.default_rng(0), prob)
-    prob.sblocks = _NoPairs()
     assert objective(prob, point) == pytest.approx(objective(dense, point), rel=1e-12)
     got, want = stationarity(prob, point), stationarity(dense, point)
     assert got.grad_residuals == pytest.approx(want.grad_residuals, rel=1e-12)
@@ -194,6 +188,175 @@ def test_view_problem_reads_no_stored_pair():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     report = solve(prob, SolverConfig(init="identity"))
     assert report.iterations == solve(dense, SolverConfig(init="identity")).iterations
+    config = SolverConfig(init="spectral")
+    got, want = solve(prob, config), solve(dense, config)
+    got_cert, want_cert = certify(prob, got.solution), certify(dense, want.solution)
+    assert prob._sblocks is None
+    assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    assert got_cert.verdict is want_cert.verdict
+    for what in ("tol_psd", "tol_tau", "gap_bound"):
+        assert getattr(got_cert, what) == pytest.approx(getattr(want_cert, what), rel=1e-10)
+
+
+def test_view_problem_solve_and_certify_hold_less_than_its_pairs():
+    # The 45 pairs of 200 x 200 take 14.4 MB; the views take 1.6 MB (the
+    # true rotations, 3.2 MB, are dropped).
+    tracemalloc.start()
+    try:
+        prob = synth_procrustes(10, 100, 200, 3, 1.0, 0)[0]
+        certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 8 * 200 * 200
+    assert prob._sblocks is None
+
+
+def test_pairs_formed_on_first_read_match_eager_ones(tmp_path):
+    from otsm.formats import save_problem
+
+    views = [np.random.default_rng(k).standard_normal((5, 6)) for k in range(4)]
+    for sign, prob in ((1.0, build_maxdiff(ViewData(tuple(views)), 2)),
+                       (-1.0, build_ols(OlsData(views[-1], tuple(views[:-1])))[0])):
+        assert prob._factor is not None and prob._sblocks is None
+        stilde = assemble_stilde(prob)
+        assert prob._sblocks is None
+        pairs = prob.sblocks
+        assert pairs is prob.sblocks
+        assert list(pairs) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for (i, j), s in pairs.items():
+            assert np.array_equal(s, sign * (views[i].T @ views[j]))
+            assert not s.flags.writeable
+            assert np.array_equal(prob.coupling(j, i), s.T)
+        assert np.array_equal(assemble_stilde(prob), stilde)
+        save_problem(prob, tmp_path / "lazy.json")
+        save_problem(OtsmProblem(prob.dims, pairs), tmp_path / "eager.json")
+        assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
+
+
+def test_racing_first_reads_publish_one_mapping():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            prob, _ = synth_procrustes(4, 5, 10, 2, 1.0, seed)
+            barrier = threading.Barrier(8, timeout=10)
+            seen = []
+
+            def read(prob=prob, barrier=barrier, seen=seen):
+                barrier.wait()
+                seen.append(prob.sblocks)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 8
+            assert all(pairs is prob.sblocks for pairs in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestOverflowAtBuild:
+    # D = 6: views of n = 1 row take the factored backend, of n = 3 the dense one.
+    @pytest.mark.parametrize("n", (1, 3))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_pair_is_rejected_on_both_backends(self, n):
+        with pytest.raises(ValidationError, match=r"coupling \(0,1\) contains non-finite"):
+            build_maxdiff(ViewData((np.full((n, 3), 1e160),) * 2), 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_names_the_first_overflowing_pair(self):
+        views = (np.full((1, 3), 1e-160), np.full((1, 3), 1e160), np.full((1, 3), 1e160))
+        with pytest.raises(ValidationError, match=r"coupling \(1,2\) contains non-finite"):
+            build_maxdiff(ViewData(views), 1)
+        with pytest.raises(ValidationError, match=r"coupling \(1,2\) contains non-finite"):
+            build_ols(OlsData(views[-1], views[:-1]))
+
+    def test_pairs_near_the_bound_build(self):
+        # Entries 1e154 * 1e154 = 1e308: the bound, above 2^1023, cannot
+        # rule the pair out, and it is finite.  Views of 2^+-600 never come
+        # near the bound.
+        for views in ((np.full((1, 3), 1e154),) * 2,
+                      (np.full((1, 3), 2.0**600), np.full((1, 3), 2.0**-600))):
+            prob = build_maxdiff(ViewData(views), 1)
+            assert prob._factor is not None and prob._sblocks is None
+            assert np.all(np.isfinite(prob.sblocks[(0, 1)]))
+
+    def test_only_pairs_near_overflow_are_formed(self, monkeypatch):
+        # Columns of norm sqrt(5) 5e153 bound the pair (1, 2) by 1.25e308,
+        # above 2^1023; every other bound is far below it.
+        formed = []
+
+        class Tracked(np.ndarray):
+            def __matmul__(self, other):
+                formed.append(self.shape)
+                return np.asarray(self) @ np.asarray(other)
+
+        views = [np.random.default_rng(k).standard_normal((5, 6)) for k in range(4)]
+        views[1] = views[2] = np.full((5, 6), 5e153)
+        check = otsm.core._check_view_pairs
+        monkeypatch.setattr(
+            otsm.core, "_check_view_pairs", lambda vs: check([a.view(Tracked) for a in vs])
+        )
+        prob = build_maxdiff(ViewData(tuple(views)), 2)
+        assert formed == [(6, 5)]
+        assert np.all(np.isfinite(prob.sblocks[(1, 2)]))
+
+
+class TestScaleFromViews:
+    @_PROPERTY
+    @given(view_instances(), st.integers(0, 2**32 - 1))
+    def test_hi_is_the_frobenius_norm(self, instance, seed):
+        prob = views_problem(*instance)
+        lams = lagrange_multipliers(prob, random_point(np.random.default_rng(seed), prob))
+        hi = _scale(prob, lams)[1]
+        assert hi == pytest.approx(np.linalg.norm(assemble_stilde(prob)), rel=1e-13)
+
+    @_PROPERTY
+    @given(view_instances(scaled=False), st.integers(-500, 500), st.integers(0, 2**32 - 1))
+    def test_hi_scales_exactly(self, instance, half, seed):
+        # Views times 2^half, up to 2^500, where <K_i, K_j> of unscaled
+        # Grams would reach 2^2000, scale hi by exactly 2^(2 half).
+        kind, views, r = instance
+        prob = views_problem(kind, views, r)
+        big = views_problem(kind, [2.0**half * a for a in views], r)
+        lams = lagrange_multipliers(prob, random_point(np.random.default_rng(seed), prob))
+        assert _scale(big, lams)[1] == 2.0 ** (2 * half) * _scale(prob, lams)[1]
+
+    def test_hi_of_views_at_extreme_scales(self):
+        views = [np.random.default_rng(k).standard_normal((3, 5)) for k in range(3)]
+        prob, big = (views_problem("maxdiff", [c * a for a in views], 2) for c in (1.0, 2.0**500))
+        lams = lagrange_multipliers(prob, random_point(np.random.default_rng(0), prob))
+        hi = _scale(big, lams)[1]
+        assert math.isfinite(hi) and hi == 2.0**1000 * _scale(prob, lams)[1]
+        # Views of 2^500 and 2^-500 have couplings of order 1: each view is
+        # scaled by its own power of two, or the small one's Gram underflows.
+        apart = views_problem("maxdiff", [2.0**500 * views[0], 2.0**-500 * views[1]], 2)
+        assert apart._factor is not None and big._factor is not None
+        hi = _scale(apart, lams[:2])[1]
+        assert hi == pytest.approx(np.linalg.norm(assemble_stilde(apart)), rel=1e-13)
+
+    @_PROPERTY
+    @given(view_instances(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_certify_agrees_with_the_dense_twin(self, instance, solved, seed):
+        prob = views_problem(*instance)
+        dense = fresh_copy(views_problem(*instance))
+        if solved:
+            point = solve(prob, SolverConfig(init="spectral", max_iter=200)).solution
+        else:
+            point = random_point(np.random.default_rng(seed), prob)
+        got, want = certify(prob, point), certify(dense, point)
+        lo, hi = _scale(dense, want.lambdas)
+        assert abs(got.tol_tau - want.tol_tau) <= 1e-12 * hi
+        # Verdicts may differ only within 1e-8 hi of one of their thresholds.
+        r_stat = max(want.stationarity.max_grad_residual, want.stationarity.max_asymmetry)
+        edges = (min(want.taus) + want.tol_tau, want.lmin_full + want.tol_psd,
+                 r_stat - 1e-3 * lo)
+        if all(abs(edge) > 1e-8 * hi for edge in edges):
+            assert got.verdict is want.verdict
 
 
 class TestScaleRetrace:
