@@ -244,9 +244,11 @@ def _scale(problem, lams):
     can raise ``lo`` by about ``e`` relative).  ``hi`` is ``||stilde||_F``
     without overflow: ``sqrt(2)`` times the root sum of squares of the
     pairs' norms, from the stored pairs, or on the factored backend from
-    the views' ``n x n`` Grams (see :func:`_view_pair_norms`), which forms
-    no pair.  ``stilde`` has zero trace, so ``||stilde||_2 < ||stilde||_F``
-    by a relative ``1 / (2 D)`` at least, far above the rounding of either.
+    the views' ``n x n`` Grams (see :func:`_view_pair_norms`), which form
+    a pair only where the Gram's rounding could reach ``2^-26``, or ``1 /
+    (4 D)``, of its squared norm.  ``stilde`` has zero trace, so
+    ``||stilde||_2^2 <= (1 - 1 / D) ||stilde||_F^2``, and ``hi`` stays
+    above ``||stilde||_2``.
     """
     total = sum(lams)
     ritz = np.linalg.eigvalsh((total + total.T) / (2.0 * problem.dims.m))
@@ -263,17 +265,26 @@ def _view_pair_norms(views) -> np.ndarray:
     """``||A_i^T A_j||_F`` for the pairs ``i < j`` of ``views``, in the order of
     ``itertools.combinations``, from the ``n x n`` Grams ``K_i = A_i A_i^T``.
 
-    ``||A_i^T A_j||_F^2 = <K_i, K_j>``, an off-diagonal entry of the
-    ``m x m`` Gram of the flattened ``K_i``; it is nonnegative, so only
-    its rounding is clipped at 0.  Each view is first divided by its own
-    power of two (see :func:`otsm.core._exponent`), so that neither Gram
-    overflows, nor underflows where the views' scales lie far apart, and
-    the norms are scaled back.  The ``K_i`` are formed ``D / m`` rows at a
-    time, so that the scaled views and one step each hold ``n D`` entries
-    at most, as the views do; the whole ``K_i``, ``m n^2`` entries, can
-    outnumber the pairs where the views are many and tall.  Cost:
-    ``n^2 D`` for the ``K_i`` and ``m^2 n^2`` for their Gram, against
-    ``n D^2`` for the pairs.
+    ``||A_i^T A_j||_F^2 = <K_i, K_j>``, an off-diagonal entry ``g_ij`` of
+    the ``m x m`` Gram of the flattened ``K_i``.  Each view is first
+    divided by its own power of two (see :func:`otsm.core._exponent`), so
+    that neither Gram overflows, nor underflows where the views' scales
+    lie far apart, and the norms are scaled back.  The ``K_i`` are formed
+    ``D / m`` rows at a time, so that the scaled views and one step each
+    hold ``n D`` entries at most, as the views do; the whole ``K_i``,
+    ``m n^2`` entries, can outnumber the pairs where the views are many
+    and tall.  Cost: ``n^2 D`` for the ``K_i`` and ``m^2 n^2`` for their
+    Gram, against ``n D^2`` for the pairs.
+
+    ``g_ij`` sums products of both signs, so its rounding is relative to
+    ``||K_i||_F ||K_j||_F``, not to ``g_ij``: where the views' column
+    spaces are nearly orthogonal it can lose every digit.  So ``g_ij`` is
+    kept only where its first-order rounding bound, with that of the pair
+    the dense route forms, is below ``2^-26 g_ij`` (half the digits) and
+    below ``g_ij / (4 D)``; any other pair is formed from the scaled
+    views, one at a time, and its norm taken.  Gaussian views keep every
+    ``g_ij`` up to ``n = 1000`` at least; for large ``n`` the bound's
+    ``n^2 eps`` forms pairs, at ``n d_i d_j`` each.
     """
     m, n = len(views), views[0].shape[0]
     exps = np.array([_exponent(a) for a in views])
@@ -288,7 +299,22 @@ def _view_pair_norms(views) -> np.ndarray:
             np.matmul(b[start : start + rows], b.T, out=out.reshape(rows, n))
         gram += block @ block.T
     i, j = np.triu_indices(m, 1)
-    return np.ldexp(np.sqrt(np.maximum(gram[i, j], 0.0)), exps[i] + exps[j])
+    g = gram[i, j]
+    # Rounding of <K_i, K_j> (n^2 terms), of the K_i (d_i terms each, with
+    # ||fl(K_i) - K_i||_F <= d_i eps ||A_i||_F^2) and of the pair itself.
+    k = np.sqrt(np.diag(gram))
+    sq = np.array([float(np.vdot(b, b)) for b in scaled])
+    d = np.array([a.shape[1] for a in views])
+    err = np.finfo(float).eps * (
+        n * n * k[i] * k[j]
+        + d[i] * sq[i] * k[j]
+        + d[j] * sq[j] * k[i]
+        + 2 * n * np.sqrt(sq[i] * sq[j] * np.maximum(g, 0.0))
+    )
+    norms = np.sqrt(np.maximum(g, 0.0))
+    for p in np.flatnonzero(max(2.0**26, 4 * d.sum()) * err > g):
+        norms[p] = _norm(scaled[i[p]].T @ scaled[j[p]])
+    return np.ldexp(norms, exps[i] + exps[j])
 
 
 def certify(problem, point) -> CertificateReport:
@@ -326,7 +352,8 @@ def certify(problem, point) -> CertificateReport:
     over the stored pairs) gives the multipliers and ``stationarity``; the
     scale costs one ``r x r`` ``eigvalsh`` and the pairs' norms, read from
     the stored pairs or, through the views, from ``n x n`` Grams (``n^2 D
-    + m^2 n^2`` work, no pair formed).
+    + m^2 n^2`` work; a pair is formed only where its Gram entry could
+    not be trusted, see :func:`_view_pair_norms`).
     Only when the PSD test runs is ``stilde`` assembled and turned into
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
     the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky

@@ -296,12 +296,13 @@ def _exponent(a) -> int:
 
 def _norm(a) -> float:
     """``||a||_F``; entries from 2^500 up, whose squares could overflow, are
-    first divided by a power of two, which is exact."""
+    first divided by a power of two, which is exact.  A norm beyond the
+    largest float is ``inf``, as from ``np.linalg.norm``."""
     big = float(np.max(np.abs(a)))
     if big < 2.0**500:
         return float(np.linalg.norm(a))
     e = int(np.frexp(big)[1])
-    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 def _first_order(problem, point):
@@ -379,25 +380,16 @@ def _from_views(dims, views, sign=1.0):
     return problem
 
 
-def _log2_column_norm(a) -> float:
-    """``log2`` of the largest column norm of ``a`` (``-inf`` for zero),
-    without overflow (see :func:`_exponent`)."""
-    e = _exponent(a)
-    big = float(np.max(np.linalg.norm(np.ldexp(a, -e), axis=0)))
-    return math.log2(big) + e if big > 0.0 else -math.inf
-
-
 def _check_view_pairs(views):
     """Raise ValidationError, as the constructor would, for the first pair
     ``A_i^T A_j`` with a non-finite entry, without storing any pair.
 
-    By Cauchy-Schwarz ``|(A_i^T A_j)_kl| <= ||a_ik|| ||a_jl||`` for the
-    columns, and a dot product computed in floating point exceeds that
-    bound by a relative ``n eps`` at most; so a pair can overflow only
-    where the bound from the largest column norms reaches ``2^1023``, and
-    only such a pair is formed, then dropped.
+    By Cauchy-Schwarz ``|(A_i^T A_j)_kl| <= ||A_i||_F ||A_j||_F``, and a
+    dot product computed in floating point exceeds that bound by a
+    relative ``n eps`` at most; so a pair can overflow only where the
+    bound reaches ``2^1023``, and only such a pair is formed, then dropped.
     """
-    logs = [_log2_column_norm(a) for a in views]
+    logs = [math.log2(x) if x > 0.0 else -math.inf for x in map(_norm, views)]
     for i, j in itertools.combinations(range(len(views)), 2):
         if logs[i] + logs[j] >= 1023.0 and not np.all(np.isfinite(views[i].T @ views[j])):
             raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")

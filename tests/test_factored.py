@@ -261,11 +261,13 @@ def test_racing_first_reads_publish_one_mapping():
 
 class TestOverflowAtBuild:
     # D = 6: views of n = 1 row take the factored backend, of n = 3 the dense one.
+    # At 1.5e308 the views' own norms are beyond the largest float.
+    @pytest.mark.parametrize("entry", (1e160, 1.5e308))
     @pytest.mark.parametrize("n", (1, 3))
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_pair_is_rejected_on_both_backends(self, n):
+    def test_overflowing_pair_is_rejected_on_both_backends(self, n, entry):
         with pytest.raises(ValidationError, match=r"coupling \(0,1\) contains non-finite"):
-            build_maxdiff(ViewData((np.full((n, 3), 1e160),) * 2), 1)
+            build_maxdiff(ViewData((np.full((n, 3), entry),) * 2), 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_names_the_first_overflowing_pair(self):
@@ -286,7 +288,7 @@ class TestOverflowAtBuild:
             assert np.all(np.isfinite(prob.sblocks[(0, 1)]))
 
     def test_only_pairs_near_overflow_are_formed(self, monkeypatch):
-        # Columns of norm sqrt(5) 5e153 bound the pair (1, 2) by 1.25e308,
+        # Views of norm sqrt(30) 5e153 bound the pair (1, 2) by 7.5e308,
         # above 2^1023; every other bound is far below it.
         formed = []
 
@@ -338,6 +340,37 @@ class TestScaleFromViews:
         assert apart._factor is not None and big._factor is not None
         hi = _scale(apart, lams[:2])[1]
         assert hi == pytest.approx(np.linalg.norm(assemble_stilde(apart)), rel=1e-13)
+
+    @pytest.mark.parametrize("angle", (math.pi / 4, 0.3, 1.1, None))
+    @pytest.mark.parametrize("tilt", (1e-10, 1e-8, 1e-6))
+    def test_nearly_orthogonal_views_match_the_dense_twin(self, angle, tilt):
+        # The views' column spaces in R^n are orthogonal up to tilt, so
+        # ||A_0^T A_1||_F is of order tilt while <K_0, K_1> rounds at 1e-16
+        # of ||K_0||_F ||K_1||_F: hi from that Gram alone came out 0 or
+        # off by up to 1e7 relative.  The rotation q gives the Grams
+        # entries of both signs; a random 4 x 4 one where angle is None.
+        if angle is None:
+            rng = np.random.default_rng(0)
+            q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            base = [np.vstack([rng.standard_normal((2, 6)), np.zeros((2, 6))]),
+                    np.vstack([tilt * rng.standard_normal((2, 6)), rng.standard_normal((2, 6))])]
+        else:
+            q = np.array([[math.cos(angle), -math.sin(angle)],
+                          [math.sin(angle), math.cos(angle)]])
+            base = [np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+                    np.array([[tilt, -tilt, 2 * tilt], [1.0, 1.0, 1.0]])]
+        views = [q @ b for b in base]
+        prob = views_problem("maxdiff", views, 1)
+        dense = fresh_copy(views_problem("maxdiff", views, 1))
+        assert prob._factor is not None
+        want_hi = np.linalg.norm(assemble_stilde(dense))
+        for point in (random_point(np.random.default_rng(0), prob),
+                      solve(dense, SolverConfig(init="spectral")).solution):
+            lams = lagrange_multipliers(prob, point)
+            assert _scale(prob, lams)[1] == pytest.approx(want_hi, rel=1e-13)
+            got, want = certify(prob, point), certify(dense, point)
+            assert got.verdict is want.verdict
+            assert got.tol_tau == pytest.approx(want.tol_tau, rel=1e-12)
 
     @_PROPERTY
     @given(view_instances(), st.booleans(), st.integers(0, 2**32 - 1))
