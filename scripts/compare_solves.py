@@ -62,7 +62,11 @@ to agree within ``TRACE_REL`` of their scales, ``hi = ||S-tilde||_F`` and
 ``(m r / 2) hi``, which checks ``hi`` from the views' Grams against the
 stored pairs; both also read ``100 r_stat``, which each twin measures at
 its own solution, so they agree to that scale, not to their own size
-(lines ``backends/…``).
+(lines ``backends/…``).  For couplings ``+A_i^T A_j`` it runs the PSD test
+of ``certify`` through the views (``_psd_by_schur``) at the factored run's
+solution, at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi``, and requires the
+answers of a Cholesky factorization of the assembled ``L*`` (field
+``psd``); an answer left open by the views' route counts as a mismatch.
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
@@ -254,6 +258,8 @@ def backends() -> list[tuple[str, str]]:
             print(f"backends/{label}: {what} difference {rel:.3e} relative to its scale")
             if rel > TRACE_REL:
                 found.append((what, f"backends/{label}: {what} differs by {rel:.3e} (rel)"))
+        if problem._factor[1] > 0:
+            found += _psd_check(label, problem, got.solution, got_cert)
         a, b = np.array(got.objective_trace), np.array(want.objective_trace)
         rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) if a.shape == b.shape else np.inf
         f, g = (objective(p, got.solution) for p in (problem, dense))
@@ -267,6 +273,26 @@ def backends() -> list[tuple[str, str]]:
             found.append(("objective",
                           f"backends/{label}: objective differs by {obj_rel:.3e} (rel)"))
     return found
+
+
+def _psd_check(label, problem, point, cert) -> list[tuple[str, str]]:
+    """Compare the Schur route of ``certify``'s PSD test with a Cholesky of the
+    assembled L* at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi``; an answer
+    that differs, or none from the route, is a mismatch."""
+    from otsm.certificate import _certificate_from, _psd_by_schur, _psd_within, _scale
+    from otsm.core import assemble_stilde
+
+    lams, taus = list(cert.lambdas), cert.taus
+    hi = _scale(problem, lams)[1]
+    tols = (cert.tol_psd, -cert.lmin_full - 1e-6 * hi, -cert.lmin_full + 1e-6 * hi)
+    got = [_psd_by_schur(problem._factor[0], point, lams, taus, t) for t in tols]
+    want = [_psd_within(_certificate_from(assemble_stilde(problem), point, lams, taus), t)
+            for t in tols]
+    print(f"backends/{label}: PSD test at tol_psd and -lmin_full -+ 1e-6 hi: "
+          f"Schur route {got}, Cholesky of L* {want}")
+    if got != want:
+        return [("psd", f"backends/{label}: Schur route {got} != Cholesky of L* {want}")]
+    return []
 
 
 def _run(src, *args):

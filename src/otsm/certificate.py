@@ -204,33 +204,76 @@ def _psd_within(matrix, tol) -> bool:
     return True
 
 
-def _psd_by_schur(views, point, lams, taus, tol) -> bool:
-    """Whether ``L* + tol I`` is positive definite for couplings ``A_i^T A_j``.
+def _psd_by_schur(views, point, lams, taus, tol) -> bool | None:
+    """Whether ``L* + tol I`` is positive definite for couplings ``A_i^T A_j``,
+    or None where rounding leaves that open.
 
-    With the views ``A_i`` and ``A = [A_1 ... A_m]``, ``L* + tol I = B - A^T A``
-    for the block diagonal ``B_i = Lambda_i + A_i^T A_i + tol I``.  With
-    ``B_i = C_i C_i^T`` and ``W_i = C_i^{-1} A_i^T``, it is positive definite
-    exactly when every ``B_i`` and the Schur complement ``I_n - sum_i W_i^T
-    W_i`` are.  A failed ``B_i`` settles it alone: ``B_i`` dominates
-    ``Lambda_i + tol I``, a diagonal block of ``L* + tol I``.
+    With the views ``A_i`` (n x d_i) and ``A = [A_1 ... A_m]``, ``L* + tol I
+    = B - A^T A`` for the block diagonal ``B_i = Lambda_i + A_i^T A_i + tol
+    I = c_i I + V_i V_i^T``, where ``c_i = tau_i + tol``, ``V_i = [O_i F_i,
+    A_i^T]`` and ``F_i F_i^T = sym(L_i) - tau_i I``, PSD.  It is positive
+    definite exactly when every ``B_i`` and the ``n x n`` Schur complement
+    ``I_n - sum_i A_i B_i^{-1} A_i^T`` are.  ``c_i <= 0`` settles it alone:
+    then ``Lambda_i + tol I``, a diagonal block of ``L* + tol I``, has the
+    eigenvalue ``c_i``; otherwise ``B_i`` is positive definite.
+
+    Where ``d_i <= n + r`` the term is ``W_i^T W_i`` for ``B_i = C_i C_i^T``
+    and ``W_i = C_i^{-1} A_i^T``.  Otherwise it is ``I_n - c_i
+    [K_i^{-1}]_nn`` for ``K_i = c_i I + V_i^T V_i``, of side ``n + r``:
+    ``T^{-T} T^{-1}`` for the trailing ``n x n`` block ``T`` of the Cholesky
+    factor of ``K_i``, with ``F_i`` from an ``r x r`` ``eigh``; that is
+    ``d_i (n + r)^2`` work in place of ``d_i^3``.  To first order each term
+    is off by at most ``(d_i + 2 k^2) eps tr(M) / c_i`` for the ``k x k``
+    matrix ``M`` factorized (``||M^{-1}|| <= 1 / c_i``), the Schur
+    complement's own factorization by ``2 n^2 m eps``.  The sum of these,
+    ``err``, is far below the complement's smallest eigenvalue unless
+    ``c_i`` is small against ``||A_i||^2``: the ``K_i`` form then loses
+    most where ``A_i`` is rank deficient, and either form where ``c_i``
+    nears ``eps ||A_i||^2``.  The answer is the complement's factorization
+    shifted by ``-err`` and by ``+err`` where the two agree, and None where
+    they do not or a ``B_i`` or ``K_i`` has no Cholesky factor.
     """
-    schur = np.eye(views[0].shape[0])
+    n, eps = views[0].shape[0], np.finfo(float).eps
+    schur, err = np.eye(n), 2 * n * n * len(views) * eps
     for a, o, lam, tau in zip(views, point.blocks, lams, taus):
-        b = _multiplier_block(o, lam, tau) + a.T @ a
-        b.flat[:: b.shape[0] + 1] += tol
-        try:
-            w = np.linalg.solve(np.linalg.cholesky(b), a.T)
-        except np.linalg.LinAlgError:
+        d, r = o.shape
+        c = tau + tol
+        if not c > 0.0:
             return False
-        schur -= w.T @ w
-    return _psd_within(schur, 0.0)
+        if d <= n + r:
+            mat = _multiplier_block(o, lam, tau) + a.T @ a
+            mat.flat[:: d + 1] += tol
+        else:
+            vals, vecs = np.linalg.eigh((lam + lam.T) / 2.0)
+            v = np.concatenate((o @ (vecs * np.sqrt(np.maximum(vals - tau, 0.0))), a.T), axis=1)
+            mat = v.T @ v
+            mat.flat[:: n + r + 1] += c
+        err += (d + 2 * len(mat) ** 2) * eps * np.trace(mat) / c
+        try:
+            low = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return None
+        if d <= n + r:
+            w = np.linalg.solve(low, a.T)
+            schur -= w.T @ w
+        else:
+            inv = np.linalg.inv(low[r:, r:])
+            schur += c * (inv.T @ inv)
+            schur.flat[:: n + 1] -= 1.0
+    if _psd_within(schur, -err):
+        return True
+    if not _psd_within(schur, 2.0 * err):  # shifted by +err in all
+        return False
+    return None
 
 
 def _psd(problem, point, lams, taus, tol) -> bool:
-    """:func:`_psd_within` for L*, or :func:`_psd_by_schur` where it applies."""
+    """:func:`_psd_by_schur` where it applies and decides, else :func:`_psd_within` for L*."""
     factor = problem._factor
     if factor is not None and factor[1] > 0:
-        return _psd_by_schur(factor[0], point, lams, taus, tol)
+        verdict = _psd_by_schur(factor[0], point, lams, taus, tol)
+        if verdict is not None:
+            return verdict
     return _psd_within(_certificate_from(assemble_stilde(problem), point, lams, taus), tol)
 
 
@@ -356,9 +399,12 @@ def certify(problem, point) -> CertificateReport:
     not be trusted, see :func:`_view_pair_norms`).
     Only when the PSD test runs is ``stilde`` assembled and turned into
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
-    the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
-    per block and one of an ``n x n`` Schur complement, with no D x D
-    array (see :func:`_psd_by_schur`).  ``gap_bound`` costs nothing more.
+    the factored backend with couplings ``+A_i^T A_j`` it is ``d_i (n +
+    r)^2`` work per block of ``d_i > n + r`` (a Cholesky factorization of
+    side ``n + r``), one ``d_i x d_i`` Cholesky factorization per narrower
+    block and one or two of an ``n x n`` Schur complement, with no D x D array,
+    unless rounding leaves that test open (see :func:`_psd_by_schur`).
+    ``gap_bound`` costs nothing more.
     ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
     when first read.
     """

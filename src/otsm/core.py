@@ -182,9 +182,7 @@ class OtsmProblem:
         on a problem that keeps its views, formed on first read and kept."""
         pairs = self._sblocks
         if pairs is None:
-            formed = dict(_pairs(self))
-            for s in formed.values():
-                s.flags.writeable = False
+            formed = _view_pairs(*self._factor)
             with _MEMO_LOCK:
                 if self._sblocks is None:
                     self._sblocks = MappingProxyType(formed)
@@ -368,16 +366,33 @@ def _from_views(dims, views, sign=1.0):
     the views with the sign as its ``_factor`` and stores no pair; like
     the constructor, it raises ValidationError for a pair with a
     non-finite entry (see :func:`_check_view_pairs`).  Otherwise it stores
-    the pairs and keeps no views.
+    the pairs, each formed once and not copied (see :func:`_view_pairs`),
+    and keeps no views.
     """
-    if not _factored(views[0].shape[0], dims.total_dim):
-        pairs = itertools.combinations(range(len(views)), 2)
-        return OtsmProblem(dims, {(i, j): sign * (views[i].T @ views[j]) for i, j in pairs})
-    _check_view_pairs(views)
     problem = OtsmProblem(dims, {})
+    if not _factored(views[0].shape[0], dims.total_dim):
+        problem._sblocks = MappingProxyType(_view_pairs(views, sign))
+        return problem
+    _check_view_pairs(views)
     problem._sblocks = None
     problem._factor = (tuple(views), float(sign))
     return problem
+
+
+def _view_pairs(views, sign):
+    """The pairs ``(i, j) -> sign A_i^T A_j``, ``i < j``, each formed once and
+    made read-only, not copied; ValidationError, as from the constructor,
+    for the first pair with a non-finite entry."""
+    pairs = {}
+    for i, j in itertools.combinations(range(len(views)), 2):
+        s = views[i].T @ views[j]
+        if sign != 1.0:
+            np.multiply(s, sign, out=s)
+        if not np.all(np.isfinite(s)):
+            raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")
+        s.flags.writeable = False
+        pairs[(i, j)] = s
+    return pairs
 
 
 def _check_view_pairs(views):

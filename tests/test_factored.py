@@ -2,8 +2,11 @@
 
 A problem built from views ``A_i`` (n x d_i) with ``D >= 3 n`` keeps them
 and never forms S-tilde: the sweep reads ``G_i = s A_i^T (U - A_i O_i)``
-and, for ``s = +1``, the certificate tests an n x n Schur complement.  Its
-dense twin is the same couplings without the views (``fresh_copy``).
+and, for ``s = +1``, the certificate tests an n x n Schur complement,
+whose term for a block with ``d_i > n + r`` comes from a Cholesky
+factorization of side ``n + r`` and for a narrower one from the ``d_i x
+d_i`` block itself.  Its dense twin is the same couplings without the
+views (``fresh_copy``).
 """
 
 import math
@@ -21,7 +24,9 @@ import otsm.solver
 from conftest import fresh_copy, random_point, random_problem
 from otsm.builders import OlsData, ViewData, build_maxdiff, build_ols, synth_procrustes
 from otsm.certificate import (
+    Verdict,
     _certificate_from,
+    _psd,
     _psd_by_schur,
     _psd_within,
     _scale,
@@ -70,6 +75,32 @@ def view_instances(draw, kinds=("maxdiff", "ols"), scaled=True):
     return kind, views, r
 
 
+@st.composite
+def tall_view_instances(draw):
+    """``(views, r)`` of a factored ``build_maxdiff`` problem with some
+    widths above ``n + r``, ``n + r + 1`` among them, and some at or below
+    it; views of order ``10^k``, ``|k| <= 3``, some nearly rank deficient."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    edge, narrow = n + r + 1, st.integers(r, n + r)
+    tall = st.one_of(st.just(edge), st.integers(edge + 1, edge + 10))
+    widths = [draw(tall)] + draw(st.lists(st.one_of(tall, narrow), min_size=1, max_size=4))
+    while sum(widths) < 3 * n:
+        widths.append(draw(tall))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    tilt = draw(st.sampled_from((1.0, 1e-6, 1e-10)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    views = []
+    for w in widths:
+        # Rows of a random half of the coordinates in the basis q shrunk by
+        # tilt: views of those coordinates alone couple weakly, by tilt.
+        a = rng.standard_normal((n, w))
+        a[rng.random(n) < 0.5] *= tilt
+        views.append(scale * (q @ a))
+    return views, r
+
+
 class TestAgainstDense:
     @_PROPERTY
     @given(view_instances(scaled=False), st.sampled_from(("identity", "spectral", "random")),
@@ -108,11 +139,39 @@ class TestAgainstDense:
             if abs(report.lmin_full + tol) <= 1e-8 * hi:
                 continue
             full = _certificate_from(assemble_stilde(prob), point, list(lams), taus)
-            views = prob._factor[0]
-            assert _psd_by_schur(views, point, lams, taus, tol) == _psd_within(full, tol)
+            want = _psd_within(full, tol)
+            assert _psd_by_schur(prob._factor[0], point, lams, taus, tol) in (want, None)
+            assert _psd(prob, point, lams, taus, tol) == want
         dense = certify(fresh_copy(prob), point)
         if abs(report.lmin_full + report.tol_psd) > 1e-8 * hi:
             assert report.verdict is dense.verdict
+
+    @_PROPERTY
+    @given(tall_view_instances(), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from((-1e-3, -1e-12, 0.0, 1e-12, 1e-3)), st.floats(-0.5, 0.5))
+    def test_tall_view_verdict_is_the_dense_verdict(self, instance, solved, seed, near, shift):
+        # Shifts t with c_k = tau_k + t below, near and above 0 for one block k
+        # with d_k > n + r, at -lambda_min(L*) + shift hi, and certify's own.
+        views, r = instance
+        prob = views_problem("maxdiff", views, r)
+        assert prob._factor is not None
+        rng = np.random.default_rng(seed)
+        if solved:
+            point = solve(prob, SolverConfig(init="spectral", max_iter=200)).solution
+        else:
+            point = random_point(rng, prob)
+        report = certify(prob, point)
+        lams, taus, lmin = report.lambdas, report.taus, report.lmin_full
+        hi = _scale(prob, lams)[1]
+        n = views[0].shape[0]
+        k = rng.choice([i for i, a in enumerate(views) if a.shape[1] > n + r])
+        for tol in (report.tol_psd, -lmin + shift * hi, -taus[k] + near * hi):
+            if abs(lmin + tol) <= 1e-8 * hi:
+                continue
+            full = _certificate_from(assemble_stilde(prob), point, list(lams), taus)
+            want = _psd_within(full, tol)
+            assert _psd_by_schur(views, point, lams, taus, tol) in (want, None)
+            assert _psd(prob, point, lams, taus, tol) == want
 
     @_PROPERTY
     @given(view_instances(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1000.0)))
@@ -211,6 +270,61 @@ def test_view_problem_solve_and_certify_hold_less_than_its_pairs():
         tracemalloc.stop()
     assert peak < 45 * 8 * 200 * 200
     assert prob._sblocks is None
+
+
+def record_factorizations(monkeypatch):
+    """Record ``(name, largest side)`` of each cholesky, solve and inv call."""
+    calls = []
+    for name in ("cholesky", "solve", "inv"):
+        def call(*args, fn=getattr(np.linalg, name), name=name):
+            calls.append((name, max(max(a.shape) for a in args)))
+            return fn(*args)
+
+        monkeypatch.setattr(np.linalg, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certify_factorizes_nothing_wider_than_n_plus_r(monkeypatch, seed):
+    # d = 200 > n + r = 33: each block's term comes from K_i, of side n + r.
+    prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, seed)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    monkeypatch.setattr(otsm.core, "_stack_stilde", None)  # never called
+    calls = record_factorizations(monkeypatch)
+    assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
+    assert max(side for _, side in calls) <= 33
+    assert {name for name, _ in calls} == {"cholesky", "inv"}
+
+
+def test_narrow_views_keep_the_dense_block_term(monkeypatch):
+    # d = 12 <= n + r = 13: each B_i, 12 x 12, is factorized as it stands.
+    prob, _ = synth_procrustes(5, 10, 12, 3, 1.0, 0)
+    assert prob._factor is not None
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    monkeypatch.setattr(otsm.core, "_stack_stilde", None)  # never called
+    calls = record_factorizations(monkeypatch)
+    assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
+    assert calls.count(("cholesky", 12)) == calls.count(("solve", 12)) == 5
+    assert ("inv", 10) not in calls
+
+
+def test_dense_view_build_forms_each_pair_once():
+    # D = 800 < 3 n: the pairs are stored, each formed once and not copied.
+    views = [np.random.default_rng(k).standard_normal((300, 200)) for k in range(4)]
+    data, ols = ViewData(tuple(views)), OlsData(views[-1], tuple(views[:-1]))
+    pair = 8 * 200 * 200
+    for sign, build in ((1.0, lambda: build_maxdiff(data, 3)), (-1.0, lambda: build_ols(ols)[0])):
+        tracemalloc.start()
+        try:
+            prob = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob._factor is None
+        assert peak <= 7 * pair  # the 6 pairs and one more
+        for (i, j), s in prob.sblocks.items():
+            assert np.array_equal(s, sign * (views[i].T @ views[j]))
+            assert not s.flags.writeable
 
 
 def test_pairs_formed_on_first_read_match_eager_ones(tmp_path):
@@ -371,6 +485,20 @@ class TestScaleFromViews:
             got, want = certify(prob, point), certify(dense, point)
             assert got.verdict is want.verdict
             assert got.tol_tau == pytest.approx(want.tol_tau, rel=1e-12)
+
+    def test_views_far_apart_in_scale_match_the_dense_twin(self):
+        # c_i = tau_i + tol_psd, about 1e-6 of the couplings' 1e-10, is
+        # below eps ||A_1||^2: the factorization of B_1 failed though B_1
+        # is positive definite, and 4 of these 20 points were INCONCLUSIVE
+        # where L* + tol_psd I has a Cholesky factor.  Rounding now leaves
+        # the Schur route open there, and L* decides.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            views = [1e-10 * rng.standard_normal((1, 9)), rng.standard_normal((1, 5))]
+            prob = views_problem("maxdiff", views, 2)
+            dense = fresh_copy(views_problem("maxdiff", views, 2))
+            point = solve(dense, SolverConfig(init="spectral")).solution
+            assert certify(prob, point).verdict is certify(dense, point).verdict
 
     @_PROPERTY
     @given(view_instances(), st.booleans(), st.integers(0, 2**32 - 1))
