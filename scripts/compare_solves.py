@@ -32,11 +32,14 @@ A run matches when its solution blocks are ``numpy.array_equal``, its
 same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
 are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``,
-``lmin_full``, ``tol_psd``, ``tol_tau`` and ``gap_bound`` and a
-``dual_bound`` within ``1e-13`` relative.  That one reads the largest eigenvalue of the coupling
-matrix, which may come from ``eigh`` in one tree and ``eigvalsh`` in the
-other and then agree only to rounding.  A certificate field that only one
-tree reports is listed as removed or added, not counted as a mismatch.  Where solution
+``lmin_full``, ``tol_psd``, ``tol_tau`` and ``gap_bound``.  Each run also
+saves ``dual_upper_bound(problem)``, read after ``certify``, as
+``dual_bound``, which must agree within ``SPECTRAL_REL = 1e-13`` relative:
+it reads the largest eigenvalue of the coupling matrix, which a tree that
+keeps the eigenvalues of a spectral start's ``eigh`` on the problem takes
+from there, and then agrees with the ``eigvalsh`` of another tree only to
+rounding.  A certificate field that only one tree reports is listed as
+removed or added, not counted as a mismatch.  Where solution
 blocks differ, the line also gives their Frobenius distance after the best
 common orthogonal alignment ``min_Q ||X Q - Y||_F`` of the stacked blocks,
 which is near rounding when the two solves followed the same path up to a
@@ -102,12 +105,10 @@ import numpy as np
 
 TRACE_REL = 1e-12
 SPECTRAL_REL = 1e-13
-#: Certificate fields compared within SPECTRAL_REL; the others must be equal.
+#: Fields compared within SPECTRAL_REL; the others must be equal.
 SPECTRAL_FIELDS = ("dual_bound",)
 #: Certificate fields saved when the tree's report has them.
-CERT_FIELDS = (
-    "verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound"
-) + SPECTRAL_FIELDS
+CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound")
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the
@@ -203,7 +204,7 @@ def _grid_cells():
 def dump(path):
     """Solve and certify the corpus and run the acceptance grid with the otsm on
     sys.path, and save every result."""
-    from otsm.certificate import certify
+    from otsm.certificate import certify, dual_upper_bound
     from otsm.core import stationarity
     from otsm.solver import solve
 
@@ -224,6 +225,7 @@ def dump(path):
                 continue
             value = getattr(cert, field)
             arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
+        arrays[f"{label}|dual_bound"] = np.array(dual_upper_bound(problem))
     for label, fields in _grid_cells():
         for field, value in fields.items():
             arrays[f"{label}|{field}"] = np.array(value)

@@ -38,7 +38,6 @@ from .core import (
     _exponent,
     _first_order,
     _norm,
-    _spectrum,
     assemble_stilde,
     lagrange_multipliers,
 )
@@ -92,8 +91,7 @@ class CertificateReport:
     feasible point for a shift ``t`` with ``L* + t I`` PSD (see
     :func:`certify` for how ``t`` is chosen).  A caller re-judges by
     another rule from ``taus``, ``stationarity`` and ``gap_bound``, with
-    :attr:`lmin_full` computed on demand from the kept problem and point,
-    as is :attr:`dual_bound`.
+    :attr:`lmin_full` computed on demand from the kept problem and point.
     """
 
     lambdas: tuple[np.ndarray, ...]
@@ -117,11 +115,6 @@ class CertificateReport:
         stilde = assemble_stilde(self._problem)
         full = _certificate_from(stilde, self._point, self.lambdas, self.taus)
         return float(np.linalg.eigvalsh(full)[0])
-
-    @cached_property
-    def dual_bound(self) -> float:
-        """:func:`dual_upper_bound` of the problem, computed on first read and kept."""
-        return dual_upper_bound(self._problem)
 
 
 def _taus(lams):
@@ -405,8 +398,7 @@ def certify(problem, point) -> CertificateReport:
     block and one or two of an ``n x n`` Schur complement, with no D x D array,
     unless rounding leaves that test open (see :func:`_psd_by_schur`).
     ``gap_bound`` costs nothing more.
-    ``lmin_full`` (one ``eigvalsh`` of L*) and ``dual_bound`` are computed
-    when first read.
+    ``lmin_full`` (one ``eigvalsh`` of L*) is computed when first read.
     """
     lams, stat = _first_order(problem, point)
     taus = _taus(lams)
@@ -448,10 +440,8 @@ def dual_upper_bound(problem) -> float:
     is involved.  Valid for every feasible point, whether or not the
     problem has been solved.
 
-    ``lambda_max`` comes from the spectrum memoized on the problem (see
-    :func:`otsm.core._spectrum`): one ``eigvalsh(stilde)`` where it holds no
-    eigenvalues yet, none after a spectral start below D = 1000, whose
-    ``eigh`` eigenvalues agree with ``eigvalsh`` only to rounding.
+    Each call runs one ``eigvalsh`` of the assembled ``stilde`` and keeps
+    nothing, so the value does not depend on what ran on the problem before.
     """
     dims = problem.dims
-    return 0.5 * dims.m * dims.r * float(_spectrum(problem)[1][-1])
+    return 0.5 * dims.m * dims.r * float(np.linalg.eigvalsh(assemble_stilde(problem))[-1])

@@ -130,10 +130,10 @@ class OtsmProblem:
     Only the upper-triangular couplings ``S_ij`` with ``i < j`` are stored;
     ``S_ji`` is always ``S_ij^T`` by construction and pairs that are absent
     from the map are implicit zero matrices.  The coupling data is immutable
-    after construction and instances are safe to share.  The spectrum of the
-    assembled coupling matrix is memoized on the instance by the first call
-    that needs it (see :func:`otsm.solver.init_spectral` and
-    :func:`otsm.certificate.dual_upper_bound`).  The view builders may keep
+    after construction and instances are safe to share.  The top-r
+    eigenvectors of the assembled coupling matrix are memoized on the
+    instance by its first spectral start (see
+    :func:`otsm.solver.init_spectral`).  The view builders may keep
     the views privately, as a factor of the couplings for the solver and
     the certificate (see :func:`_from_views`); this constructor keeps none.
     A problem that keeps its views stores no pairs: :attr:`sblocks` forms
@@ -502,7 +502,7 @@ class _Coupling:
             setattr(self, name, arr[: len(keep)])
 
 
-#: Guards the first store of a problem's pairs and of its spectrum.
+#: Guards the first store of a problem's pairs and of its start vectors.
 _MEMO_LOCK = threading.Lock()
 
 #: From this D on a spectral start comes from :func:`_krylov`.  Measured on
@@ -571,50 +571,35 @@ def _krylov(product, d, r):
         w = product(block)
 
 
-def _spectrum(problem, vectors=False, op=None, k=0):
-    """The memoized spectrum of the assembled coupling matrix.
+def _spectrum(problem, op=None, k=0):
+    """The memoized ``D x r`` top eigenvectors of the assembled coupling matrix.
 
-    Returns ``(top, eigenvalues)``, each read-only: the ``D x r`` top
-    eigenvectors, largest first, and all eigenvalues, ascending, or
-    ``None`` for either until some call computed it.  A call for
-    ``vectors`` runs ``eigh``, from ``D = _KRYLOV_MIN_DIM`` on
-    :func:`_krylov` first, which gives no eigenvalues; any other call is
-    for the eigenvalues and runs ``eigvalsh``.  Krylov multiplies by a
-    dense problem's ``stilde`` (item ``k`` of the caller's :class:`_Coupling`
-    ``op``, or a fresh assembly), which the decompositions read too, and
-    by a view problem's :func:`_product`, which forms no ``D x D`` array.
-    Stored entries are never replaced, so every later reader sees the same
-    values; missing ones are added by the first call that needs them.  A
-    failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
+    Returns them read-only, largest first, from ``eigh`` below ``D =
+    _KRYLOV_MIN_DIM`` and from :func:`_krylov` from there on (``eigh``
+    where it returns None).  Krylov multiplies by a dense problem's
+    ``stilde`` (item ``k`` of the caller's :class:`_Coupling` ``op``, or a
+    fresh assembly), which ``eigh`` reads too, and by a view problem's
+    :func:`_product`, which forms no ``D x D`` array.  The first stored
+    vectors are never replaced, so every later start sees the same ones.
+    A failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
     nothing.  No ``D x D`` array is kept.
     """
-    memo = problem._spectrum
-    if memo is not None and memo[0 if vectors else 1] is not None:
-        return memo
+    if problem._spectrum is not None:
+        return problem._spectrum
     dims = problem.dims
-    stilde = top = vals = None
+    stilde = top = None
     if problem._factor is None:
         stilde = assemble_stilde(problem) if op is None else op.stilde[k]
-    if vectors and dims.total_dim >= _KRYLOV_MIN_DIM:
+    if dims.total_dim >= _KRYLOV_MIN_DIM:
         product = stilde.__matmul__ if stilde is not None else lambda x: _product(problem, x)
         top = _krylov(product, dims.total_dim, dims.r)
     if top is None:
-        stilde = assemble_stilde(problem) if stilde is None else stilde
-        if vectors:
-            vals, vecs = np.linalg.eigh(stilde)
-            top = vecs[:, ::-1][:, : dims.r].copy()
-        else:
-            vals = np.linalg.eigvalsh(stilde)
+        vecs = np.linalg.eigh(assemble_stilde(problem) if stilde is None else stilde)[1]
+        top = vecs[:, ::-1][:, : dims.r].copy()
+    top.flags.writeable = False
     with _MEMO_LOCK:
-        if problem._spectrum is not None:
-            top, vals = (
-                old if old is not None else new
-                for old, new in zip(problem._spectrum, (top, vals))
-            )
-        for a in (top, vals):
-            if a is not None:
-                a.flags.writeable = False
-        problem._spectrum = (top, vals)
+        if problem._spectrum is None:
+            problem._spectrum = top
         return problem._spectrum
 
 

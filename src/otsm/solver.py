@@ -145,18 +145,16 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     block is polar-projected onto the orthonormal set.  Eigensolver
     failures propagate as ``numpy.linalg.LinAlgError``.
 
-    The eigenvectors come from the spectrum memoized on the problem (see
-    :func:`otsm.core._spectrum`), which the first spectral start fills
-    with one ``eigh`` of ``stilde`` below D = 1000 and from there on with
-    a block Krylov solve (``eigh`` where that does not converge), which
-    forms no D x D array on the factored backend; later
-    starts on the same problem decompose nothing, and below D = 1000
-    neither does :func:`otsm.certificate.dual_upper_bound`.  The Krylov
-    vectors span the same top-r subspace as ``eigh``'s, up to rounding and
-    a common orthogonal factor of the blocks.
+    The eigenvectors are memoized on the problem (see
+    :func:`otsm.core._spectrum`) by its first spectral start: one ``eigh``
+    of ``stilde`` below D = 1000 and from there on a block Krylov solve
+    (``eigh`` where that does not converge), which forms no D x D array on
+    the factored backend; later starts on the same problem decompose
+    nothing.  The Krylov vectors span the same top-r subspace as
+    ``eigh``'s, up to rounding and a common orthogonal factor of the blocks.
     """
     dims = problem.dims
-    top = _spectrum(problem, vectors=True)[0]
+    top = _spectrum(problem)
     off = dims.offsets()
     return BlockOrthogonal(
         [polar_project(top[off[i] : off[i + 1]]) for i in range(dims.m)]
@@ -247,9 +245,9 @@ def _start(problem, init, op, k):
         return init
     if init == "identity":
         return init_identity(problem.dims)
-    # Fill the spectrum memo from the batch's operator, so that
+    # Fill the start-vector memo from the batch's operator, so that
     # init_spectral assembles no second copy.
-    _spectrum(problem, vectors=True, op=op, k=k)
+    _spectrum(problem, op=op, k=k)
     return init_spectral(problem)
 
 

@@ -278,7 +278,6 @@ class TestCertifyAgainstReference:
         verdict_first = certify(prob, point)
         assert verdict_first.verdict is report.verdict
         assert verdict_first.lmin_full == report.lmin_full
-        assert report.dual_bound == dual_upper_bound(prob)
         stat = stationarity(prob, point)
         r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
         lo, hi = dense_scale(prob, point)
@@ -486,12 +485,13 @@ def test_cli_certify_of_a_views_file_forms_no_dense_matrix(monkeypatch, tmp_path
 
 
 def test_spectral_pipeline_dense_work(monkeypatch):
-    """Spectral solve, certify and dual bound share one eigh and one assembly each."""
+    """A spectral solve runs one eigh, certify one Cholesky and the dual
+    bound one eigvalsh, each on its own assembly."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     work = count_dense_work(monkeypatch, prob)
-    report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
-    assert dual_upper_bound(prob) == report.dual_bound
-    assert work == Counter(eigh=1, cholesky=1, assemble_stilde=2)
+    certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
+    dual_upper_bound(prob)
+    assert work == Counter(eigh=1, eigvalsh=1, cholesky=1, assemble_stilde=3)
 
 
 class TestKrylovPipeline:
@@ -506,13 +506,10 @@ class TestKrylovPipeline:
 
     def test_no_dense_decomposition(self, monkeypatch, problem):
         work = count_dense_work(monkeypatch, problem)
-        report = certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
+        certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
         assert work == Counter(cholesky=1, assemble_stilde=2)
-        top, eigenvalues = problem._spectrum  # no D x D array is kept
-        assert (top.shape, eigenvalues) == ((1000, 3), None)
-        bound = report.dual_bound
-        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
-        assert (report.dual_bound, dual_upper_bound(problem)) == (bound, bound)
+        assert problem._spectrum.shape == (1000, 3)  # no D x D array is kept
+        dual_upper_bound(problem)
         assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
 
     def test_fresh_certify_runs_one_eigvalsh(self, monkeypatch):
@@ -520,9 +517,9 @@ class TestKrylovPipeline:
         point = solve(fresh_copy(prob), SolverConfig(init="spectral")).solution
         monkeypatch.setattr(otsm.core, "_krylov", None)  # never called
         work = count_dense_work(monkeypatch, prob)
-        report = certify(prob, point)
+        certify(prob, point)
         assert work == Counter(cholesky=1, assemble_stilde=1)
-        assert report.dual_bound == dual_upper_bound(prob)
+        dual_upper_bound(prob)
         assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=2)
 
     def test_falls_back_to_eigh(self, monkeypatch):
@@ -531,18 +528,19 @@ class TestKrylovPipeline:
         work = count_dense_work(monkeypatch, prob)
         start = init_spectral(prob)
         assert work == Counter(eigh=1, assemble_stilde=1)
-        assert prob._spectrum[1].shape == (1000,)
+        assert prob._spectrum.shape == (1000, 3)
         monkeypatch.undo()
         expected = init_spectral(fresh_copy(prob))
         assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
 
-    def test_block_wider_than_the_basis_cap(self):
+    def test_block_wider_than_the_basis_cap(self, monkeypatch):
         # r + 2 = 501 columns against a cap of D/2 = 500: the start uses
         # eigh as below D = 1000.
         rng = np.random.default_rng(2)
         prob = OtsmProblem(BlockDims([500, 500], 499), {(0, 1): rng.standard_normal((500, 500))})
+        work = count_dense_work(monkeypatch, prob)
         report = certify(prob, solve(prob, SolverConfig(init="spectral")).solution)
-        assert prob._spectrum[1].shape == (1000,)
+        assert (work["eigh"], prob._spectrum.shape) == (1, (1000, 499))
         assert report.verdict is Verdict.CERTIFIED_GLOBAL
 
     def test_agrees_with_the_dense_path(self, monkeypatch, problem):
@@ -556,7 +554,6 @@ class TestKrylovPipeline:
         assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
         assert got_cert.verdict is want_cert.verdict
         assert got.objective == pytest.approx(want.objective, rel=1e-12)
-        assert got_cert.dual_bound == pytest.approx(want_cert.dual_bound, rel=1e-13)
         # tol_psd = 1e-6 lo + 100 r_stat, and r_stat is a residual some 1e-5
         # of ||S-tilde||_2 at the solver's tol, so its rounding differs by
         # about 1e-11 relative between two starts that span the same
@@ -565,15 +562,13 @@ class TestKrylovPipeline:
 
     def test_certificate_ignores_the_memo(self, problem):
         point = solve(fresh_copy(problem), SolverConfig(init="spectral")).solution
-        fresh, started, bounded = (fresh_copy(problem) for _ in range(3))
+        fresh, started = fresh_copy(problem), fresh_copy(problem)
         init_spectral(started)
-        dual_upper_bound(bounded)
-        assert started._spectrum[1] is None  # Krylov: vectors only
-        reports = [certify(p, point) for p in (fresh, started, bounded)]
-        for report in reports[1:]:
-            assert (report.verdict, report.tol_psd, report.tol_tau) == (
-                reports[0].verdict, reports[0].tol_psd, reports[0].tol_tau
-            )
+        assert started._spectrum.shape == (1000, 3)
+        cold, warm = certify(fresh, point), certify(started, point)
+        assert (warm.verdict, warm.tol_psd, warm.tol_tau) == (
+            cold.verdict, cold.tol_psd, cold.tol_tau
+        )
 
 
 class TestFactoredPipeline:
@@ -590,7 +585,7 @@ class TestFactoredPipeline:
         report = certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
         assert report.verdict is Verdict.CERTIFIED_GLOBAL
         assert work == Counter()
-        assert report.dual_bound == dual_upper_bound(problem)
+        dual_upper_bound(problem)
         assert work == Counter(eigvalsh=1, assemble_stilde=1)
 
     def test_fresh_certify_forms_nothing(self, monkeypatch):
@@ -639,20 +634,18 @@ class TestSpectrumMemo:
         prob, point = instance
         fresh, bound_first, warm = (fresh_copy(prob) for _ in range(3))
         cold = certify(fresh, point)
-        assert cold.dual_bound == dual_upper_bound(fresh)
         bound = dual_upper_bound(bound_first)
-        assert certify(bound_first, point).dual_bound == bound
 
         start = init_spectral(warm)
         hot = certify(warm, point)
-        assert hot.dual_bound == dual_upper_bound(warm)
-        # The certificate never reads the memo: equal in every call order.
+        # Neither the certificate nor the bound reads the memo: equal in
+        # every call order.
         for report in (certify(bound_first, point), hot):
             assert report.verdict is cold.verdict
             assert (report.tol_psd, report.tol_tau) == (cold.tol_psd, cold.tol_tau)
         assert hot.taus == cold.taus
         assert hot.lmin_full == cold.lmin_full
-        assert hot.dual_bound == pytest.approx(cold.dual_bound, rel=1e-13)
+        assert dual_upper_bound(warm) == dual_upper_bound(fresh) == bound
         again = init_spectral(warm)
         for a, b in zip(start.blocks, again.blocks):
             assert np.array_equal(a, b)
@@ -676,6 +669,18 @@ class TestSpectrumMemo:
 
 
 class TestDualBound:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [12, 40, 100])
+    def test_same_bound_after_a_spectral_start(self, d, seed):
+        """One eigvalsh of S-tilde per call, whatever ran on the problem
+        before: a spectral start's eigh does not leak into the bound."""
+        prob, _ = synth_procrustes(5, 30, d, 3, 1.0, seed)
+        fresh = fresh_copy(prob)
+        init_spectral(prob)
+        want = 0.5 * prob.dims.m * prob.dims.r * np.linalg.eigvalsh(assemble_stilde(prob))[-1]
+        assert dual_upper_bound(fresh) == dual_upper_bound(prob) == want
+        assert fresh._spectrum is None
+
     def test_hard_example_bound_tight(self, hard_problem):
         assert dual_upper_bound(hard_problem) == pytest.approx(3.0, abs=1e-10)
 
