@@ -14,7 +14,9 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   ``init_spectral``;
 * cli_roundtrip inputs 0-3: ``synth_procrustes(10, 100, 50, 3, 1.0, seed)``
   written with ``save_problem``, read back with ``load_problem`` and solved
-  from the spectral start, as ``otsm solve --init spectral`` does;
+  from the spectral start, as ``otsm solve --init spectral`` does; the
+  sha256 of each file is saved too (field ``file_sha256``), so the bytes
+  ``save_problem`` writes must match as well;
 * the acceptance grid (``d = 5, 10, 20``, ``sigma = 0.1, 10``, 20 reps,
   base seed 0, both starts), whose first six reps are grid_small's problems;
 * the acceptance corpus: ``hard_example(3, 2)`` from both starts, 100
@@ -95,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import hashlib
 import math
 import os
 import subprocess
@@ -116,8 +119,9 @@ GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0
 SPLIT_BUDGET = 3 * 8 * 100 * 100
 
 
-def _corpus():
-    """Yield (label, problem, config) for every solve in the corpus."""
+def _corpus(digests=None):
+    """Yield (label, problem, config) for every solve in the corpus; store the
+    sha256 of each problem file it writes in ``digests``, by label, if given."""
     from otsm import load_problem, save_problem
     from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
     from otsm.core import BlockDims, BlockOrthogonal, OtsmProblem
@@ -132,6 +136,9 @@ def _corpus():
             problem, _ = synth_procrustes(10, 100, 50, 3, 1.0, seed)
             path = os.path.join(tmp, f"problem-{seed}.json")
             save_problem(problem, path)
+            if digests is not None:
+                with open(path, "rb") as f:
+                    digests[f"cli_roundtrip/{seed}"] = hashlib.sha256(f.read()).hexdigest()
             yield f"cli_roundtrip/{seed}", load_problem(path), SolverConfig(init="spectral")
 
     for d in (5, 10, 20):
@@ -209,7 +216,8 @@ def dump(path):
     from otsm.solver import solve
 
     arrays = {}
-    for label, problem, config in _corpus():
+    digests = {}
+    for label, problem, config in _corpus(digests):
         report = solve(problem, config)
         arrays[f"{label}|blocks"] = report.solution.stack()
         arrays[f"{label}|trace"] = np.array(report.objective_trace)
@@ -226,6 +234,8 @@ def dump(path):
             value = getattr(cert, field)
             arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
         arrays[f"{label}|dual_bound"] = np.array(dual_upper_bound(problem))
+    for label, digest in digests.items():
+        arrays[f"{label}|file_sha256"] = np.array(digest)
     for label, fields in _grid_cells():
         for field, value in fields.items():
             arrays[f"{label}|{field}"] = np.array(value)

@@ -8,10 +8,12 @@ A stationary point with symmetrized multipliers ``L_i`` and
 is positive semidefinite (sufficient condition); any ``tau_i < 0`` proves
 the point is NOT globally optimal (necessary condition).  Between the two
 lies an inconclusive region: the certificate is sufficient, not necessary.
-`certify` decides semidefiniteness by one Cholesky factorization of
-``L* + tol_psd I`` and gives ``CERTIFIED_GLOBAL`` only at points that are
-stationary relative to the scale of ``stilde``, by tolerances that scale
-with ``stilde``.  The report lets a caller re-judge by another rule.
+`certify` decides semidefiniteness of ``L* + tol_psd I`` by one Cholesky
+factorization of the assembled matrix, or, where the problem keeps views
+with couplings ``+A_i^T A_j``, through an ``n x n`` Schur complement (see
+:func:`_psd_by_schur`), and gives ``CERTIFIED_GLOBAL`` only at points that
+are stationary relative to the scale of ``stilde``, by tolerances that
+scale with ``stilde``.  The report lets a caller re-judge by another rule.
 
 At any feasible point, stationary or not, ``L* + t I`` PSD proves the gap
 bound ``f* - f <= (m r / 2) t`` by weak duality: ``stilde`` is then below

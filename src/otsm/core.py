@@ -136,8 +136,9 @@ class OtsmProblem:
     :func:`otsm.solver.init_spectral`).  The view builders may keep
     the views privately, as a factor of the couplings for the solver and
     the certificate (see :func:`_from_views`); this constructor keeps none.
-    A problem that keeps its views stores no pairs: :attr:`sblocks` forms
-    them from the views on first read and keeps them.
+    A problem that keeps its views stores no pairs: only a read of
+    :attr:`sblocks` forms them all and keeps them; :meth:`coupling` forms
+    just the pair it returns.
 
     Parameters
     ----------
@@ -182,7 +183,7 @@ class OtsmProblem:
         on a problem that keeps its views, formed on first read and kept."""
         pairs = self._sblocks
         if pairs is None:
-            formed = _view_pairs(*self._factor)
+            formed = dict(_view_pairs(*self._factor))
             with _MEMO_LOCK:
                 if self._sblocks is None:
                     self._sblocks = MappingProxyType(formed)
@@ -192,14 +193,20 @@ class OtsmProblem:
     def coupling(self, i, j):
         """Return the coupling between blocks i and j (integers i != j in 0..m-1).
 
-        Transposes the stored block when ``i > j`` and returns a zero matrix
-        for pairs that were never stored.
+        Transposes ``S_ji`` when ``i > j`` and returns a zero matrix for pairs
+        that were never stored; a problem that keeps its views forms only this
+        pair, bit for bit as :attr:`sblocks` would, and keeps it nowhere.
         """
         if not (_is_int(i) and _is_int(j) and 0 <= min(i, j) and max(i, j) < self.dims.m):
             raise ValidationError(f"block pair ({i!r}, {j!r}) out of range for m={self.dims.m}")
         if i == j:
             raise ValidationError("diagonal couplings are identically zero by construction")
-        block = self.sblocks.get((min(i, j), max(i, j)))
+        lo, hi = min(i, j), max(i, j)
+        if self._sblocks is None:
+            views, sign = self._factor
+            block = next(_view_pairs((views[lo], views[hi]), sign))[1]
+        else:
+            block = self._sblocks.get((lo, hi))
         if block is None:
             return np.zeros((self.dims.dims[i], self.dims.dims[j]))
         return block if i < j else block.T
@@ -319,16 +326,10 @@ def _first_order(problem, point):
 
 
 def _pairs(problem):
-    """Yield ``((i, j), S_ij)`` for the problem's pairs: the stored ones, or,
-    where none are stored, each ``sign A_i^T A_j`` formed from the views
-    and kept by no one but the caller."""
+    """The problem's pairs ``((i, j), S_ij)``: the stored ones, or, where none
+    are stored, those :func:`_view_pairs` forms, kept by no one but the caller."""
     stored = problem._sblocks
-    if stored is not None:
-        yield from stored.items()
-        return
-    views, sign = problem._factor
-    for i, j in itertools.combinations(range(len(views)), 2):
-        yield (i, j), sign * (views[i].T @ views[j])
+    return stored.items() if stored is not None else _view_pairs(*problem._factor)
 
 
 def _stack_stilde(problems) -> np.ndarray:
@@ -358,46 +359,51 @@ def assemble_stilde(problem) -> np.ndarray:
     return _stack_stilde([problem])[0]
 
 
+#: Views ``A_i`` (n x d_i) take the factored backend from ``D = _FACTOR_RATIO
+#: * n`` on: a dense sweep does about ``D r`` work per row of S-tilde, a
+#: factored one about ``3 n r`` in more calls.  Dense/factored ms per cycle
+#: at n = 100 (one BLAS thread): 0.56/0.65 at D = 300, 1.27/0.81 at 1000.
+_FACTOR_RATIO = 3
+
+
 def _from_views(dims, views, sign=1.0):
     """The problem with couplings ``S_ij = sign A_i^T A_j`` for the finite,
     read-only ``n x d_i`` ``views`` and ``sign = +-1``.
 
-    Where they take the factored backend (see :func:`_factored`) it keeps
-    the views with the sign as its ``_factor`` and stores no pair; like
-    the constructor, it raises ValidationError for a pair with a
-    non-finite entry (see :func:`_check_view_pairs`).  Otherwise it stores
-    the pairs, each formed once and not copied (see :func:`_view_pairs`),
-    and keeps no views.
+    This is where the backend is chosen.  Like the constructor, it first
+    raises ValidationError for a pair with a non-finite entry (see
+    :func:`_check_view_pairs`).  From ``D = _FACTOR_RATIO * n`` on it keeps
+    the views with the sign as its ``_factor`` and stores no pair (the
+    factored backend); below that it stores the pairs of
+    :func:`_view_pairs`, not copied, and keeps no views.
     """
-    problem = OtsmProblem(dims, {})
-    if not _factored(views[0].shape[0], dims.total_dim):
-        problem._sblocks = MappingProxyType(_view_pairs(views, sign))
-        return problem
     _check_view_pairs(views)
-    problem._sblocks = None
-    problem._factor = (tuple(views), float(sign))
+    problem = OtsmProblem(dims, {})
+    if _FACTOR_RATIO * views[0].shape[0] > dims.total_dim:
+        problem._sblocks = MappingProxyType(dict(_view_pairs(views, sign)))
+    else:
+        problem._sblocks = None
+        problem._factor = (tuple(views), float(sign))
     return problem
 
 
 def _view_pairs(views, sign):
-    """The pairs ``(i, j) -> sign A_i^T A_j``, ``i < j``, each formed once and
-    made read-only, not copied; ValidationError, as from the constructor,
-    for the first pair with a non-finite entry."""
-    pairs = {}
+    """Yield ``((i, j), sign A_i^T A_j)``, ``i < j``, in order: the one place
+    that forms a pair from views.  Each pair is formed once, the sign applied
+    in place, and made read-only; :func:`_from_views` has checked that none
+    overflows."""
     for i, j in itertools.combinations(range(len(views)), 2):
         s = views[i].T @ views[j]
         if sign != 1.0:
             np.multiply(s, sign, out=s)
-        if not np.all(np.isfinite(s)):
-            raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")
         s.flags.writeable = False
-        pairs[(i, j)] = s
-    return pairs
+        yield (i, j), s
 
 
 def _check_view_pairs(views):
     """Raise ValidationError, as the constructor would, for the first pair
-    ``A_i^T A_j`` with a non-finite entry, without storing any pair.
+    ``A_i^T A_j`` with a non-finite entry, without storing any pair; the
+    one overflow check of a view problem, on either backend.
 
     By Cauchy-Schwarz ``|(A_i^T A_j)_kl| <= ||A_i||_F ||A_j||_F``, and a
     dot product computed in floating point exceeds that bound by a
@@ -408,18 +414,6 @@ def _check_view_pairs(views):
     for i, j in itertools.combinations(range(len(views)), 2):
         if logs[i] + logs[j] >= 1023.0 and not np.all(np.isfinite(views[i].T @ views[j])):
             raise ValidationError(f"coupling ({i},{j}) contains non-finite entries")
-
-
-#: Views ``A_i`` (n x d_i) take the factored backend from ``D = _FACTOR_RATIO
-#: * n`` on: a dense sweep does about ``D r`` work per row of S-tilde, a
-#: factored one about ``3 n r`` in more calls.  Dense/factored ms per cycle
-#: at n = 100 (one BLAS thread): 0.56/0.65 at D = 300, 1.27/0.81 at 1000.
-_FACTOR_RATIO = 3
-
-
-def _factored(rows, total_dim) -> bool:
-    """Whether views of ``rows`` rows and ``D = total_dim`` take the factored backend."""
-    return _FACTOR_RATIO * rows <= total_dim
 
 
 def _product(problem, x):

@@ -267,7 +267,8 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
     instance.  A cell's runs (reps x starts, rep by rep) are swept in
-    batches within a fixed memory budget (see :func:`otsm.solver.solve`);
+    batches within a fixed memory budget, sized from what the problem of a
+    batch's first run stores (see :func:`otsm.solver._runs_per_batch`);
     each solve report and certificate is identical to solving and
     certifying that rep from that start alone.  A start, solve or
     certificate that rejects its data (``ValidationError``) or whose
@@ -279,14 +280,13 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     """
     results = []
     for d in grid.d_values:
-        # synth_procrustes problems keep their views of grid.n rows.
-        per_batch = _runs_per_batch(grid.m * d, grid.n)
         for sigma in grid.sigma_values:
             per_init: dict[str, list[_RepOutcome]] = {
                 init: [None] * grid.reps for init in grid.init_strategies
             }
             runs = _cell_runs(grid, d, sigma)
-            while batch := list(itertools.islice(runs, per_batch)):
+            for first in runs:
+                batch = [first, *itertools.islice(runs, _runs_per_batch(first[2]) - 1)]
                 try:
                     reports = _solve_batch([b[2] for b in batch], [b[3] for b in batch])
                 except (ValidationError, np.linalg.LinAlgError):

@@ -44,6 +44,7 @@ from .core import (
     ValidationError,
     _as_matrix,
     _is_int,
+    _pairs,
 )
 
 __all__ = [
@@ -215,13 +216,14 @@ def load_problem(path) -> OtsmProblem:
 
 
 def save_problem(problem: OtsmProblem, path) -> None:
-    """Write a problem to a file in the explicit-couplings layout."""
+    """Write a problem to a file in the explicit-couplings layout; a problem
+    that keeps its views keeps no pair (see :func:`otsm.core._pairs`)."""
     _write_json(path, {
         "dims": list(problem.dims.dims),
         "r": problem.dims.r,
         "S": [
             {"i": i + 1, "j": j + 1, "data": s.tolist()}
-            for (i, j), s in sorted(problem.sblocks.items())
+            for (i, j), s in sorted(_pairs(problem), key=lambda pair: pair[0])
         ],
     })
 

@@ -29,7 +29,6 @@ from .core import (
     ValidationError,
     _check_match,
     _Coupling,
-    _factored,
     _is_int,
     _is_real,
     _product,
@@ -228,15 +227,16 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     return _solve_batch([problem], [config])[0]
 
 
-def _runs_per_batch(total_dim, rows=None) -> int:
-    """How many runs with ``D = total_dim`` one batch of the sweep takes.
+def _runs_per_batch(problem) -> int:
+    """How many runs like ``problem`` one batch of the sweep takes.
 
     As many as fit ``_BATCH_STILDE_BYTES``, and at least one; a run holds
-    ``8 n D`` bytes on the factored backend (views of ``n = rows`` rows),
-    ``8 D^2`` on the dense one.
+    what its problem stores: ``8 n D`` bytes where it keeps views of ``n``
+    rows, ``8 D^2`` for the assembled S-tilde otherwise.
     """
-    width = rows if rows is not None and _factored(rows, total_dim) else total_dim
-    return max(1, _BATCH_STILDE_BYTES // (8 * width * total_dim))
+    total = problem.dims.total_dim
+    width = total if problem._factor is None else problem._factor[0][0].shape[0]
+    return max(1, _BATCH_STILDE_BYTES // (8 * width * total))
 
 
 def _start(problem, init, op, k):

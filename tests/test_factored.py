@@ -349,6 +349,36 @@ def test_pairs_formed_on_first_read_match_eager_ones(tmp_path):
         assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
 
 
+def test_coupling_forms_only_its_pair():
+    # D = 5000: the 45 pairs of 500 x 500 take 90 MB, one pair 2 MB.
+    prob, _ = synth_procrustes(10, 100, 500, 3, 1.0, 0)
+    tracemalloc.start()
+    try:
+        block = prob.coupling(3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prob._sblocks is None
+    assert peak < 2 * 8 * 500 * 500
+    assert not block.flags.writeable
+    twin, _ = synth_procrustes(10, 100, 500, 3, 1.0, 0)
+    assert np.array_equal(block, twin.sblocks[(1, 3)].T)
+    assert np.array_equal(prob.coupling(1, 3), twin.sblocks[(1, 3)])
+
+
+def test_save_problem_keeps_no_pair(tmp_path):
+    from otsm.formats import save_problem
+
+    prob, _ = synth_procrustes(4, 5, 10, 2, 1.0, 0)
+    save_problem(prob, tmp_path / "views.json")
+    assert prob._factor is not None and prob._sblocks is None
+    # The bytes of the stored pairs, given in any order.
+    pairs = synth_procrustes(4, 5, 10, 2, 1.0, 0)[0].sblocks
+    for order in (pairs.items(), reversed(pairs.items())):
+        save_problem(OtsmProblem(prob.dims, dict(order)), tmp_path / "pairs.json")
+        assert (tmp_path / "views.json").read_bytes() == (tmp_path / "pairs.json").read_bytes()
+
+
 def test_racing_first_reads_publish_one_mapping():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -402,8 +432,10 @@ class TestOverflowAtBuild:
             assert np.all(np.isfinite(prob.sblocks[(0, 1)]))
 
     def test_only_pairs_near_overflow_are_formed(self, monkeypatch):
-        # Views of norm sqrt(30) 5e153 bound the pair (1, 2) by 7.5e308,
-        # above 2^1023; every other bound is far below it.
+        # Views of 5e153 sqrt(5 / n) bound the pair (1, 2) by 7.5e308, above
+        # 2^1023; every other bound is far below it.  D = 24 >= 3 n takes the
+        # factored backend for n = 5, the dense one for n = 20, and both
+        # builds run the one check.
         formed = []
 
         class Tracked(np.ndarray):
@@ -411,15 +443,18 @@ class TestOverflowAtBuild:
                 formed.append(self.shape)
                 return np.asarray(self) @ np.asarray(other)
 
-        views = [np.random.default_rng(k).standard_normal((5, 6)) for k in range(4)]
-        views[1] = views[2] = np.full((5, 6), 5e153)
         check = otsm.core._check_view_pairs
         monkeypatch.setattr(
             otsm.core, "_check_view_pairs", lambda vs: check([a.view(Tracked) for a in vs])
         )
-        prob = build_maxdiff(ViewData(tuple(views)), 2)
-        assert formed == [(6, 5)]
-        assert np.all(np.isfinite(prob.sblocks[(1, 2)]))
+        for n, factored in ((5, True), (20, False)):
+            views = [np.random.default_rng(k).standard_normal((n, 6)) for k in range(4)]
+            views[1] = views[2] = np.full((n, 6), 5e153 * math.sqrt(5 / n))
+            formed.clear()
+            prob = build_maxdiff(ViewData(tuple(views)), 2)
+            assert (prob._factor is not None) is factored
+            assert formed == [(6, n)]
+            assert np.all(np.isfinite(prob.sblocks[(1, 2)]))
 
 
 class TestScaleFromViews:
@@ -559,11 +594,21 @@ class TestBatches:
             for a, b in zip(got.solution.blocks, want.solution.blocks):
                 assert np.array_equal(a, b)
 
-    def test_budget_counts_the_views(self):
-        # 8 n D bytes per factored run against 8 D^2 per dense one.
+    def test_budget_counts_the_views(self, tmp_path):
+        # 8 n D bytes per run of a problem that keeps its views, 8 D^2 per
+        # run of one that stores its pairs: below D = 3 n, or saved and
+        # loaded again.
+        from otsm.formats import load_problem, save_problem
+
         budget = otsm.solver._BATCH_STILDE_BYTES
-        assert _runs_per_batch(40, 10) == budget // (8 * 10 * 40)
-        assert _runs_per_batch(40) == _runs_per_batch(40, 14) == budget // (8 * 40 * 40)
+        factored = synth_procrustes(4, 10, 10, 2, 1.0, 0)[0]
+        dense = synth_procrustes(4, 14, 10, 2, 1.0, 0)[0]
+        assert _runs_per_batch(factored) == budget // (8 * 10 * 40)
+        assert dense._factor is None and _runs_per_batch(dense) == budget // (8 * 40 * 40)
+        for k, prob in enumerate((factored, dense)):
+            save_problem(prob, tmp_path / f"{k}.json")
+            loaded = load_problem(tmp_path / f"{k}.json")
+            assert _runs_per_batch(loaded) == budget // (8 * 40 * 40)
 
     def test_saved_problem_runs_dense(self, tmp_path):
         from otsm.formats import load_problem, save_problem
