@@ -75,9 +75,11 @@ answers of a Cholesky factorization of the assembled ``L*`` (field
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
-them another way, or that has no factored backend, the two factored runs
-move by rounding: their lines give the blocks' aligned distance, and their
-traces, multipliers and tolerances differ in the last digits.  Against a
+them another way, whose factored sweep forms or sums ``U = sum_j A_j O_j``
+another way, or that has no factored backend, the two factored runs
+(``align_dense/0`` and ``ols_dense/0``) move by rounding: their lines
+give the blocks' aligned distance, and their traces, multipliers and
+tolerances differ in the last digits.  Against a
 tree whose ``objective`` sums over the stored pairs, not ``sum (X/2) *
 (S-tilde X)``, every trace moves in the last digits, within ``TRACE_REL``,
 and so do the grid cells' ``mean_final_objective`` and

@@ -325,8 +325,10 @@ def _view_pair_norms(views) -> np.ndarray:
     ``n^2 eps`` forms pairs, at ``n d_i d_j`` each.
     """
     m, n = len(views), views[0].shape[0]
-    exps = np.array([_exponent(a) for a in views])
+    exps = [_exponent(a) for a in views]
+    # A Python int exponent: a NumPy integer takes ldexp's slow path.
     scaled = [np.ldexp(a, -e) for a, e in zip(views, exps)]
+    exps = np.array(exps)
     step = max(1, sum(a.shape[1] for a in views) // m)
     flat = np.empty((m, step * n))
     gram = np.zeros((m, m))

@@ -361,8 +361,11 @@ def assemble_stilde(problem) -> np.ndarray:
 
 #: Views ``A_i`` (n x d_i) take the factored backend from ``D = _FACTOR_RATIO
 #: * n`` on: a dense sweep does about ``D r`` work per row of S-tilde, a
-#: factored one about ``3 n r`` in more calls.  Dense/factored ms per cycle
-#: at n = 100 (one BLAS thread): 0.56/0.65 at D = 300, 1.27/0.81 at 1000.
+#: factored one about ``2 n r`` in more calls.  Dense/factored ms per cycle
+#: at n = 100, m = 10, r = 3 (one BLAS thread, 200 cycles): 0.26/0.33 at
+#: D = 300, 0.35/0.36 at 500, 0.80/0.40 at 1000.  Below about ``5 n`` the
+#: factored cycle is slower, by about a quarter, but it needs neither the
+#: pairs' ``n D^2`` build nor the ``8 D^2`` bytes of S-tilde.
 _FACTOR_RATIO = 3
 
 
@@ -419,7 +422,8 @@ def _check_view_pairs(views):
 def _product(problem, x):
     """``S-tilde x`` for a ``D x c`` matrix ``x``, from the problem's own storage:
     the sum over the stored pairs, or for views ``G_i = s A_i^T (U - A_i x_i)``
-    with ``U = sum_j A_j x_j``.  Nothing ``D x D`` is formed."""
+    with ``U = sum_j A_j x_j``, each ``A_j x_j`` formed once.  Nothing ``D x
+    D`` is formed."""
     off = problem.dims.offsets()
     out = np.zeros(x.shape)
     outs, xs = ([a[start:stop] for start, stop in zip(off, off[1:])] for a in (out, x))
@@ -429,9 +433,10 @@ def _product(problem, x):
             outs[j] += s.T @ xs[i]
         return out
     views, sign = problem._factor
-    u = sum(a @ b for a, b in zip(views, xs))
-    for a, b, g in zip(views, xs, outs):
-        g[...] = a.T @ (u - a @ b)
+    ps = [a @ b for a, b in zip(views, xs)]
+    u = sum(ps)
+    for a, p, g in zip(views, ps, outs):
+        g[...] = a.T @ (u - p)
     return sign * out
 
 
@@ -442,7 +447,10 @@ class _Coupling:
     Dense holds the ``(B, D, D)`` stack of assembled matrices; factored
     the views ``A`` (B, n, D) and signs ``s``, with ``S-tilde = s (A^T A -
     blockdiag(A_i^T A_i))``, and, for the iterates ``x`` (B, D, r) of a
-    sweep, ``U = A x`` (B, n, r), which :meth:`update` keeps current.
+    sweep, the block products ``P_j = A_j x_j`` (B, m, n, r) and their sum
+    ``U`` (B, n, r), which :meth:`update` keeps current.  A block update
+    then takes two products with ``A_i``: ``A_i^T W`` with ``W = U - P_i``
+    in :meth:`block` and the new ``P_i`` in :meth:`update`.
     """
 
     def __init__(self, problems):
@@ -452,7 +460,7 @@ class _Coupling:
             raise ValidationError(f"a batch needs one coupling backend, got views of rows {kinds}")
         off = problems[0].dims.offsets()
         self.rows = [slice(off[i], off[i + 1]) for i in range(problems[0].dims.m)]
-        self.stilde = self.a = self.sign = self.x = self.u = None
+        self.stilde = self.a = self.sign = self.x = self.p = self.u = self.w = None
         if factors[0] is None:
             self.stilde = _stack_stilde(problems)
         else:
@@ -465,7 +473,17 @@ class _Coupling:
         """Make ``x``, which :meth:`update` changes in place, the iterates."""
         self.x = x
         if self.a is not None:
-            self.u = np.matmul(self.a, x)
+            self.p = np.empty((len(x), len(self.rows), self.a.shape[1], x.shape[2]))
+            for j, rows in enumerate(self.rows):
+                np.matmul(self.a[:, :, rows], x[:, rows], out=self.p[:, j])
+            self.u, self.w = np.empty(self.p[:, 0].shape), np.empty(self.p[:, 0].shape)
+            self._resum()
+
+    def _resum(self):
+        """``U = sum_j P_j``, added in block order for each item."""
+        np.copyto(self.u, self.p[:, 0])
+        for j in range(1, len(self.rows)):
+            self.u += self.p[:, j]
 
     def block(self, i):
         """``G_i = sum_{j != i} S_ij x_j`` for every item."""
@@ -473,22 +491,33 @@ class _Coupling:
         if self.a is None:
             return np.matmul(self.stilde[:, rows], self.x)
         a = self.a[:, :, rows]
-        g = np.matmul(a.transpose(0, 2, 1), self.u - np.matmul(a, self.x[:, rows]))
+        np.subtract(self.u, self.p[:, i], out=self.w)
+        g = np.matmul(a.transpose(0, 2, 1), self.w)
         return np.multiply(g, self.sign, out=g)
 
     def update(self, i, new):
-        """Set block ``i`` of the iterates to ``new``; return the change."""
+        """Set block ``i`` of the iterates to ``new``; return the change.
+
+        On views this follows :meth:`block` of the same ``i``, and ``U``
+        becomes ``W + A_i new``, except after the last block, where it is
+        summed afresh from the ``P_j``: once per cycle of a sweep, so that
+        rounding does not pile up in ``U`` across cycles.
+        """
         rows = self.rows[i]
         delta = new - self.x[:, rows]
         self.x[:, rows] = new
         if self.a is not None:
-            self.u += np.matmul(self.a[:, :, rows], delta)
+            p = np.matmul(self.a[:, :, rows], new, out=self.p[:, i])
+            if i == len(self.rows) - 1:
+                self._resum()
+            else:
+                np.add(self.w, p, out=self.u)
         return delta
 
     def keep(self, keep):
         """Keep only the items at the ascending indices ``keep``, moved down in
         place (a fancy-indexed copy would briefly hold two stacks)."""
-        for name in ("x",) + (("stilde",) if self.a is None else ("a", "sign", "u")):
+        for name in ("x",) + (("stilde",) if self.a is None else ("a", "sign", "p", "u", "w")):
             arr = getattr(self, name)
             for dst, src in enumerate(keep):
                 if dst != src:

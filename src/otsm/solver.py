@@ -215,10 +215,12 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     raises :class:`ValidationError`.
 
     A problem built from views ``A_i`` with ``D >= 3 n`` (``n`` samples)
-    takes the factored backend: ``G_i = s A_i^T (U - A_i O_i)`` with ``U =
-    sum_j A_j O_j`` updated after each block, about ``3 n r`` work per row
-    against ``D r`` for ``stilde``, and no D x D array; the two backends
-    agree to rounding, not bit for bit.
+    takes the factored backend: ``G_i = s A_i^T (U - P_i)``, with the block
+    products ``P_j = A_j O_j`` kept and ``U = sum_j P_j``.  A block update
+    forms ``G_i`` and its new ``P_i``, two products with ``A_i``, about
+    ``2 n r`` work per row against ``D r`` for ``stilde``, and no D x D
+    array; ``U`` follows each update and is summed afresh from the ``P_j``
+    once per cycle.  The two backends agree to rounding, not bit for bit.
 
     A solve is the batch of one of the sweep that
     :func:`otsm.experiment.run_grid` runs over many same-shape problems at

@@ -63,3 +63,15 @@ def random_point(rng, problem):
 
     dims = problem.dims
     return BlockOrthogonal([random_stiefel(rng, d, dims.r) for d in dims.dims])
+
+
+def assert_same_report(got, want):
+    """Two solve reports are equal bit for bit."""
+    for a, b in zip(got.solution.blocks, want.solution.blocks, strict=True):
+        assert np.array_equal(a, b)
+    assert got.objective_trace == want.objective_trace
+    assert got.mean_change_trace == want.mean_change_trace
+    assert got.change_sq_trace == want.change_sq_trace
+    assert got.iterations == want.iterations
+    assert got.stop_reason is want.stop_reason
+    assert got.stationarity == want.stationarity

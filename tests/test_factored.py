@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import otsm.core
 import otsm.solver
-from conftest import fresh_copy, random_point, random_problem
+from conftest import assert_same_report, fresh_copy, random_point, random_problem
 from otsm.builders import OlsData, ViewData, build_maxdiff, build_ols, synth_procrustes
 from otsm.certificate import (
     Verdict,
@@ -35,13 +35,21 @@ from otsm.certificate import (
 from otsm.core import (
     OtsmProblem,
     ValidationError,
+    _Coupling,
     _product,
     assemble_stilde,
     lagrange_multipliers,
     objective,
     stationarity,
 )
-from otsm.solver import SolverConfig, _runs_per_batch, _solve_batch, solve, step_block
+from otsm.solver import (
+    SolverConfig,
+    _polar_step,
+    _runs_per_batch,
+    _solve_batch,
+    solve,
+    step_block,
+)
 
 _PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -216,6 +224,26 @@ class TestProduct:
         stilde = assemble_stilde(prob)
         err = np.linalg.norm(_product(prob, x) - stilde @ x)
         assert err <= 1e-12 * np.linalg.norm(stilde) * np.linalg.norm(x)
+
+    def test_product_forms_each_view_product_once(self):
+        # U = sum_j A_j X_j and G_i = s A_i^T (U - A_i X_i) share each A_j X_j:
+        # m products with the views and m with their transposes, not 3 m.
+        formed = []
+
+        class Tracked(np.ndarray):
+            def __matmul__(self, other):
+                formed.append(self.shape)
+                return np.asarray(self) @ np.asarray(other)
+
+        rng = np.random.default_rng(0)
+        widths = (6, 7, 8, 9)
+        prob = build_maxdiff(ViewData(tuple(rng.standard_normal((5, w)) for w in widths)), 3)
+        x = rng.standard_normal((sum(widths), 3))
+        want = _product(prob, x)
+        views, sign = prob._factor
+        prob._factor = (tuple(a.view(Tracked) for a in views), sign)
+        assert np.array_equal(_product(prob, x), want)
+        assert sorted(formed) == sorted([(5, w) for w in widths] + [(w, 5) for w in widths])
 
     @_PROPERTY
     @given(coupled_problems(scale=False), st.integers(-990, 990), st.integers(0, 2**32 - 1))
@@ -575,7 +603,72 @@ class TestScaleRetrace:
         assert tuple(f / c for f in report.objective_trace) == base.objective_trace
 
 
+@st.composite
+def factored_batches(draw):
+    """2-6 factored view problems of one shape, each solved with its own
+    settings, as ``batches`` in test_solver.py draws dense ones: a list of
+    ``(kind, views, r)`` and one of configs.  alpha, tol and max_iter vary,
+    so that items leave the batch at different cycles; an item may reuse
+    the previous item's views."""
+    kind, views, r = draw(view_instances())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = float(np.max(np.abs(views[0])))
+    instances, configs = [], []
+    for _ in range(draw(st.integers(2, 6))):
+        if instances and not draw(st.booleans()):
+            views = [scale * rng.standard_normal(a.shape) for a in views]
+        instances.append((kind, views, r))
+        init = draw(st.sampled_from(("identity", "spectral", "custom")))
+        configs.append(
+            SolverConfig(
+                alpha=draw(st.sampled_from((1.0, 1000.0, math.inf))),
+                tol=draw(st.sampled_from((1e-2, 1e-5, 1e-9))),
+                max_iter=draw(st.integers(1, 60)),
+                init=random_point(rng, views_problem(kind, views, r))
+                if init == "custom" else init,
+            )
+        )
+    return instances, configs
+
+
 class TestBatches:
+    @_PROPERTY
+    @given(factored_batches())
+    def test_batch_equals_lone_solves(self, batch):
+        # Items that stop leave the batch, and keep() compacts the block
+        # products P and their sum U with the views.
+        instances, configs = batch
+        problems = [views_problem(*instance) for instance in instances]
+        assert all(prob._factor is not None for prob in problems)
+        reports = _solve_batch(problems, configs)
+        for instance, config, report in zip(instances, configs, reports, strict=True):
+            assert_same_report(report, solve(views_problem(*instance), config))
+
+    def test_block_update_takes_two_view_products(self, monkeypatch):
+        # G_i = s A_i^T (U - P_i), then P_i = A_i O_i^+; after the cycle's
+        # last block U is summed afresh from the P_j, in block order.
+        rng = np.random.default_rng(0)
+        prob = build_maxdiff(ViewData(tuple(rng.standard_normal((5, 6)) for _ in range(4))), 2)
+        op = _Coupling([prob, prob])
+        op.track(np.stack([random_point(rng, prob).stack() for _ in range(2)]))
+        calls = []
+
+        def matmul(a, b, *args, product=np.matmul, **kwargs):
+            calls.append(np.may_share_memory(a, op.a) or np.may_share_memory(b, op.a))
+            return product(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        for i in range(4):
+            op.update(i, _polar_step(op, i, 1e-3)[1])
+        monkeypatch.undo()
+        assert sum(calls) == 2 * 4
+        u = op.p[:, 0].copy()
+        for j, rows in enumerate(op.rows):
+            assert np.array_equal(op.p[:, j], np.matmul(op.a[:, :, rows], op.x[:, rows]))
+            if j:
+                u += op.p[:, j]
+        assert np.array_equal(op.u, u)
+
     def test_mixed_backends_rejected(self):
         prob, _ = synth_procrustes(4, 5, 10, 2, 1.0, 0)
         assert prob._factor is not None

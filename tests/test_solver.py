@@ -8,7 +8,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import I32, J32, fresh_copy, make_hard_problem, random_point, random_problem
+from conftest import (
+    I32,
+    J32,
+    assert_same_report,
+    fresh_copy,
+    make_hard_problem,
+    random_point,
+    random_problem,
+)
 from otsm.builders import hard_example, synth_procrustes
 from otsm.core import (
     BlockDims,
@@ -342,17 +350,6 @@ def batches(draw):
         )
         problems.append(prob)
     return problems, configs
-
-
-def assert_same_report(got, want):
-    for a, b in zip(got.solution.blocks, want.solution.blocks):
-        assert np.array_equal(a, b)
-    assert got.objective_trace == want.objective_trace
-    assert got.mean_change_trace == want.mean_change_trace
-    assert got.change_sq_trace == want.change_sq_trace
-    assert got.iterations == want.iterations
-    assert got.stop_reason is want.stop_reason
-    assert got.stationarity == want.stationarity
 
 
 class TestSolveBatch:
