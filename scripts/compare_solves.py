@@ -31,17 +31,15 @@ benchmark's solve inputs plus the solves of the acceptance tests:
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
-same length and agrees elementwise within ``1e-12 * (1 + |f|)``, the
+same length and agrees elementwise within ``1e-12 * (1 + |f|)``, its
+``mean_change_trace`` (whose last entry decides ``CONVERGED``) and
+``change_sq_trace`` (which feeds the descent audit) are equal, the
 ``grad_residuals`` and ``asymmetries`` of ``stationarity`` at its solution
 are equal, and its certificate has equal ``verdict``, ``lambdas``, ``taus``,
 ``lmin_full``, ``tol_psd``, ``tol_tau`` and ``gap_bound``.  Each run also
 saves ``dual_upper_bound(problem)``, read after ``certify``, as
-``dual_bound``, which must agree within ``SPECTRAL_REL = 1e-13`` relative:
-it reads the largest eigenvalue of the coupling matrix, which a tree that
-keeps the eigenvalues of a spectral start's ``eigh`` on the problem takes
-from there, and then agrees with the ``eigvalsh`` of another tree only to
-rounding.  A certificate field that only one tree reports is listed as
-removed or added, not counted as a mismatch.  Where solution
+``dual_bound``, which must be equal too.  A certificate field that only
+one tree reports is listed as removed or added, not counted as a mismatch.  Where solution
 blocks differ, the line also gives their Frobenius distance after the best
 common orthogonal alignment ``min_Q ||X Q - Y||_F`` of the stacked blocks,
 which is near rounding when the two solves followed the same path up to a
@@ -109,9 +107,6 @@ import tempfile
 import numpy as np
 
 TRACE_REL = 1e-12
-SPECTRAL_REL = 1e-13
-#: Fields compared within SPECTRAL_REL; the others must be equal.
-SPECTRAL_FIELDS = ("dual_bound",)
 #: Certificate fields saved when the tree's report has them.
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound")
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
@@ -223,6 +218,8 @@ def dump(path):
         report = solve(problem, config)
         arrays[f"{label}|blocks"] = report.solution.stack()
         arrays[f"{label}|trace"] = np.array(report.objective_trace)
+        arrays[f"{label}|mean_change_trace"] = np.array(report.mean_change_trace)
+        arrays[f"{label}|change_sq_trace"] = np.array(report.change_sq_trace)
         arrays[f"{label}|iterations"] = np.array(report.iterations)
         arrays[f"{label}|stop"] = np.array(report.stop_reason.value)
         stat = stationarity(problem, report.solution)
@@ -336,7 +333,6 @@ def compare(base, new) -> list[tuple[str, str]]:
         if fields:
             print(f"certificate fields {side}: {', '.join(fields)}")
     worst = 0.0
-    worst_spectral = 0.0
     for key in sorted(set(base.files) & set(new.files)):
         label, what = key.rsplit("|", 1)
         a, b = base[key], new[key]
@@ -348,11 +344,6 @@ def compare(base, new) -> list[tuple[str, str]]:
             worst = max(worst, float(rel.max()))
             if rel.max() > TRACE_REL:
                 found.append((what, f"{label}: trace differs by {rel.max():.3e} (rel)"))
-        elif what in SPECTRAL_FIELDS:
-            rel = float(abs(a - b) / max(abs(a), abs(b))) if a != b else 0.0
-            worst_spectral = max(worst_spectral, rel)
-            if rel > SPECTRAL_REL:
-                found.append((what, f"{label}: {what} differs by {rel:.3e} (rel)"))
         elif what == "blocks" and a.shape == b.shape and not np.array_equal(a, b):
             found.append((what, f"{label}: blocks differ; {_aligned_distance(a, b):.3e} "
                                 f"after the best global orthogonal alignment"))
@@ -361,8 +352,7 @@ def compare(base, new) -> list[tuple[str, str]]:
     runs = sum(1 for key in base.files if key.endswith("|trace"))
     cells = sum(1 for key in base.files if key.endswith("|init"))
     print(f"{runs} runs compared; largest objective trace difference "
-          f"{worst:.3e} relative to 1 + |f|; largest dual_bound "
-          f"difference {worst_spectral:.3e} relative; {cells} run_grid cells compared")
+          f"{worst:.3e} relative to 1 + |f|; {cells} run_grid cells compared")
     return found
 
 

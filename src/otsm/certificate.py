@@ -133,11 +133,9 @@ def _multiplier_block(o, lam, tau):
 
 def _certificate_from(stilde, point, lams, taus):
     """Turn an assembled ``stilde`` into L* in place, symmetrizing ``lams``."""
-    off = point.dims.offsets()
     full = np.negative(stilde, out=stilde)
-    for i, o in enumerate(point.blocks):
-        rows = slice(off[i], off[i + 1])
-        full[rows, rows] += _multiplier_block(o, lams[i], taus[i])
+    for o, lam, tau, rows in zip(point.blocks, lams, taus, point.dims.rows):
+        full[rows, rows] += _multiplier_block(o, lam, tau)
     return full
 
 

@@ -7,10 +7,10 @@ blocks, maximize
 
 over tuples ``(O_1, ..., O_m)`` of partially orthogonal matrices, where
 ``O_i`` is ``d_i x r`` with ``O_i^T O_i = I_r``.  This module holds the
-problem and iterate containers, the assembled symmetric coupling matrix,
-objective evaluation, the polar projection onto the orthonormal set, and
-first-order stationarity diagnostics.  Everything downstream (solver,
-certificates, builders) is written against these primitives.
+problem and iterate containers, the assembled coupling matrix and the
+products with it (``_product``, ``_Coupling``), the memoized Krylov
+spectral start, the objective, the polar projection and stationarity;
+solver, certificates and builders are written against these primitives.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import itertools
 import math
 import numbers
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -123,6 +125,12 @@ class BlockDims:
         """Cumulative row offsets (m+1 entries, from 0 to D)."""
         return (0, *itertools.accumulate(self.dims))
 
+    @cached_property
+    def rows(self) -> tuple[slice, ...]:
+        """Block ``i``'s rows ``off[i]:off[i+1]`` of a stacked D-row array."""
+        off = self.offsets()
+        return tuple(map(slice, off, off[1:]))
+
 
 class OtsmProblem:
     """Coupling data for the block trace-sum problem.
@@ -154,6 +162,8 @@ class OtsmProblem:
     def __init__(self, dims, sblocks):
         if not isinstance(dims, BlockDims):
             raise ValidationError(f"dims must be a BlockDims, got {type(dims).__name__}")
+        if not isinstance(sblocks, Mapping):
+            raise ValidationError(f"sblocks must be a mapping, got {type(sblocks).__name__}")
         clean = {}
         for key, mat in sblocks.items():
             if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
@@ -313,11 +323,10 @@ def _norm(a) -> float:
 def _first_order(problem, point):
     """Raw multipliers ``L_i = O_i^T G_i`` and the stationarity report, from one product."""
     _check_match(problem, point)
-    off = problem.dims.offsets()
     sums = _product(problem, point.stack())
     lams, residuals, asyms = [], [], []
-    for o, start, stop in zip(point.blocks, off, off[1:]):
-        g = sums[start:stop]
+    for o, rows in zip(point.blocks, problem.dims.rows):
+        g = sums[rows]
         lam = o.T @ g
         lams.append(lam)
         residuals.append(_norm(g - o @ lam))
@@ -340,12 +349,12 @@ def _stack_stilde(problems) -> np.ndarray:
     its views.
     """
     dims = problems[0].dims
-    off = dims.offsets()
+    rows = dims.rows
     stack = np.zeros((len(problems), dims.total_dim, dims.total_dim))
     for full, problem in zip(stack, problems):
         for (i, j), s in _pairs(problem):
-            full[off[i] : off[i + 1], off[j] : off[j + 1]] = s
-            full[off[j] : off[j + 1], off[i] : off[i + 1]] = s.T
+            full[rows[i], rows[j]] = s
+            full[rows[j], rows[i]] = s.T
     return stack
 
 
@@ -424,9 +433,8 @@ def _product(problem, x):
     the sum over the stored pairs, or for views ``G_i = s A_i^T (U - A_i x_i)``
     with ``U = sum_j A_j x_j``, each ``A_j x_j`` formed once.  Nothing ``D x
     D`` is formed."""
-    off = problem.dims.offsets()
     out = np.zeros(x.shape)
-    outs, xs = ([a[start:stop] for start, stop in zip(off, off[1:])] for a in (out, x))
+    outs, xs = ([a[rows] for rows in problem.dims.rows] for a in (out, x))
     if problem._factor is None:
         for (i, j), s in problem.sblocks.items():
             outs[i] += s @ xs[j]
@@ -458,13 +466,12 @@ class _Coupling:
         kinds = {None if f is None else f[0][0].shape[0] for f in factors}
         if len(kinds) > 1:
             raise ValidationError(f"a batch needs one coupling backend, got views of rows {kinds}")
-        off = problems[0].dims.offsets()
-        self.rows = [slice(off[i], off[i + 1]) for i in range(problems[0].dims.m)]
+        self.rows = problems[0].dims.rows
         self.stilde = self.a = self.sign = self.x = self.p = self.u = self.w = None
         if factors[0] is None:
             self.stilde = _stack_stilde(problems)
         else:
-            self.a = np.empty((len(problems), kinds.pop(), off[-1]))
+            self.a = np.empty((len(problems), kinds.pop(), problems[0].dims.total_dim))
             for a, f in zip(self.a, factors):
                 np.concatenate(f[0], axis=1, out=a)
             self.sign = np.array([f[1] for f in factors])[:, None, None]

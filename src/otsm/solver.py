@@ -152,12 +152,8 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     nothing.  The Krylov vectors span the same top-r subspace as
     ``eigh``'s, up to rounding and a common orthogonal factor of the blocks.
     """
-    dims = problem.dims
     top = _spectrum(problem)
-    off = dims.offsets()
-    return BlockOrthogonal(
-        [polar_project(top[off[i] : off[i + 1]]) for i in range(dims.m)]
-    )
+    return BlockOrthogonal([polar_project(top[rows]) for rows in problem.dims.rows])
 
 
 def step_block(problem, point, i, alpha=SolverConfig.alpha):
@@ -334,9 +330,9 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     """Solve same-shape problems in one sweep; item k is ``solve(problems[k], configs[k])``.
 
     The batch's :class:`~otsm.core._Coupling` holds the ``(B, D, r)``
-    iterates beside a ``(B, D, D)`` stack of ``stilde`` or ``(B, n, D)`` of
-    views.  A block step is one stacked product for ``G_i``, one stacked
-    SVD for the polar factors, and the gains and change norms of the whole
+    iterates beside ``(B, D, D)`` ``stilde`` or the views with ``P, U, W``.
+    A block step takes one stacked product (two with ``A_i`` on views), one
+    stacked SVD for the polar factors, and the gains and change norms of the
     batch, with arithmetic per item that does not depend on the batch size.
     Audits, traces and stopping rules are per item; an item that stops
     leaves the batch, whose arrays are compacted in place.  Any error
@@ -451,7 +447,7 @@ def oscillation_demo() -> OscillationTrace:
         work = list(state)
         target = states[(k + 1) % len(states)]
         for i in range(3):
-            b = _product(problem, np.vstack(work))[3 * i : 3 * i + 3]
+            b = _product(problem, np.vstack(work))[problem.dims.rows[i]]
             nuclear = float(np.sum(np.linalg.svd(b, compute_uv=False)))
             attained = float(np.sum(target[i] * b))
             gap = abs(attained - nuclear)

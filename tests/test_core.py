@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -67,6 +68,24 @@ class TestBlockDims:
         assert dims == BlockDims((3, 4), 2)
         assert all(type(d) is int for d in dims.dims) and type(dims.r) is int
 
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 4, 5), (2,) * 7, (10, 1, 6)])
+    def test_rows_are_the_consecutive_offsets(self, dims):
+        bd = BlockDims(dims, 1)
+        off = bd.offsets()
+        assert bd.rows == tuple(slice(a, b) for a, b in zip(off, off[1:]))
+        covered = np.concatenate([np.arange(bd.total_dim)[rows] for rows in bd.rows])
+        assert covered.tolist() == list(range(bd.total_dim))
+
+    def test_rows_leave_equality_hash_repr_and_replace_alone(self):
+        read, fresh = BlockDims((3, 4, 5), 2), BlockDims((3, 4, 5), 2)
+        before = repr(read)
+        assert read.rows[1] == slice(3, 7)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == before
+        narrower = dataclasses.replace(read, r=1)
+        assert narrower == BlockDims((3, 4, 5), 1)
+        assert narrower.rows == read.rows
+
 
 class TestOtsmProblem:
     def test_coupling_transpose_and_zero(self):
@@ -119,6 +138,10 @@ class TestOtsmProblem:
             OtsmProblem(dims, {(1, 0): np.eye(3)})
         with pytest.raises(ValidationError):
             OtsmProblem(dims, {(0, 2): np.eye(3)})
+        # Pairs that do not come as a mapping have no keys to check.
+        for sblocks in ([((0, 1), np.eye(3))], None, "01"):
+            with pytest.raises(ValidationError, match="mapping"):
+                OtsmProblem(dims, sblocks)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValidationError):
