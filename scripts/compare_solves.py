@@ -16,7 +16,9 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   written with ``save_problem``, read back with ``load_problem`` and solved
   from the spectral start, as ``otsm solve --init spectral`` does; the
   sha256 of each file is saved too (field ``file_sha256``), so the bytes
-  ``save_problem`` writes must match as well;
+  ``save_problem`` writes must match as well, and so is the sha256 of its
+  decoded payload re-dumped with sorted keys (``file_payload_sha256``),
+  which tells a change of layout from a change of content;
 * the acceptance grid (``d = 5, 10, 20``, ``sigma = 0.1, 10``, 20 reps,
   base seed 0, both starts), whose first six reps are grid_small's problems;
 * the acceptance corpus: ``hard_example(3, 2)`` from both starts, 100
@@ -98,6 +100,7 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -118,7 +121,8 @@ SPLIT_BUDGET = 3 * 8 * 100 * 100
 
 def _corpus(digests=None):
     """Yield (label, problem, config) for every solve in the corpus; store the
-    sha256 of each problem file it writes in ``digests``, by label, if given."""
+    two digests of each problem file it writes in ``digests``, by label, if
+    given."""
     from otsm import load_problem, save_problem
     from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
     from otsm.core import BlockDims, BlockOrthogonal, OtsmProblem
@@ -135,7 +139,12 @@ def _corpus(digests=None):
             save_problem(problem, path)
             if digests is not None:
                 with open(path, "rb") as f:
-                    digests[f"cli_roundtrip/{seed}"] = hashlib.sha256(f.read()).hexdigest()
+                    text = f.read()
+                payload = json.dumps(json.loads(text), sort_keys=True).encode()
+                digests[f"cli_roundtrip/{seed}"] = {
+                    "file_sha256": hashlib.sha256(text).hexdigest(),
+                    "file_payload_sha256": hashlib.sha256(payload).hexdigest(),
+                }
             yield f"cli_roundtrip/{seed}", load_problem(path), SolverConfig(init="spectral")
 
     for d in (5, 10, 20):
@@ -233,8 +242,9 @@ def dump(path):
             value = getattr(cert, field)
             arrays[f"{label}|{field}"] = np.array(getattr(value, "value", value))
         arrays[f"{label}|dual_bound"] = np.array(dual_upper_bound(problem))
-    for label, digest in digests.items():
-        arrays[f"{label}|file_sha256"] = np.array(digest)
+    for label, fields in digests.items():
+        for field, digest in fields.items():
+            arrays[f"{label}|{field}"] = np.array(digest)
     for label, fields in _grid_cells():
         for field, value in fields.items():
             arrays[f"{label}|{field}"] = np.array(value)

@@ -71,6 +71,8 @@ def _as_matrix(value, what) -> np.ndarray:
     """
     try:
         a = np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond float range
+        raise ValidationError(f"{what} contains non-finite entries") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not a numeric matrix: {exc}") from exc
     if a.ndim != 2:
@@ -335,10 +337,13 @@ def _first_order(problem, point):
 
 
 def _pairs(problem):
-    """The problem's pairs ``((i, j), S_ij)``: the stored ones, or, where none
-    are stored, those :func:`_view_pairs` forms, kept by no one but the caller."""
+    """The problem's pairs ``((i, j), S_ij)`` in ascending ``(i, j)`` order: the
+    stored ones, or, where none are stored, those :func:`_view_pairs` forms,
+    kept by no one but the caller."""
     stored = problem._sblocks
-    return stored.items() if stored is not None else _view_pairs(*problem._factor)
+    if stored is None:
+        return _view_pairs(*problem._factor)
+    return sorted(stored.items(), key=lambda pair: pair[0])
 
 
 def _stack_stilde(problems) -> np.ndarray:

@@ -331,6 +331,6 @@ def export_results(results, path) -> None:
             )
         )
     try:
-        atomic_write_text(path, buf.getvalue())
+        atomic_write_text(path, (buf.getvalue(),))
     except OSError as exc:
         raise ExportError(path, exc) from exc

@@ -1,6 +1,9 @@
 """The file formats: problem, solution and report files, all JSON.
 
-Every file is written atomically via a temporary sibling.
+Every file is written atomically via a temporary sibling.  Writers indent
+objects two spaces a level and put each matrix row (any list of numbers)
+on one line, with numbers in shortest round-trip form; they stream the
+text, one coupling pair or block at a time, through the C JSON encoder.
 
 * problem file — either explicit couplings::
 
@@ -24,9 +27,8 @@ Every file is written atomically via a temporary sibling.
 
 * report file — objective, iterations, stop_reason, stationarity maxima,
   optional certificate summary (``taus``, ``verdict`` and ``gap_bound``)
-  and objective trace.  Numbers are written in shortest round-trip form.
-  A solve report ``X.json`` has its solution written beside it as
-  ``X.solution.json``.
+  and objective trace.  A solve report ``X.json`` has its solution written
+  beside it as ``X.solution.json``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import json
 import os
 import tempfile
 import warnings
+from collections.abc import Iterator
+
+import numpy as np
 
 from .builders import ViewData, build_maxdiff
 from .core import (
@@ -60,13 +65,15 @@ SOLUTION_WARN_TOL = 1e-8
 SOLUTION_ERROR_TOL = 1e-4
 
 
-def atomic_write_text(path, text) -> None:
-    """Write ``text`` to ``path`` via a temporary sibling and an atomic rename.
+def atomic_write_text(path, chunks) -> None:
+    """Write the strings ``chunks`` to ``path`` via a temporary sibling and an
+    atomic rename.
 
     The file is opened with ``newline=""``, so the bytes written are exactly
-    the UTF-8 encoding of ``text`` on every platform.  On failure the
-    ``OSError`` propagates, the temporary file is removed and the
-    destination keeps its old content (or stays absent).
+    the UTF-8 encoding of the chunks on every platform.  On failure (an
+    ``OSError``, or an error raised while ``chunks`` is iterated) the error
+    propagates, the temporary file is removed and the destination keeps its
+    old content (or stays absent).
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -76,7 +83,7 @@ def atomic_write_text(path, text) -> None:
             dir=directory, prefix="." + os.path.basename(path) + "-", suffix=".tmp"
         )
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp_path, path)
         tmp_path = None
     finally:
@@ -91,26 +98,62 @@ def atomic_write_text(path, text) -> None:
 # JSON plumbing
 
 
-def _json_text(path, payload) -> str:
-    """The text of a JSON file; a NaN or infinity (float64 overflow) is an error."""
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ValidationError(f"cannot write {path}: {exc} (float64 overflow)") from exc
+#: ``json.dumps`` with ``indent`` runs the pure-Python encoder; this one,
+#: without, runs the C encoder on every scalar and every list of numbers.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _json_chunks(path, value, indent="\n"):
+    """Yield the text of a JSON file holding ``value`` in pieces; a NaN or
+    infinity (float64 overflow) raises ValidationError when it is reached.
+
+    Objects, and lists (or iterators) of lists, objects or matrices, take
+    one line per item, indented two spaces a level; a list of numbers, such
+    as a matrix row, takes one line.  A matrix (a 2-D ndarray) is converted
+    one row at a time.  ``indent`` is the line break before ``value``'s
+    closing bracket; the outermost value ends the file with a newline.
+    """
+    if isinstance(value, np.ndarray):
+        value = map(np.ndarray.tolist, value)
+    if isinstance(value, dict):
+        items = ((_ENCODER.encode(k) + ": ", v) for k, v in value.items())
+        opener, closer = "{}"
+    elif isinstance(value, Iterator) or (
+        isinstance(value, list) and value and isinstance(value[0], (dict, list, np.ndarray))
+    ):
+        items = (("", v) for v in value)
+        opener, closer = "[]"
+    else:
+        try:
+            text = _ENCODER.encode(value)
+        except ValueError as exc:
+            raise ValidationError(f"cannot write {path}: {exc} (float64 overflow)") from exc
+        yield text
+        return
+    separator = opener
+    for key, item in items:
+        yield separator + indent + "  " + key
+        yield from _json_chunks(path, item, indent + "  ")
+        separator = ","
+    yield opener + closer if separator == opener else indent + closer
+    if indent == "\n":
+        yield "\n"
 
 
 def _write_json(path, payload) -> None:
-    atomic_write_text(path, _json_text(path, payload))
+    atomic_write_text(path, _json_chunks(path, payload))
 
 
 def _read_json(path, kind):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{kind} file {path}: malformed JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{kind} file {path}: not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the interpreter's digit limit, or
+        # nesting deeper than the recursion limit.
+        raise ValidationError(f"{kind} file {path}: malformed JSON: {exc}") from exc
 
 
 def _bad_field(path, kind, field, msg):
@@ -221,10 +264,7 @@ def save_problem(problem: OtsmProblem, path) -> None:
     _write_json(path, {
         "dims": list(problem.dims.dims),
         "r": problem.dims.r,
-        "S": [
-            {"i": i + 1, "j": j + 1, "data": s.tolist()}
-            for (i, j), s in sorted(_pairs(problem), key=lambda pair: pair[0])
-        ],
+        "S": ({"i": i + 1, "j": j + 1, "data": s} for (i, j), s in _pairs(problem)),
     })
 
 
@@ -281,7 +321,7 @@ def load_solution(path, dims: BlockDims | None = None) -> BlockOrthogonal:
 
 def save_solution(point: BlockOrthogonal, path) -> None:
     """Write a solution file with nested row lists per block."""
-    _write_json(path, {"blocks": [b.tolist() for b in point.blocks]})
+    _write_json(path, {"blocks": list(point.blocks)})
 
 
 # --------------------------------------------------------------------------
@@ -328,10 +368,10 @@ def _save_solve_report(path, report, cert, trace) -> str:
         payload["certificate"] = _certificate_payload(cert)
     if trace:
         payload["objective_trace"] = list(report.objective_trace)
-    text = _json_text(path, payload)  # checked before either file is written
+    chunks = list(_json_chunks(path, payload))  # checked before either file is written
     solution_path = _solution_sibling(path)
     save_solution(report.solution, solution_path)
-    atomic_write_text(path, text)
+    atomic_write_text(path, chunks)
     return solution_path
 
 

@@ -370,11 +370,22 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("layout", ["views_dims_int", "not_utf8"])
+    @pytest.mark.parametrize("layout", ["views_dims_int", "not_utf8", "huge_int_data",
+                                        "huge_int_views", "deep_nesting", "long_int"])
     def test_bad_problem_file_is_an_error(self, tmp_path, capsys, layout):
         path = tmp_path / "bad.json"
         if layout == "views_dims_int":
             write_json(path, {"r": 1, "dims": 5, "views": [[[1.0, 2.0]], [[3.0, 4.0]]]})
+        elif layout == "huge_int_data":  # beyond float range
+            write_json(path, {"dims": [1, 1], "r": 1,
+                              "S": [{"i": 1, "j": 2, "data": [[10**400]]}]})
+        elif layout == "huge_int_views":
+            write_json(path, {"r": 1, "views": [[[1.0, 2.0]], [[3.0, 10**400]]]})
+        elif layout == "deep_nesting":  # deeper than the recursion limit
+            path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        elif layout == "long_int":  # past the interpreter's digit limit
+            path.write_text('{"dims": [1, 1], "r": ' + "1" * 5000 + ', "S": []}',
+                            encoding="utf-8")
         else:
             path.write_bytes(b'{"dims": [1, 1], "r": 1, "S": []}\xe9')
         code = main(["solve", "--input", str(path), "--out", str(tmp_path / "r.json")])
@@ -547,6 +558,19 @@ class TestCertifyCommand:
         assert code == 1
         assert "blocks" in capsys.readouterr().err
 
+
+    def test_solution_huge_integer(self, tmp_path, hard_file, capsys):
+        sol = tmp_path / "sol.json"
+        blocks = [np.asarray(b).tolist() for b in HARD_OPT]
+        blocks[2][2][0] = 10**400  # beyond float range
+        write_json(sol, {"blocks": blocks})
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--input", str(hard_file), "--solution", str(sol),
+                     "--out", str(out)])
+        assert code == 1
+        assert (f"error: solution file {sol}: field 'blocks[2]' contains non-finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_solution_not_utf8(self, tmp_path, hard_file, capsys):
         sol = tmp_path / "sol.json"
