@@ -56,7 +56,8 @@ budget (cells labelled ``run_grid/…``) and with
 batches, so splitting a cell into batches must change no result either.
 A third pass runs in the tree under test alone.  It solves and certifies
 each corpus problem that takes the factored coupling backend (a view
-problem with ``D >= 3 n``: ``align_dense/0`` and ``ols_dense/0``) twice,
+problem with ``D >= 3 n``: ``align_dense/0`` and ``ols_dense/0``), and
+``narrow_views/0``, twice,
 as built and as its dense twin ``OtsmProblem(p.dims, p.sblocks)``, which
 has no views, and requires equal ``iterations``, ``stop_reason`` and
 ``verdict``, objective traces within ``TRACE_REL``, and ``objective`` of
@@ -72,6 +73,11 @@ of ``certify`` through the views (``_psd_by_schur``) at the factored run's
 solution, at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi``, and requires the
 answers of a Cholesky factorization of the assembled ``L*`` (field
 ``psd``); an answer left open by the views' route counts as a mismatch.
+``narrow_views/0`` is ``synth_procrustes(12, 40, 10, 3, 1.0, 0)``, 12
+views of 40 x 10 with r = 3 (D = 120 = 3 n), a certified solve whose
+blocks are all at most ``n + r`` wide, so it checks
+the Schur test's ``d_i <= n + r`` form, which no corpus problem reaches; it
+stays out of the corpus, so that both trees run the same corpus.
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
@@ -89,7 +95,11 @@ whose view problems store their pairs and take ``hi`` from them, only
 ``tol_psd``), of the two factored runs can move, by rounding.
 
 The script prints the largest trace and certificate differences and exits
-1 on any mismatch.  Its output ends with one line per mismatched field and
+1 on any mismatch.  For each float certificate field (``taus``,
+``lmin_full``, ``gap_bound``, ``tol_psd``, ``tol_tau``) it prints how many
+runs moved and the largest move relative to the run's largest ``|lambdas|``
+entry, which tells a rounding move from a real change; a move still counts
+as a mismatch.  Its output ends with one line per mismatched field and
 the number of runs or cells it differs in (for example ``tol_psd: 548``),
 so a field that a change moves on purpose shows as one line and any other
 field stands out.
@@ -100,6 +110,7 @@ from __future__ import annotations
 import argparse
 import collections
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -112,6 +123,9 @@ import numpy as np
 TRACE_REL = 1e-12
 #: Certificate fields saved when the tree's report has them.
 CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound")
+#: The float certificate fields whose moves ``compare`` sizes against the
+#: run's largest ``|lambdas|`` entry, to tell rounding from a real change.
+FLOAT_CERT_FIELDS = ("taus", "lmin_full", "gap_bound", "tol_psd", "tol_tau")
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the
@@ -259,7 +273,7 @@ def backends() -> list[tuple[str, str]]:
     from otsm.solver import solve
 
     found = []
-    for label, problem, config in _corpus():
+    for label, problem, config in itertools.chain(_corpus(), _narrow_views()):
         if problem._factor is None:
             continue
         dense = OtsmProblem(problem.dims, problem.sblocks)
@@ -296,19 +310,29 @@ def backends() -> list[tuple[str, str]]:
     return found
 
 
+def _narrow_views():
+    """Yield the ``backends`` pass's own problem, kept out of the corpus:
+    ``synth_procrustes(12, 40, 10, 3, 1.0, 0)``, whose blocks are all at
+    most ``n + r`` wide, so its PSD test runs the ``d_i <= n + r`` Schur
+    form."""
+    from otsm.builders import synth_procrustes
+    from otsm.solver import SolverConfig
+
+    problem, _ = synth_procrustes(12, 40, 10, 3, 1.0, 0)
+    yield "narrow_views/0", problem, SolverConfig(init="spectral")
+
+
 def _psd_check(label, problem, point, cert) -> list[tuple[str, str]]:
     """Compare the Schur route of ``certify``'s PSD test with a Cholesky of the
     assembled L* at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi``; an answer
     that differs, or none from the route, is a mismatch."""
-    from otsm.certificate import _certificate_from, _psd_by_schur, _psd_within, _scale
-    from otsm.core import assemble_stilde
+    from otsm.certificate import _certificate_from, _frames, _psd_by_schur, _psd_within, _scale
 
-    lams, taus = list(cert.lambdas), cert.taus
-    hi = _scale(problem, lams)[1]
+    frames = _frames(point, cert.lambdas)
+    hi = _scale(problem, list(cert.lambdas))[1]
     tols = (cert.tol_psd, -cert.lmin_full - 1e-6 * hi, -cert.lmin_full + 1e-6 * hi)
-    got = [_psd_by_schur(problem._factor[0], point, lams, taus, t) for t in tols]
-    want = [_psd_within(_certificate_from(assemble_stilde(problem), point, lams, taus), t)
-            for t in tols]
+    got = [_psd_by_schur(problem._factor[0], frames, t) for t in tols]
+    want = [_psd_within(_certificate_from(problem, frames), t) for t in tols]
     print(f"backends/{label}: PSD test at tol_psd and -lmin_full -+ 1e-6 hi: "
           f"Schur route {got}, Cholesky of L* {want}")
     if got != want:
@@ -343,9 +367,15 @@ def compare(base, new) -> list[tuple[str, str]]:
         if fields:
             print(f"certificate fields {side}: {', '.join(fields)}")
     worst = 0.0
+    moves = {what: [0, 0.0] for what in FLOAT_CERT_FIELDS}
     for key in sorted(set(base.files) & set(new.files)):
         label, what = key.rsplit("|", 1)
         a, b = base[key], new[key]
+        if what in moves and a.shape == b.shape and not np.array_equal(a, b):
+            scale = float(np.max(np.abs(base[f"{label}|lambdas"]), initial=0.0))
+            move = moves[what]
+            move[0] += 1
+            move[1] = max(move[1], float(np.max(np.abs(a - b))) / scale if scale else np.inf)
         if what == "trace":
             if a.shape != b.shape:
                 found.append((what, f"{label}: trace lengths {a.size} != {b.size}"))
@@ -363,6 +393,8 @@ def compare(base, new) -> list[tuple[str, str]]:
     cells = sum(1 for key in base.files if key.endswith("|init"))
     print(f"{runs} runs compared; largest objective trace difference "
           f"{worst:.3e} relative to 1 + |f|; {cells} run_grid cells compared")
+    for what, (count, rel) in moves.items():
+        print(f"{what}: {count} runs moved, by at most {rel:.3e} of the run's max |lambdas|")
     return found
 
 

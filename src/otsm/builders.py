@@ -57,6 +57,8 @@ class ViewData:
         if len(mats) < 2:
             raise ValidationError(f"need at least 2 views, got {len(mats)}")
         n = mats[0].shape[0]
+        if n < 1:
+            raise ValidationError(f"need at least one sample, got n={n}")
         for k, a in enumerate(mats):
             if a.shape[0] != n:
                 raise ValidationError(
@@ -103,6 +105,8 @@ class OlsData:
         )
         if len(mats) < 1:
             raise ValidationError("need at least 1 regressor")
+        if y.shape[0] < 1:
+            raise ValidationError(f"need at least one sample, got n={y.shape[0]}")
         for k, a in enumerate(mats):
             if a.shape != y.shape:
                 raise ValidationError(

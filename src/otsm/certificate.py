@@ -8,6 +8,7 @@ A stationary point with symmetrized multipliers ``L_i`` and
 is positive semidefinite (sufficient condition); any ``tau_i < 0`` proves
 the point is NOT globally optimal (necessary condition).  Between the two
 lies an inconclusive region: the certificate is sufficient, not necessary.
+Each diagonal block is read as ``tau_i I + G_i G_i^T`` (see :func:`_frames`).
 `certify` decides semidefiniteness of ``L* + tol_psd I`` by one Cholesky
 factorization of the assembled matrix, or, where the problem keeps views
 with couplings ``+A_i^T A_j``, through an ``n x n`` Schur complement (see
@@ -111,31 +112,29 @@ class CertificateReport:
         """Smallest eigenvalue of the certificate matrix L*.
 
         Computed on first read, with one dense ``eigvalsh`` of L* built
-        from the report's ``lambdas`` and ``taus``, and kept.  The verdict
-        does not read it.
+        from the report's ``lambdas`` alone, and kept.  The verdict does
+        not read it.
         """
-        stilde = assemble_stilde(self._problem)
-        full = _certificate_from(stilde, self._point, self.lambdas, self.taus)
-        return float(np.linalg.eigvalsh(full)[0])
+        frames = _frames(self._point, self.lambdas)
+        return float(np.linalg.eigvalsh(_certificate_from(self._problem, frames))[0])
 
 
-def _taus(lams):
-    """Smallest eigenvalue of each symmetrized multiplier."""
-    return [float(np.linalg.eigvalsh((lam + lam.T) / 2.0)[0]) for lam in lams]
+def _frames(point, lams):
+    """``(tau_i, G_i)`` per block, with ``O_i L_i O_i^T + tau_i (I - O_i O_i^T) =
+    tau_i I + G_i G_i^T``: from one ``eigh`` ``L_i = sym(lams[i]) = Q diag(w)
+    Q^T``, ``w`` ascending, ``tau_i = w_0`` and ``G_i = O_i Q diag(w - w_0)^{1/2}``.
+    """
+    eighs = (np.linalg.eigh((lam + lam.T) / 2.0) for lam in lams)
+    return [(float(w[0]), o @ (q * np.sqrt(w - w[0]))) for o, (w, q) in zip(point.blocks, eighs)]
 
 
-def _multiplier_block(o, lam, tau):
-    """``O L O^T + tau (I - O O^T)`` for the symmetrized ``lam``, symmetric."""
-    lam_sym = (lam + lam.T) / 2.0
-    blk = o @ lam_sym @ o.T + tau * (np.eye(o.shape[0]) - o @ o.T)
-    return (blk + blk.T) / 2.0
-
-
-def _certificate_from(stilde, point, lams, taus):
-    """Turn an assembled ``stilde`` into L* in place, symmetrizing ``lams``."""
-    full = np.negative(stilde, out=stilde)
-    for o, lam, tau, rows in zip(point.blocks, lams, taus, point.dims.rows):
-        full[rows, rows] += _multiplier_block(o, lam, tau)
+def _certificate_from(problem, frames):
+    """L*, from a new ``stilde`` turned into it in place."""
+    full = assemble_stilde(problem)
+    np.negative(full, out=full)
+    for (_, g), rows in zip(frames, problem.dims.rows):
+        full[rows, rows] += g @ g.T
+    full.flat[:: len(full) + 1] += np.repeat([tau for tau, _ in frames], problem.dims.dims)
     return full
 
 
@@ -148,8 +147,7 @@ def certificate_matrix(problem, point) -> np.ndarray:
     :func:`otsm.core.stationarity`) — far from stationarity L* carries no
     meaning.
     """
-    lams = lagrange_multipliers(problem, point)
-    return _certificate_from(assemble_stilde(problem), point, lams, _taus(lams))
+    return _certificate_from(problem, _frames(point, lagrange_multipliers(problem, point)))
 
 
 def reduced_certificate(problem, point) -> np.ndarray:
@@ -197,50 +195,45 @@ def _psd_within(matrix, tol) -> bool:
     return True
 
 
-def _psd_by_schur(views, point, lams, taus, tol) -> bool | None:
+def _psd_by_schur(views, frames, tol) -> bool | None:
     """Whether ``L* + tol I`` is positive definite for couplings ``A_i^T A_j``,
     or None where rounding leaves that open.
 
     With the views ``A_i`` (n x d_i) and ``A = [A_1 ... A_m]``, ``L* + tol I
     = B - A^T A`` for the block diagonal ``B_i = Lambda_i + A_i^T A_i + tol
-    I = c_i I + V_i V_i^T``, where ``c_i = tau_i + tol``, ``V_i = [O_i F_i,
-    A_i^T]`` and ``F_i F_i^T = sym(L_i) - tau_i I``, PSD.  It is positive
-    definite exactly when every ``B_i`` and the ``n x n`` Schur complement
-    ``I_n - sum_i A_i B_i^{-1} A_i^T`` are.  ``c_i <= 0`` settles it alone:
-    then ``Lambda_i + tol I``, a diagonal block of ``L* + tol I``, has the
-    eigenvalue ``c_i``; otherwise ``B_i`` is positive definite.
+    I = c_i I + V_i V_i^T``, where ``c_i = tau_i + tol`` and ``V_i = [G_i,
+    A_i^T]`` (see :func:`_frames`).  It is positive definite exactly when
+    every ``B_i`` and the ``n x n`` Schur complement ``I_n - sum_i A_i
+    B_i^{-1} A_i^T`` are.  ``c_i <= 0`` settles it alone: then ``Lambda_i +
+    tol I``, a diagonal block of ``L* + tol I``, has the eigenvalue ``c_i``;
+    otherwise ``B_i`` is positive definite.
 
-    Where ``d_i <= n + r`` the term is ``W_i^T W_i`` for ``B_i = C_i C_i^T``
-    and ``W_i = C_i^{-1} A_i^T``.  Otherwise it is ``I_n - c_i
-    [K_i^{-1}]_nn`` for ``K_i = c_i I + V_i^T V_i``, of side ``n + r``:
-    ``T^{-T} T^{-1}`` for the trailing ``n x n`` block ``T`` of the Cholesky
-    factor of ``K_i``, with ``F_i`` from an ``r x r`` ``eigh``; that is
-    ``d_i (n + r)^2`` work in place of ``d_i^3``.  To first order each term
-    is off by at most ``(d_i + 2 k^2) eps tr(M) / c_i`` for the ``k x k``
-    matrix ``M`` factorized (``||M^{-1}|| <= 1 / c_i``), the Schur
-    complement's own factorization by ``2 n^2 m eps``.  The sum of these,
-    ``err``, is far below the complement's smallest eigenvalue unless
-    ``c_i`` is small against ``||A_i||^2``: the ``K_i`` form then loses
-    most where ``A_i`` is rank deficient, and either form where ``c_i``
-    nears ``eps ||A_i||^2``.  The answer is the complement's factorization
-    shifted by ``-err`` and by ``+err`` where the two agree, and None where
-    they do not or a ``B_i`` or ``K_i`` has no Cholesky factor.
+    Each block factorizes the smaller Gram of ``V_i``, plus ``c_i I``.  Where
+    ``d_i <= n + r`` that is ``B_i = C_i C_i^T``, and the term is ``W_i^T
+    W_i`` for ``W_i = C_i^{-1} A_i^T``.  Otherwise it is ``K_i = c_i I +
+    V_i^T V_i``, and the term is ``I_n - c_i [K_i^{-1}]_nn``, with ``T^{-T}
+    T^{-1}`` for the trailing ``n x n`` block ``T`` of the Cholesky factor
+    of ``K_i`` in the bracket: ``d_i (n + r)^2`` work, not ``d_i^3``.  To
+    first order each term is off by at most ``(d_i + 2 k^2) eps tr(M) /
+    c_i`` for the ``k x k`` matrix ``M`` factorized (``||M^{-1}|| <= 1 /
+    c_i``), the Schur complement's own factorization by ``2 n^2 m eps``.
+    The sum of these, ``err``, is far below the complement's smallest
+    eigenvalue unless ``c_i`` is small against ``||A_i||^2``: the ``K_i``
+    form then loses most where ``A_i`` is rank deficient, and either form
+    where ``c_i`` nears ``eps ||A_i||^2``.  The answer is the complement's
+    factorization shifted by ``-err`` and by ``+err`` where the two agree,
+    and None where they do not or a ``B_i`` or ``K_i`` has no Cholesky factor.
     """
     n, eps = views[0].shape[0], np.finfo(float).eps
     schur, err = np.eye(n), 2 * n * n * len(views) * eps
-    for a, o, lam, tau in zip(views, point.blocks, lams, taus):
-        d, r = o.shape
+    for a, (tau, g) in zip(views, frames):
+        d, r = g.shape
         c = tau + tol
         if not c > 0.0:
             return False
-        if d <= n + r:
-            mat = _multiplier_block(o, lam, tau) + a.T @ a
-            mat.flat[:: d + 1] += tol
-        else:
-            vals, vecs = np.linalg.eigh((lam + lam.T) / 2.0)
-            v = np.concatenate((o @ (vecs * np.sqrt(np.maximum(vals - tau, 0.0))), a.T), axis=1)
-            mat = v.T @ v
-            mat.flat[:: n + r + 1] += c
+        v = np.concatenate((g, a.T), axis=1)
+        mat = v @ v.T if d <= n + r else v.T @ v
+        mat.flat[:: len(mat) + 1] += c
         err += (d + 2 * len(mat) ** 2) * eps * np.trace(mat) / c
         try:
             low = np.linalg.cholesky(mat)
@@ -260,14 +253,14 @@ def _psd_by_schur(views, point, lams, taus, tol) -> bool | None:
     return None
 
 
-def _psd(problem, point, lams, taus, tol) -> bool:
+def _psd(problem, frames, tol) -> bool:
     """:func:`_psd_by_schur` where it applies and decides, else :func:`_psd_within` for L*."""
     factor = problem._factor
     if factor is not None and factor[1] > 0:
-        verdict = _psd_by_schur(factor[0], point, lams, taus, tol)
+        verdict = _psd_by_schur(factor[0], frames, tol)
         if verdict is not None:
             return verdict
-    return _psd_within(_certificate_from(assemble_stilde(problem), point, lams, taus), tol)
+    return _psd_within(_certificate_from(problem, frames), tol)
 
 
 def _scale(problem, lams):
@@ -394,16 +387,17 @@ def certify(problem, point) -> CertificateReport:
     not be trusted, see :func:`_view_pair_norms`).
     Only when the PSD test runs is ``stilde`` assembled and turned into
     ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
-    the factored backend with couplings ``+A_i^T A_j`` it is ``d_i (n +
-    r)^2`` work per block of ``d_i > n + r`` (a Cholesky factorization of
-    side ``n + r``), one ``d_i x d_i`` Cholesky factorization per narrower
-    block and one or two of an ``n x n`` Schur complement, with no D x D array,
-    unless rounding leaves that test open (see :func:`_psd_by_schur`).
+    the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
+    factorization of side ``min(d_i, n + r)`` per block and one or two of
+    an ``n x n`` Schur complement, with no D x D array, unless rounding
+    leaves that test open (see :func:`_psd_by_schur`).  Each ``r x r``
+    multiplier takes one ``eigh`` (see :func:`_frames`).
     ``gap_bound`` costs nothing more.
     ``lmin_full`` (one ``eigvalsh`` of L*) is computed when first read.
     """
     lams, stat = _first_order(problem, point)
-    taus = _taus(lams)
+    frames = _frames(point, lams)
+    taus = [tau for tau, _ in frames]
     lo, hi = _scale(problem, lams)
     r_stat = max(stat.max_grad_residual, stat.max_asymmetry)
     tol_psd = _PSD_BASE * lo + _RESIDUAL_FACTOR * r_stat
@@ -415,7 +409,7 @@ def certify(problem, point) -> CertificateReport:
         verdict = Verdict.CERTIFIED_GLOBAL
     elif min(taus) < -tol_tau:
         verdict = Verdict.CERTIFIED_NOT_GLOBAL
-    elif r_stat <= _STATIONARITY_GATE * lo and _psd(problem, point, lams, taus, tol_psd):
+    elif r_stat <= _STATIONARITY_GATE * lo and _psd(problem, frames, tol_psd):
         verdict = Verdict.CERTIFIED_GLOBAL
         shift = min(shift, tol_psd)
     else:

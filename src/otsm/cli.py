@@ -257,6 +257,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, ExportError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValidationError, ExportError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -218,6 +218,8 @@ def load_problem(path) -> OtsmProblem:
     if "dims" not in raw:
         raise _bad_field(path, "problem", "dims", "required field is missing")
     dims_list = _dims_field(raw, path)
+    if 8 * sum(dims_list) ** 2 > np.iinfo(np.intp).max:
+        raise _bad_field(path, "problem", "dims", "a D x D float64 matrix is past numpy's limit")
     entries = raw["S"]
     if not isinstance(entries, list):
         raise _bad_field(path, "problem", "S", "expected a list of coupling entries")

@@ -51,6 +51,10 @@ class TestViewData:
         with pytest.raises(ValidationError):
             ViewData((np.ones(3), np.ones(3)))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one sample"):
+            ViewData((np.zeros((0, 3)),) * 2)
+
     def test_views_are_read_only(self):
         data = ViewData((np.eye(3), np.eye(3)))
         with pytest.raises(ValueError):
@@ -78,6 +82,10 @@ class TestOlsData:
     def test_empty_regressors_rejected(self):
         with pytest.raises(ValidationError):
             OlsData(np.eye(3), ())
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one sample"):
+            OlsData(np.zeros((0, 3)), (np.zeros((0, 3)),))
 
 
 class TestBuildMaxdiff:

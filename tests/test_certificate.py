@@ -25,7 +25,14 @@ from conftest import (
     random_point,
     random_problem,
 )
-from otsm.builders import OlsData, build_ols, hard_example, synth_procrustes
+from otsm.builders import (
+    OlsData,
+    ViewData,
+    build_maxdiff,
+    build_ols,
+    hard_example,
+    synth_procrustes,
+)
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -37,6 +44,7 @@ from otsm.core import (
 )
 from otsm.certificate import (
     Verdict,
+    _frames,
     _psd_within,
     _scale,
     certificate_matrix,
@@ -328,12 +336,13 @@ class TestCholeskyVerdict:
         assert not _psd_within(certificate_matrix(hard_problem, point), -lmin * (1.0 - 1e-3))
 
 
-def count_dense_work(monkeypatch, prob):
+def count_dense_work(monkeypatch, prob, dense_only=True):
     """Count dense numpy.linalg calls on prob's D x D matrices and S-tilde assemblies.
 
     An assembly is a call of the one builder of S-tilde stacks, whether
     through assemble_stilde or the solver's batch; it counts as
-    ``assemble_stilde``.
+    ``assemble_stilde``.  With ``dense_only=False`` every numpy.linalg call
+    counts, whatever its size.
     """
     side = prob.dims.total_dim - prob.dims.r
     work = Counter()
@@ -350,7 +359,7 @@ def count_dense_work(monkeypatch, prob):
         return wrapper
 
     for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "norm", "solve"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), dense_only))
     build = counted("assemble_stilde", otsm.core._stack_stilde, dense_only=False)
     monkeypatch.setattr(otsm.core, "_stack_stilde", build)
     return work
@@ -397,6 +406,54 @@ def test_reading_lmin_full_costs_one_eigvalsh(monkeypatch):
     assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
     assert report.lmin_full == lmin
     assert work - before == Counter(eigvalsh=1, assemble_stilde=1)
+
+
+@pytest.mark.parametrize("shape", [(4, 30, 12), (4, 10, 40), (12, 40, 10)])
+def test_certify_factorizes_each_multiplier_once(monkeypatch, shape):
+    """One eigh per r x r multiplier and _scale's one eigvalsh: on the dense
+    backend, and on views with blocks wider and narrower than n + r."""
+    m, n, d = shape
+    prob, _ = synth_procrustes(m, n, d, 3, 1.0, 0)
+    point = solve(prob, SolverConfig(init="spectral")).solution
+    work = count_dense_work(monkeypatch, prob, dense_only=False)
+    assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
+    assert (work["eigh"], work["eigvalsh"]) == (m, 1)
+
+
+@st.composite
+def frame_instances(draw):
+    """A random dense or view problem with D <= 60, views of order ``10^k``,
+    ``|k| <= 3``, and a random point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    if draw(st.booleans()):
+        prob = random_problem(rng, dims, r)
+    else:
+        n = draw(st.integers(1, max(1, sum(dims) // 3)))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        prob = build_maxdiff(ViewData(tuple(scale * rng.standard_normal((n, d)) for d in dims)), r)
+    return prob, random_point(rng, prob)
+
+
+class TestFrames:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(frame_instances())
+    def test_blocks_are_the_multiplier_formula(self, instance):
+        # tau_i I + G_i G_i^T is O_i sym(L_i) O_i^T + tau_i (I - O_i O_i^T).
+        prob, point = instance
+        lams = lagrange_multipliers(prob, point)
+        for o, lam, (tau, g) in zip(point.blocks, lams, _frames(point, lams), strict=True):
+            sym, eye = (lam + lam.T) / 2.0, np.eye(len(o))
+            want = o @ sym @ o.T + tau * (eye - o @ o.T)
+            bound = 1e-12 * (1.0 + np.linalg.norm(lam))
+            assert abs(tau - np.linalg.eigvalsh(sym)[0]) <= bound
+            assert np.max(np.abs(tau * eye + g @ g.T - want)) <= bound
+        full = certificate_matrix(prob, point)
+        assert np.array_equal(full, full.T)
 
 
 def count_coupling_passes(monkeypatch):

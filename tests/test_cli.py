@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import otsm.cli
 from conftest import HARD_OPT, I32, J32, make_hard_problem, random_stiefel
 from otsm.builders import hard_example, synth_procrustes
 from otsm.cli import build_parser, main
@@ -138,6 +139,16 @@ class TestProblemFile:
         write_json(path, {"r": 1, "dims": 5, "views": [[[1.0, 2.0]], [[3.0, 4.0]]]})
         with pytest.raises(ValidationError, match=r"views\.json: field 'dims'"):
             load_problem(path)
+
+    def test_dims_past_numpy_limit(self, tmp_path):
+        # 8 D^2 bytes above the largest np.intp: no D x D float64 array exists.
+        # One row fewer is addressable, and loading allocates nothing D x D.
+        path = tmp_path / "huge.json"
+        write_json(path, {"dims": [2**30, 1], "r": 1, "S": []})
+        with pytest.raises(ValidationError, match=r"huge\.json: field 'dims'"):
+            load_problem(path)
+        write_json(path, {"dims": [2**30 - 2, 1], "r": 1, "S": []})
+        assert load_problem(path).dims.total_dim == 2**30 - 1
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -371,10 +382,14 @@ class TestSolveCommand:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("layout", ["views_dims_int", "not_utf8", "huge_int_data",
-                                        "huge_int_views", "deep_nesting", "long_int"])
+                                        "huge_int_views", "deep_nesting", "long_int",
+                                        "huge_dims", "unaddressable_dims"])
     def test_bad_problem_file_is_an_error(self, tmp_path, capsys, layout):
         path = tmp_path / "bad.json"
-        if layout == "views_dims_int":
+        if layout in ("huge_dims", "unaddressable_dims"):  # no D x D float64 array
+            d = 10**400 if layout == "huge_dims" else 10**13
+            write_json(path, {"dims": [d, 1], "r": 1, "S": []})
+        elif layout == "views_dims_int":
             write_json(path, {"r": 1, "dims": 5, "views": [[[1.0, 2.0]], [[3.0, 4.0]]]})
         elif layout == "huge_int_data":  # beyond float range
             write_json(path, {"dims": [1, 1], "r": 1,
@@ -392,6 +407,16 @@ class TestSolveCommand:
         assert code == 1
         assert f"error: problem file {path}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_out_of_memory_is_an_error(self, tmp_path, hard_file, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(otsm.cli, "solve", solve)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--input", str(hard_file), "--out", str(out)]) == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("init", ["identity", "spectral"])
     @pytest.mark.parametrize("value", [1.7e308, 1e300])

@@ -26,6 +26,7 @@ from otsm.builders import OlsData, ViewData, build_maxdiff, build_ols, synth_pro
 from otsm.certificate import (
     Verdict,
     _certificate_from,
+    _frames,
     _psd,
     _psd_by_schur,
     _psd_within,
@@ -140,16 +141,15 @@ class TestAgainstDense:
         else:
             point = random_point(np.random.default_rng(seed), prob)
         report = certify(prob, point)
-        lams, taus = report.lambdas, report.taus
+        lams, frames = report.lambdas, _frames(point, report.lambdas)
         hi = _scale(prob, lams)[1]
         # Tolerances on both sides of -lambda_min(L*), and certify's own.
         for tol in (report.tol_psd, -report.lmin_full + shift * hi):
             if abs(report.lmin_full + tol) <= 1e-8 * hi:
                 continue
-            full = _certificate_from(assemble_stilde(prob), point, list(lams), taus)
-            want = _psd_within(full, tol)
-            assert _psd_by_schur(prob._factor[0], point, lams, taus, tol) in (want, None)
-            assert _psd(prob, point, lams, taus, tol) == want
+            want = _psd_within(_certificate_from(prob, frames), tol)
+            assert _psd_by_schur(prob._factor[0], frames, tol) in (want, None)
+            assert _psd(prob, frames, tol) == want
         dense = certify(fresh_copy(prob), point)
         if abs(report.lmin_full + report.tol_psd) > 1e-8 * hi:
             assert report.verdict is dense.verdict
@@ -170,16 +170,16 @@ class TestAgainstDense:
             point = random_point(rng, prob)
         report = certify(prob, point)
         lams, taus, lmin = report.lambdas, report.taus, report.lmin_full
+        frames = _frames(point, lams)
         hi = _scale(prob, lams)[1]
         n = views[0].shape[0]
         k = rng.choice([i for i, a in enumerate(views) if a.shape[1] > n + r])
         for tol in (report.tol_psd, -lmin + shift * hi, -taus[k] + near * hi):
             if abs(lmin + tol) <= 1e-8 * hi:
                 continue
-            full = _certificate_from(assemble_stilde(prob), point, list(lams), taus)
-            want = _psd_within(full, tol)
-            assert _psd_by_schur(views, point, lams, taus, tol) in (want, None)
-            assert _psd(prob, point, lams, taus, tol) == want
+            want = _psd_within(_certificate_from(prob, frames), tol)
+            assert _psd_by_schur(views, frames, tol) in (want, None)
+            assert _psd(prob, frames, tol) == want
 
     @_PROPERTY
     @given(view_instances(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1000.0)))
