@@ -29,7 +29,17 @@ benchmark's solve inputs plus the solves of the acceptance tests:
 * ``ols_dense/0``: an orthogonal least-squares problem from ``build_ols``
   (249 regressors and a target, 60 x 4 each, seed 11; D = 1000, r = 4)
   from the spectral start, which comes from the Krylov solve.  Its
-  couplings carry the sign -1, so ``lambda_min`` sets ``||S-tilde||_2``.
+  couplings carry the sign -1, so ``lambda_min`` sets ``||S-tilde||_2``;
+* ``ols_gap/0``: ``build_ols`` with 249 regressors, then the target, 60 x 4
+  each, from ``default_rng(0)`` (D = 1000, r = 4) from the spectral start,
+  whose Krylov residuals meet ``1e-10 |theta|`` while still above ``1e-8``
+  of the Ritz gap ``theta_4 - theta_5`` (a tree that then runs ``eigh``
+  moves this run by rounding);
+* ``tiny/hard``: ``hard_example(3, 2)`` with its couplings times ``2^-700``
+  from the spectral start, with ``alpha`` times ``2^700``, so that it runs
+  the unit problem's 1142 cycles (a tree whose norms square unscaled
+  entries reads its residuals and ``||S-tilde||_F`` as 0 there, and its
+  ``gap_bound`` as 0).
 
 A run matches when its solution blocks are ``numpy.array_equal``, its
 ``iterations`` and ``stop_reason`` are equal, its objective trace has the
@@ -56,7 +66,8 @@ budget (cells labelled ``run_grid/…``) and with
 batches, so splitting a cell into batches must change no result either.
 A third pass runs in the tree under test alone.  It solves and certifies
 each corpus problem that takes the factored coupling backend (a view
-problem with ``D >= 3 n``: ``align_dense/0`` and ``ols_dense/0``), and
+problem with ``D >= 3 n``: ``align_dense/0``, ``ols_dense/0`` and
+``ols_gap/0``), and
 ``narrow_views/0``, twice,
 as built and as its dense twin ``OtsmProblem(p.dims, p.sblocks)``, which
 has no views, and requires equal ``iterations``, ``stop_reason`` and
@@ -82,8 +93,8 @@ stays out of the corpus, so that both trees run the same corpus.
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
 them another way, whose factored sweep forms or sums ``U = sum_j A_j O_j``
-another way, or that has no factored backend, the two factored runs
-(``align_dense/0`` and ``ols_dense/0``) move by rounding: their lines
+another way, or that has no factored backend, the factored runs
+(``align_dense/0``, ``ols_dense/0`` and ``ols_gap/0``) move by rounding: their lines
 give the blocks' aligned distance, and their traces, multipliers and
 tolerances differ in the last digits.  Against a
 tree whose ``objective`` sums over the stored pairs, not ``sum (X/2) *
@@ -92,7 +103,7 @@ and so do the grid cells' ``mean_final_objective`` and
 ``objective_gap_records``, which count as mismatches.  Against a tree
 whose view problems store their pairs and take ``hi`` from them, only
 ``tol_tau``, and ``gap_bound`` where it comes from ``hi`` (not from
-``tol_psd``), of the two factored runs can move, by rounding.
+``tol_psd``), of the factored runs can move, by rounding.
 
 The script prints the largest trace and certificate differences and exits
 1 on any mismatch.  For each float certificate field (``taus``,
@@ -203,10 +214,14 @@ def _corpus(digests=None):
         problem = OtsmProblem(BlockDims((1,) * m, 1), couplings)
         yield f"sign/{k}", problem, SolverConfig(init="spectral")
 
-    rng = np.random.default_rng(11)
-    regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
-    problem, _ = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))
-    yield "ols_dense/0", problem, SolverConfig(init="spectral")
+    for label, seed in (("ols_dense/0", 11), ("ols_gap/0", 0)):
+        rng = np.random.default_rng(seed)
+        regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
+        problem, _ = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))
+        yield label, problem, SolverConfig(init="spectral")
+
+    tiny = OtsmProblem(hard.dims, {key: np.ldexp(s, -700) for key, s in hard.sblocks.items()})
+    yield "tiny/hard", tiny, SolverConfig(alpha=math.ldexp(1000.0, 700), init="spectral")
 
 
 def _grid_cells():

@@ -124,8 +124,16 @@ def _frames(point, lams):
     tau_i I + G_i G_i^T``: from one ``eigh`` ``L_i = sym(lams[i]) = Q diag(w)
     Q^T``, ``w`` ascending, ``tau_i = w_0`` and ``G_i = O_i Q diag(w - w_0)^{1/2}``.
     """
-    eighs = (np.linalg.eigh((lam + lam.T) / 2.0) for lam in lams)
+    eighs = (_eigh((lam + lam.T) / 2.0) for lam in lams)
     return [(float(w[0]), o @ (q * np.sqrt(w - w[0]))) for o, (w, q) in zip(point.blocks, eighs)]
+
+
+def _eigh(a, vectors=True):
+    """``eigh(a)``, or ``eigvalsh`` without ``vectors``, of ``a / 2^_exponent(a)``, the eigenvalues
+    scaled back: exact under ``a -> 2^k a``, as LAPACK's rescaling beyond ``2^+-485`` is not."""
+    e = _exponent(a)
+    out = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(np.ldexp(a, -e))
+    return (np.ldexp(out[0], e), out[1]) if vectors else np.ldexp(out, e)
 
 
 def _certificate_from(problem, frames):
@@ -280,7 +288,7 @@ def _scale(problem, lams):
     above ``||stilde||_2``.
     """
     total = sum(lams)
-    ritz = np.linalg.eigvalsh((total + total.T) / (2.0 * problem.dims.m))
+    ritz = _eigh((total + total.T) / (2.0 * problem.dims.m), vectors=False)
     lo = max(-float(ritz[0]), float(ritz[-1]))
     if problem._factor is None:
         norms = map(_norm, problem.sblocks.values())

@@ -308,17 +308,14 @@ def _check_match(problem, point):
 def _exponent(a) -> int:
     """The ``e`` with ``2^(e-1) <= max |a| < 2^e`` (0 for zero): dividing ``a``
     by ``2^e``, which is exact, leaves entries whose squares cannot overflow."""
-    return int(np.frexp(np.max(np.abs(a)))[1])
+    return math.frexp(float(np.max(np.abs(a))))[1]
 
 
 def _norm(a) -> float:
-    """``||a||_F``; entries from 2^500 up, whose squares could overflow, are
-    first divided by a power of two, which is exact.  A norm beyond the
-    largest float is ``inf``, as from ``np.linalg.norm``."""
-    big = float(np.max(np.abs(a)))
-    if big < 2.0**500:
-        return float(np.linalg.norm(a))
-    e = int(np.frexp(big)[1])
+    """``||a||_F`` of ``a / 2^_exponent(a)``, exact, scaled back: no square over-
+    or underflows at any scale, and it is ``np.linalg.norm``'s wherever that
+    neither does.  A norm beyond the largest float is ``inf``."""
+    e = _exponent(a)
     return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
@@ -552,33 +549,33 @@ _KRYLOV_MAX_SHARE = 0.5
 _KRYLOV_MAX_BLOCKS = 60
 
 
+def _krylov_cap(d, r) -> int:
+    """The Krylov basis's cap of ``min(D/2, 60 (r + 2))`` columns."""
+    return min(int(_KRYLOV_MAX_SHARE * d), _KRYLOV_MAX_BLOCKS * (r + 2))
+
+
 def _krylov(product, d, r):
     """Top-``r`` eigenvectors of a symmetric ``d x d`` matrix by a block Krylov solve.
 
     The matrix is seen only through ``product``, which maps a ``d x c``
-    matrix ``x`` to the matrix times ``x``.
-
-    Blocks of ``r + 2`` columns, reorthogonalized twice against the whole
-    basis; Rayleigh-Ritz every 3 steps, until each of the top ``r + 1``
-    Ritz pairs has the residual ``||S y - theta y|| <= 1e-10 |theta|``
-    (pair ``r + 1`` too: the second copy of a tied ``lambda_r`` can lag
-    far behind and fake a wide Ritz gap).  Returns the ``D x r`` top Ritz
-    vectors, largest first.  Returns None, for the caller to run ``eigh``,
-    when the basis would pass its cap of ``min(D/2, 60 (r + 2))`` columns
-    (at once if that leaves no room for a Rayleigh-Ritz step), when a new
-    block is rank deficient (as when the matrix has rank below ``r + 2``),
-    or when the largest residual is not below
-    ``1e-8 (theta_r - theta_{r+1})``.
+    matrix ``x`` to the matrix times ``x``.  Returns the ``d x r`` top Ritz
+    vectors, orthonormal and largest first, always: blocks of ``r + 2``
+    columns, reorthogonalized twice against the whole basis; Rayleigh-Ritz
+    every 3 steps, until each of the top ``r + 1`` Ritz pairs has the
+    residual ``||S y - theta y|| <= 1e-10 |theta|`` (pair ``r + 1`` too: the
+    second copy of a tied ``lambda_r`` can lag far behind and fake a wide
+    Ritz gap; where the two nearly tie, no top-``r`` subspace is unique),
+    or once more where the next block would pass :func:`_krylov_cap`.  A
+    rank-deficient new block is orthogonalized once more and its QR taken:
+    its null directions go on as fresh start directions.
     """
     b = r + 2
-    cap = min(int(_KRYLOV_MAX_SHARE * d), _KRYLOV_MAX_BLOCKS * b)
-    if 3 * b > cap:
-        return None
+    cap = _krylov_cap(d, r)
     basis, proj = np.empty((d, cap)), np.empty((cap, cap))
     start = np.random.default_rng(_KRYLOV_SEED).standard_normal((d, b))
     block = np.linalg.qr(start)[0]
     w = product(block)
-    tiny = 1e-10 * np.linalg.norm(w)
+    tiny = 1e-10 * _norm(w)
     k = 0
     for step in itertools.count(1):
         basis[:, k : k + b] = block
@@ -587,50 +584,46 @@ def _krylov(product, d, r):
         h = v.T @ w
         proj[:k, k - b : k] = h
         proj[k - b : k, :k] = h.T
-        if step % 3 == 0:
+        last = k + b > cap
+        if step % 3 == 0 or last:
             theta, y = np.linalg.eigh(proj[:k, :k])
             lead = theta[: -r - 2 : -1]
             top = v @ y[:, : -r - 2 : -1]
-            res = np.linalg.norm(product(top) - top * lead, axis=0)
-            if np.all(res <= 1e-10 * np.abs(lead)):
-                if res.max() < 1e-8 * (lead[-2] - lead[-1]):
-                    return top[:, :r]
-                return None
-        if k + b > cap:
-            return None
+            if last or np.all(np.linalg.norm(product(top) - top * lead, axis=0)
+                              <= 1e-10 * np.abs(lead)):
+                return top[:, :r]
         w -= v @ h
         w -= v @ (v.T @ w)
         block, tri = np.linalg.qr(w)
         if np.abs(np.diagonal(tri)).min() <= tiny:
-            return None
+            block = np.linalg.qr(block - v @ (v.T @ block))[0]
         w = product(block)
 
 
 def _spectrum(problem, op=None, k=0):
     """The memoized ``D x r`` top eigenvectors of the assembled coupling matrix.
 
-    Returns them read-only, largest first, from ``eigh`` below ``D =
-    _KRYLOV_MIN_DIM`` and from :func:`_krylov` from there on (``eigh``
-    where it returns None).  Krylov multiplies by a dense problem's
-    ``stilde`` (item ``k`` of the caller's :class:`_Coupling` ``op``, or a
-    fresh assembly), which ``eigh`` reads too, and by a view problem's
+    Returns them read-only, largest first, by one path that ``D`` and ``r``
+    choose: :func:`_krylov` from ``D = _KRYLOV_MIN_DIM`` on where its cap
+    holds three blocks of ``r + 2``, else ``eigh``.  Krylov multiplies by a
+    dense problem's ``stilde`` (item ``k`` of the caller's
+    :class:`_Coupling` ``op``, or a fresh assembly) and by a view problem's
     :func:`_product`, which forms no ``D x D`` array.  The first stored
-    vectors are never replaced, so every later start sees the same ones.
-    A failed decomposition raises ``numpy.linalg.LinAlgError`` and stores
-    nothing.  No ``D x D`` array is kept.
+    vectors are never replaced.  A failed decomposition raises
+    ``numpy.linalg.LinAlgError`` and stores nothing.  No ``D x D`` array is kept.
     """
     if problem._spectrum is not None:
         return problem._spectrum
-    dims = problem.dims
-    stilde = top = None
+    d, r = problem.dims.total_dim, problem.dims.r
+    stilde = None
     if problem._factor is None:
         stilde = assemble_stilde(problem) if op is None else op.stilde[k]
-    if dims.total_dim >= _KRYLOV_MIN_DIM:
-        product = stilde.__matmul__ if stilde is not None else lambda x: _product(problem, x)
-        top = _krylov(product, dims.total_dim, dims.r)
-    if top is None:
+    if d < _KRYLOV_MIN_DIM or 3 * (r + 2) > _krylov_cap(d, r):
         vecs = np.linalg.eigh(assemble_stilde(problem) if stilde is None else stilde)[1]
-        top = vecs[:, ::-1][:, : dims.r].copy()
+        top = vecs[:, ::-1][:, :r].copy()
+    else:
+        product = stilde.__matmul__ if stilde is not None else lambda x: _product(problem, x)
+        top = _krylov(product, d, r)
     top.flags.writeable = False
     with _MEMO_LOCK:
         if problem._spectrum is None:

@@ -144,13 +144,11 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     block is polar-projected onto the orthonormal set.  Eigensolver
     failures propagate as ``numpy.linalg.LinAlgError``.
 
-    The eigenvectors are memoized on the problem (see
-    :func:`otsm.core._spectrum`) by its first spectral start: one ``eigh``
-    of ``stilde`` below D = 1000 and from there on a block Krylov solve
-    (``eigh`` where that does not converge), which forms no D x D array on
-    the factored backend; later starts on the same problem decompose
-    nothing.  The Krylov vectors span the same top-r subspace as
-    ``eigh``'s, up to rounding and a common orthogonal factor of the blocks.
+    The eigenvectors are memoized on the problem by its first spectral
+    start, from one path per size (see :func:`otsm.core._spectrum`): one
+    ``eigh`` of ``stilde`` below D = 1000, else a block Krylov solve, which
+    never falls back to ``eigh`` and forms no D x D array on the factored
+    backend; later starts on the same problem decompose nothing.
     """
     top = _spectrum(problem)
     return BlockOrthogonal([polar_project(top[rows]) for rows in problem.dims.rows])

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -37,6 +37,7 @@ from otsm.core import (
     BlockDims,
     BlockOrthogonal,
     OtsmProblem,
+    _from_views,
     assemble_stilde,
     lagrange_multipliers,
     objective,
@@ -231,6 +232,37 @@ def small_instances(draw):
     return prob, point
 
 
+@st.composite
+def extreme_scalings(draw):
+    """``(problem, scaled, point, c)``: a dense problem or a view problem
+    with couplings ``+-A_i^T A_j``, D <= 60, a point, and the same
+    problem with couplings times ``c = 2^k``, ``|k|`` in 990..1000 (views
+    times ``2^(k/2)``), every coupling or view entry kept normal.  A solved
+    point's residuals are some 1e-8 of the couplings, subnormal at
+    ``2^-1000``, so solved points come only at the upper end."""
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    r = draw(st.integers(1, min(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(495, 500)) * draw(st.sampled_from((-2, 2)))
+    if draw(st.booleans()):
+        prob = random_problem(rng, dims, r)
+        big = scaled(prob, 2.0**k)
+        entries = np.concatenate([np.abs(s).ravel() for s in big.sblocks.values()])
+        assume(np.all((entries == 0.0) | (entries >= np.finfo(float).tiny)))
+    else:
+        n = draw(st.integers(1, max(1, sum(dims) // 3)))
+        views = [rng.standard_normal((n, d)) for d in dims]
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        prob = _from_views(BlockDims(tuple(dims), r), views, sign)
+        big = _from_views(prob.dims, [np.ldexp(a, k // 2) for a in views], sign)
+    if k > 0 and draw(st.booleans()):
+        point = solve(prob, SolverConfig(init="spectral", max_iter=200)).solution
+    else:
+        point = random_point(rng, prob)
+    return prob, big, point, 2.0**k
+
+
 class TestScaleCovariance:
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -247,6 +279,32 @@ class TestScaleCovariance:
         assert report.taus == tuple(c * t for t in base.taus)
         assert report.tol_psd == c * base.tol_psd
         assert report.tol_tau == c * base.tol_tau
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(extreme_scalings())
+    def test_certify_scales_exactly_near_the_ends_of_the_range(self, case):
+        prob, big, point, c = case
+        base, report = certify(prob, point), certify(big, point)
+        assert report.verdict is base.verdict
+        assert report.taus == tuple(c * t for t in base.taus)
+        assert (report.tol_psd, report.tol_tau, report.gap_bound) == (
+            c * base.tol_psd, c * base.tol_tau, c * base.gap_bound
+        )
+
+    def test_tiny_couplings_get_the_verdict_of_unit_ones(self):
+        # Unscaled, the residuals' squares vanish below about 1e-162: at
+        # 1e-200 every point would look stationary, with hi = 0, and be
+        # certified.
+        hard = hard_example(3, 2)
+        point = random_point(np.random.default_rng(0), hard)
+        base = certify(hard, point)
+        assert base.verdict is Verdict.INCONCLUSIVE
+        for c in (1e-100, 1e-160, 1e-200):
+            report = certify(scaled(hard, c), point)
+            assert report.verdict is base.verdict
+            assert report.gap_bound == pytest.approx(c * base.gap_bound, rel=1e-12)
 
 
 def dense_scale(prob, point):
@@ -579,17 +637,6 @@ class TestKrylovPipeline:
         dual_upper_bound(prob)
         assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=2)
 
-    def test_falls_back_to_eigh(self, monkeypatch):
-        prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, 0)[0])
-        monkeypatch.setattr(otsm.core, "_krylov", lambda product, d, r: None)
-        work = count_dense_work(monkeypatch, prob)
-        start = init_spectral(prob)
-        assert work == Counter(eigh=1, assemble_stilde=1)
-        assert prob._spectrum.shape == (1000, 3)
-        monkeypatch.undo()
-        expected = init_spectral(fresh_copy(prob))
-        assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
-
     def test_block_wider_than_the_basis_cap(self, monkeypatch):
         # r + 2 = 501 columns against a cap of D/2 = 500: the start uses
         # eigh as below D = 1000.
@@ -652,15 +699,24 @@ class TestFactoredPipeline:
         assert certify(prob, point).verdict is Verdict.CERTIFIED_GLOBAL
         assert work == Counter()
 
-    def test_falls_back_to_eigh(self, monkeypatch):
-        prob, _ = synth_procrustes(5, 30, 200, 3, 1.0, 0)
-        monkeypatch.setattr(otsm.core, "_krylov", lambda product, d, r: None)
+    def test_start_without_a_ritz_gap_forms_nothing(self, monkeypatch):
+        # build_ols with 249 regressors, then the target, 60 x 4 each, from
+        # default_rng(0) (D = 1000, couplings -A_i^T A_j): the Krylov
+        # residuals reach 1e-10 |theta| at 5e-9, above 1e-8 of the Ritz gap
+        # theta_4 - theta_5, and that start is as good as any.
+        rng = np.random.default_rng(0)
+        regressors = [rng.standard_normal((60, 4)) for _ in range(249)]
+        prob = build_ols(OlsData(rng.standard_normal((60, 4)), regressors))[0]
+        side = prob.dims.total_dim
         work = count_dense_work(monkeypatch, prob)
-        start = init_spectral(prob)
-        assert work == Counter(eigh=1, assemble_stilde=1)
-        monkeypatch.undo()
-        expected = init_spectral(fresh_copy(prob))
-        assert objective(prob, start) == pytest.approx(objective(prob, expected), rel=1e-12)
+        tracemalloc.start()
+        try:
+            init_spectral(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert work == Counter()
+        assert peak < 8 * side * side
 
     def test_pipeline_holds_no_dense_matrix(self, problem):
         side = problem.dims.total_dim

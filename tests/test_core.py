@@ -338,11 +338,11 @@ class TestStationarity:
             assert all(v >= 0.0 for v in report.grad_residuals)
             assert all(v >= 0.0 for v in report.asymmetries)
 
-    @pytest.mark.parametrize("k", [-300, 0, 300, 600, 990])
+    @pytest.mark.parametrize("k", [-1000, -300, 0, 300, 600, 990, 1000])
     def test_scales_exactly_with_the_couplings(self, k):
-        # Couplings of up to about 1e300 (k = 990): the residuals' squares
-        # would overflow unscaled, but the report stays 2^k times the
-        # unscaled one, bit for bit.
+        # Couplings from about 1e-301 (k = -1000) to 1e301: the residuals'
+        # squares would under- or overflow unscaled, but the report stays
+        # 2^k times the unscaled one, bit for bit.
         rng = np.random.default_rng(9)
         prob = random_problem(rng, [3, 4, 5], 2)
         point = random_point(rng, prob)
@@ -385,9 +385,9 @@ def planted(rng, eigenvalues):
 
 
 @st.composite
-def planted_spectra(draw, tie=False):
+def planted_spectra(draw):
     """(matrix, r) with D <= 80 and a spectrum of any scale, whose largest
-    magnitude may be at either end; with ``tie``, lambda_r = lambda_{r+1}."""
+    magnitude may be at either end."""
     d = draw(st.integers(12, 80))
     r = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -395,8 +395,6 @@ def planted_spectra(draw, tie=False):
     vals = np.sort(rng.uniform(-1.0, 1.0, d))[::-1].copy()
     vals[: r + 1] += draw(st.floats(0.0, 2.0))  # how far the top stands out
     vals[-3:] -= draw(st.floats(0.0, 4.0))  # and the bottom, which may dominate
-    if tie:
-        vals[r] = vals[r - 1]
     return planted(rng, scale * vals), r
 
 
@@ -411,53 +409,105 @@ def krylov(a, r, max_blocks=None):
         return _krylov(a.__matmul__, a.shape[0], r)
 
 
+def ritz_pairs(a, top, r):
+    """The Ritz values of ``top``, after checking that it holds ``r``
+    orthonormal columns, largest first, below ``eigh``'s top ``r`` (Cauchy
+    interlacing); with ``eigh``'s eigenvalues, descending, and their size."""
+    lam = np.linalg.eigvalsh(a)[::-1]
+    size = float(np.max(np.abs(lam)))
+    assert top.shape == (a.shape[0], r)
+    assert np.linalg.norm(top.T @ top - np.eye(r)) <= 1e-12
+    theta = np.sum(top * (a @ top), axis=0)
+    assert np.all(np.diff(theta) <= 1e-12 * size)  # largest first
+    assert np.all(theta <= lam[:r] + 1e-12 * size)
+    return theta, lam, size
+
+
+def sin_theta(a, top):
+    """Sine of the largest angle between ``top`` and ``eigh``'s top subspace."""
+    ref = np.linalg.eigh(a)[1][:, ::-1][:, : top.shape[1]]
+    return np.linalg.norm(top - ref @ (ref.T @ top), 2)
+
+
 class TestKrylov:
     """core._krylov, the block Krylov solve behind the spectral start from
-    D = 1000 on."""
+    D = 1000 on.  It always answers: with converged Ritz pairs, or with
+    the top Ritz pairs of its basis at the cap."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(planted_spectra())
-    def test_agrees_with_eigh_when_it_returns(self, case):
+    def test_agrees_with_eigh_once_converged(self, case):
+        # A cap at the whole space is often reached first at small D; then
+        # only ritz_pairs' bounds hold.
         a, r = case
         top = krylov(a, r)
-        if top is None:
-            return
-        lam, vecs = np.linalg.eigh(a)
-        size = float(np.max(np.abs(lam)))
-        assert top.shape == (a.shape[0], r)
-        assert np.linalg.norm(top.T @ top - np.eye(r)) <= 1e-12
-        theta = np.sum(top * (a @ top), axis=0)
-        assert np.all(np.diff(theta) <= 1e-12 * size)  # largest first
+        theta, lam, size = ritz_pairs(a, top, r)
         residuals = np.linalg.norm(a @ top - top * theta, axis=0)
-        assert np.all(residuals <= 1e-10 * np.abs(theta) + 1e-14 * size)
-        ref = vecs[:, ::-1][:, :r]
-        sin_theta = np.linalg.norm(top - ref @ (ref.T @ top), 2)
-        assert sin_theta <= 1e-8
+        if np.all(residuals <= 1e-10 * np.abs(theta) + 1e-14 * size):
+            assert np.all(np.abs(theta - lam[:r]) <= 1e-10 * size)
+            # Davis-Kahan: sin <= ||R||_F / (theta_r - lambda_{r+1}).
+            if np.linalg.norm(residuals) <= 1e-8 * (theta[-1] - lam[r]):
+                assert sin_theta(a, top) <= 1e-8
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(planted_spectra(tie=True))
-    def test_no_result_without_a_gap(self, case):
-        a, r = case
-        assert krylov(a, r) is None
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_a_tie_returns_the_top_ritz_pairs(self, r):
+        # lambda_r = lambda_{r+1}: no top-r subspace is unique, yet the
+        # converged Ritz values are the top r eigenvalues.
+        vals = np.concatenate([2.0 + 0.25 * np.arange(r)[::-1], [2.0], np.linspace(1.0, -4.0, 59 - r)])
+        a = planted(np.random.default_rng(r), vals)
+        theta, lam, size = ritz_pairs(a, krylov(a, r), r)
+        assert np.all(np.abs(theta - lam[:r]) <= 1e-10 * size)
 
-    def test_no_result_when_the_cap_is_spent(self):
-        rng = np.random.default_rng(5)
-        a = planted(rng, np.linspace(1.0, -1.0, 60) ** 3)
-        assert krylov(a, 2) is not None
-        for blocks in (1, 2, 3):
-            assert krylov(a, 2, max_blocks=blocks) is None
-
-    def test_no_result_when_a_block_exceeds_the_cap(self):
-        # At the default cap min(D/2, 60 (r + 2)), r = 5 on D = 12 leaves
-        # no room for even one block of 7 columns.
-        a = planted(np.random.default_rng(3), np.linspace(2.0, -1.0, 12))
-        assert _krylov(a.__matmul__, 12, 5) is None
+    def test_the_cap_returns_the_ritz_pairs_of_the_basis(self):
+        # Uncapped, this iteration converges at 15 blocks.  Each smaller cap
+        # returns the top Ritz pairs of a basis that the next cap extends,
+        # so the Ritz values only rise, toward eigh's.
+        a = planted(np.random.default_rng(5), np.linspace(1.0, -1.0, 60) ** 3)
+        before = -np.inf
+        for blocks in range(1, 15):
+            top = krylov(a, 2, max_blocks=blocks)
+            theta, lam, size = ritz_pairs(a, top, 2)
+            assert np.all(theta >= before - 1e-12 * size)
+            before = theta
+            if blocks in (11, 12):  # the cap comes before the residual rule
+                residuals = np.linalg.norm(a @ top - top * theta, axis=0)
+                assert np.any(residuals > 1e-10 * np.abs(theta))
+            if blocks >= 11:
+                assert np.all(np.abs(theta - lam[:2]) <= 1e-10 * size)
+            if blocks >= 13:
+                assert sin_theta(a, top) <= 1e-8
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
-    def test_no_result_on_breakdown(self, rank):
+    def test_breakdown_goes_on_from_fresh_directions(self, rank):
         # Rank below the block size r + 2 = 4 (rank 0 is the zero matrix):
-        # the Krylov space stops growing after the first product.
+        # the Krylov space stops growing after the first product, and each
+        # rank-deficient block is made whole from new directions.
         rng = np.random.default_rng(7)
         vals = np.zeros(40)
         vals[:rank] = [3.0, -2.0, 1.0][:rank]
-        assert krylov(planted(rng, vals), 2) is None
+        a = planted(rng, vals)
+        top = krylov(a, 2)
+        theta, lam, size = ritz_pairs(a, top, 2)
+        assert np.all(np.abs(theta - lam[:2]) <= 1e-10 * size)
+        assert np.linalg.norm(a @ top - top * theta) <= 1e-14 * max(size, 1.0)
+        if rank == 3:  # lambda_2 = 1 stands clear of lambda_3 = 0
+            assert sin_theta(a, top) <= 1e-8
+
+    @pytest.mark.parametrize(("dims", "r", "path"), [
+        pytest.param((19, 20), 1, "eigh", id="below-the-krylov-size"),
+        pytest.param((20, 20), 4, "krylov", id="three-blocks-fit"),  # 18 of D/2 = 20 columns
+        pytest.param((20, 20), 5, "eigh", id="a-block-exceeds-the-cap"),  # 21 columns
+    ])
+    def test_size_alone_picks_the_path(self, monkeypatch, dims, r, path):
+        prob = random_problem(np.random.default_rng(1), dims, r)
+        runs, eigh, solve = [], np.linalg.eigh, otsm.core._krylov
+
+        def dense_eigh(a):  # the Krylov solve's own eigh are of its basis
+            runs.extend(["eigh"] * (a.shape == (sum(dims),) * 2))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", dense_eigh)
+        monkeypatch.setattr(otsm.core, "_krylov", lambda *a: runs.append("krylov") or solve(*a))
+        monkeypatch.setattr(otsm.core, "_KRYLOV_MIN_DIM", 40)
+        assert otsm.core._spectrum(prob).shape == (sum(dims), r)
+        assert runs == [path]
