@@ -67,8 +67,7 @@ batches, so splitting a cell into batches must change no result either.
 A third pass runs in the tree under test alone.  It solves and certifies
 each corpus problem that takes the factored coupling backend (a view
 problem with ``D >= 3 n``: ``align_dense/0``, ``ols_dense/0`` and
-``ols_gap/0``), and
-``narrow_views/0``, twice,
+``ols_gap/0``), ``narrow_views/0`` and ``far_views/0``, twice,
 as built and as its dense twin ``OtsmProblem(p.dims, p.sblocks)``, which
 has no views, and requires equal ``iterations``, ``stop_reason`` and
 ``verdict``, objective traces within ``TRACE_REL``, and ``objective`` of
@@ -89,6 +88,15 @@ views of 40 x 10 with r = 3 (D = 120 = 3 n), a certified solve whose
 blocks are all at most ``n + r`` wide, so it checks
 the Schur test's ``d_i <= n + r`` form, which no corpus problem reaches; it
 stays out of the corpus, so that both trees run the same corpus.
+``far_views/0`` is ``build_maxdiff`` with r = 1 on two 1-row views, ``[[1e-6]]``
+and a 1 x 5 row from ``default_rng(0)``, from the spectral start: one
+view product dwarfs the other, so a product ``S-tilde X`` read as ``U -
+A_i X_i`` cancels there.  Each ``backends`` run also prints the relative
+difference of the twins' ``max_grad_residual`` (not a mismatch: each twin
+measures it at its own solution); on ``far_views/0`` it is 0 when the
+views' product sums the other blocks without subtracting.  Its PSD test is
+printed but not counted: the Schur route leaves it open at every
+tolerance, and ``certify`` then decides on the assembled ``L*``.
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
@@ -288,7 +296,7 @@ def backends() -> list[tuple[str, str]]:
     from otsm.solver import solve
 
     found = []
-    for label, problem, config in itertools.chain(_corpus(), _narrow_views()):
+    for label, problem, config in itertools.chain(_corpus(), _backend_problems()):
         if problem._factor is None:
             continue
         dense = OtsmProblem(problem.dims, problem.sblocks)
@@ -302,6 +310,9 @@ def backends() -> list[tuple[str, str]]:
                 found.append((what, f"backends/{label}: {what} differs"))
         if got_cert.verdict is not want_cert.verdict:
             found.append(("verdict", f"backends/{label}: verdict differs"))
+        residuals = [c.stationarity.max_grad_residual for c in (got_cert, want_cert)]
+        print(f"backends/{label}: max_grad_residual difference "
+              f"{abs(residuals[0] - residuals[1]) / max(residuals[1], 1e-300):.3e} relative")
         hi = _scale(dense, want_cert.lambdas)[1]
         for what, scale in (("tol_tau", hi), ("gap_bound", 0.5 * dense.dims.m * dense.dims.r * hi)):
             rel = abs(getattr(got_cert, what) - getattr(want_cert, what)) / scale
@@ -309,7 +320,10 @@ def backends() -> list[tuple[str, str]]:
             if rel > TRACE_REL:
                 found.append((what, f"backends/{label}: {what} differs by {rel:.3e} (rel)"))
         if problem._factor[1] > 0:
-            found += _psd_check(label, problem, got.solution, got_cert)
+            psd = _psd_check(label, problem, got.solution, got_cert)
+            # far_views/0's 1e-6 view leaves the Schur route open, and certify
+            # then factors L*; it is here for the product, not the PSD test.
+            found += psd if label != "far_views/0" else []
         a, b = np.array(got.objective_trace), np.array(want.objective_trace)
         rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) if a.shape == b.shape else np.inf
         f, g = (objective(p, got.solution) for p in (problem, dense))
@@ -325,16 +339,19 @@ def backends() -> list[tuple[str, str]]:
     return found
 
 
-def _narrow_views():
-    """Yield the ``backends`` pass's own problem, kept out of the corpus:
+def _backend_problems():
+    """Yield the ``backends`` pass's own problems, kept out of the corpus:
     ``synth_procrustes(12, 40, 10, 3, 1.0, 0)``, whose blocks are all at
     most ``n + r`` wide, so its PSD test runs the ``d_i <= n + r`` Schur
-    form."""
-    from otsm.builders import synth_procrustes
+    form, and two 1-row views, one a 1 x 1 of ``1e-6``, whose ``S-tilde X``
+    cancels wherever it is read as ``U - A_i X_i``."""
+    from otsm.builders import ViewData, build_maxdiff, synth_procrustes
     from otsm.solver import SolverConfig
 
     problem, _ = synth_procrustes(12, 40, 10, 3, 1.0, 0)
     yield "narrow_views/0", problem, SolverConfig(init="spectral")
+    views = (np.array([[1e-6]]), np.random.default_rng(0).standard_normal((1, 5)))
+    yield "far_views/0", build_maxdiff(ViewData(views), 1), SolverConfig(init="spectral")
 
 
 def _psd_check(label, problem, point, cert) -> list[tuple[str, str]]:

@@ -432,9 +432,9 @@ def _check_view_pairs(views):
 
 def _product(problem, x):
     """``S-tilde x`` for a ``D x c`` matrix ``x``, from the problem's own storage:
-    the sum over the stored pairs, or for views ``G_i = s A_i^T (U - A_i x_i)``
-    with ``U = sum_j A_j x_j``, each ``A_j x_j`` formed once.  Nothing ``D x
-    D`` is formed."""
+    the sum over the stored pairs, or for views ``G_i = s A_i^T W_i``, with
+    ``W_i = sum_{j != i} A_j x_j`` a running head plus a suffix sum, which no
+    subtraction cancels; each ``A_j x_j`` is formed once, nothing ``D x D``."""
     out = np.zeros(x.shape)
     outs, xs = ([a[rows] for rows in problem.dims.rows] for a in (out, x))
     if problem._factor is None:
@@ -444,9 +444,11 @@ def _product(problem, x):
         return out
     views, sign = problem._factor
     ps = [a @ b for a, b in zip(views, xs)]
-    u = sum(ps)
-    for a, p, g in zip(views, ps, outs):
-        g[...] = a.T @ (u - p)
+    zero = np.zeros(ps[0].shape)
+    heads = itertools.accumulate(ps[:-1], np.add, initial=zero)
+    tails = list(itertools.accumulate(ps[:0:-1], np.add, initial=zero))[::-1]
+    for a, head, tail, g in zip(views, heads, tails, outs):
+        g[...] = a.T @ (head + tail)
     return sign * out
 
 

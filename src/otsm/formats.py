@@ -174,7 +174,9 @@ def _dims_field(raw, path):
 
 
 def load_problem(path) -> OtsmProblem:
-    """Load and validate a problem file; raises ValidationError on defects."""
+    """Load and validate a problem file; raises ValidationError on defects.
+    An explicit-couplings file is checked in one pass: ``dims`` and ``r``
+    first, then each coupling in file order, named by its ``S[k].data``."""
     raw = _read_json(path, "problem")
     if not isinstance(raw, dict):
         raise ValidationError(f"problem file {path}: top level must be an object")
@@ -220,10 +222,13 @@ def load_problem(path) -> OtsmProblem:
     dims_list = _dims_field(raw, path)
     if 8 * sum(dims_list) ** 2 > np.iinfo(np.intp).max:
         raise _bad_field(path, "problem", "dims", "a D x D float64 matrix is past numpy's limit")
+    try:
+        dims = BlockDims(dims_list, r)
+    except ValidationError as exc:
+        raise ValidationError(f"problem file {path}: {exc}") from exc
     entries = raw["S"]
     if not isinstance(entries, list):
         raise _bad_field(path, "problem", "S", "expected a list of coupling entries")
-    m = len(dims_list)
     sblocks = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -239,25 +244,18 @@ def load_problem(path) -> OtsmProblem:
                     path, "problem", f"S[{k}].{need}", "required field is missing"
                 )
         i, j = entry["i"], entry["j"]
-        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= m):
-            msg = f"indices (i={i!r}, j={j!r}) must satisfy 1 <= i < j <= m={m} (1-based)"
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= dims.m):
+            msg = f"indices (i={i!r}, j={j!r}) must satisfy 1 <= i < j <= m={dims.m} (1-based)"
             raise _bad_field(path, "problem", f"S[{k}]", msg)
         if (i - 1, j - 1) in sblocks:
             raise _bad_field(path, "problem", f"S[{k}]", f"duplicate pair (i={i}, j={j})")
-        sblocks[(i - 1, j - 1)] = entry["data"]
-    try:
-        return OtsmProblem(BlockDims(dims_list, r), sblocks)
-    except ValidationError as exc:
-        # OtsmProblem names a coupling by its zero-based pair; on failure
-        # only, the entries are converted again to name the file's field.
-        for k, entry in enumerate(entries):
-            i, j, field = entry["i"], entry["j"], f"S[{k}].data"
-            data = _as_matrix(entry["data"], f"problem file {path}: field '{field}'")
-            expected = (dims_list[i - 1], dims_list[j - 1])
-            if data.shape != expected:
-                msg = f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}"
-                raise _bad_field(path, "problem", field, msg) from exc
-        raise ValidationError(f"problem file {path}: {exc}") from exc
+        data = _as_matrix(entry["data"], f"problem file {path}: field 'S[{k}].data'")
+        expected = (dims.dims[i - 1], dims.dims[j - 1])
+        if data.shape != expected:
+            msg = f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}"
+            raise _bad_field(path, "problem", f"S[{k}].data", msg)
+        sblocks[(i - 1, j - 1)] = data
+    return OtsmProblem(dims, sblocks)
 
 
 def save_problem(problem: OtsmProblem, path) -> None:

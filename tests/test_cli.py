@@ -168,6 +168,15 @@ class TestProblemFile:
         with pytest.raises(ValidationError, match="bad.json"):
             load_problem(path)
 
+    def test_rank_is_checked_before_the_couplings(self, tmp_path):
+        # One pass in file order: a bad r is reported before a ragged coupling.
+        path = tmp_path / "bad.json"
+        ragged = {"i": 1, "j": 2, "data": [[1.0, 0.0], [1.0]]}
+        write_json(path, {"dims": [2, 2], "r": 3, "S": [ragged]})
+        with pytest.raises(ValidationError, match=r"bad\.json: rank r=3") as info:
+            load_problem(path)
+        assert "S[0].data" not in str(info.value)
+
     def test_empty_couplings_allowed(self, tmp_path):
         path = tmp_path / "zero.json"
         write_json(path, {"dims": [3, 3], "r": 2, "S": []})

@@ -226,7 +226,7 @@ class TestProduct:
         assert err <= 1e-12 * np.linalg.norm(stilde) * np.linalg.norm(x)
 
     def test_product_forms_each_view_product_once(self):
-        # U = sum_j A_j X_j and G_i = s A_i^T (U - A_i X_i) share each A_j X_j:
+        # The sums W_i = sum_{j != i} A_j X_j behind G_i = s A_i^T W_i share each A_j X_j:
         # m products with the views and m with their transposes, not 3 m.
         formed = []
 
@@ -562,6 +562,22 @@ class TestScaleFromViews:
             dense = fresh_copy(views_problem("maxdiff", views, 2))
             point = solve(dense, SolverConfig(init="spectral")).solution
             assert certify(prob, point).verdict is certify(dense, point).verdict
+
+    def test_one_view_dwarfing_the_rest_matches_the_dense_twin(self):
+        # One view product P_i dwarfs the other, so S-tilde x read as U - P_i
+        # would cancel the other's digits; the product must not subtract.
+        views = (np.array([[1e-6]]), np.random.default_rng(0).standard_normal((1, 5)))
+        prob = build_maxdiff(ViewData(views), 1)
+        dense = fresh_copy(prob)
+        assert prob._factor is not None
+        points = [random_point(np.random.default_rng(s), prob) for s in range(5)]
+        points.append(solve(dense, SolverConfig(init="spectral")).solution)
+        for point in points:
+            got, want = certify(prob, point), certify(dense, point)
+            hi = _scale(dense, want.lambdas)[1]
+            assert abs(got.tol_tau - want.tol_tau) <= 1e-12 * hi
+            assert got.stationarity.max_grad_residual == pytest.approx(
+                want.stationarity.max_grad_residual, rel=1e-12)
 
     @_PROPERTY
     @given(view_instances(), st.booleans(), st.integers(0, 2**32 - 1))
