@@ -64,6 +64,11 @@ budget (cells labelled ``run_grid/…``) and with
 ``otsm.solver._BATCH_STILDE_BYTES`` set to ``SPLIT_BUDGET``
 (``run_grid_split/…``), which cuts the ``d = 20`` cells into several
 batches, so splitting a cell into batches must change no result either.
+It then runs ``ZERO_GRID`` (``d = 3, 3``, ``sigma = 0.0, -0.0``, 4 reps,
+base seed 0) with the default budget (``run_grid_zero/<position>/…``):
+``0.0`` and ``-0.0`` are two cells with their own seeds but equal as keys,
+so a tree that merges the runs of a ``d`` keyed by ``sigma`` gives both
+cells one cell's results and mismatches here.
 A third pass runs in the tree under test alone.  It solves and certifies
 each corpus problem that takes the factored coupling backend (a view
 problem with ``D >= 3 n``: ``align_dense/0``, ``ols_dense/0`` and
@@ -147,6 +152,9 @@ CERT_FIELDS = ("verdict", "taus", "lmin_full", "tol_psd", "tol_tau", "gap_bound"
 FLOAT_CERT_FIELDS = ("taus", "lmin_full", "gap_bound", "tol_psd", "tol_tau")
 #: The acceptance grid: d 5/10/20 x sigma 0.1/10 x 20 reps, both starts.
 GRID = dict(d_values=(5, 10, 20), sigma_values=(0.1, 10.0), reps=20, base_seed=0)
+#: A grid of signed zeros: sigma 0.0 and -0.0 are two cells with their own
+#: seeds, yet equal as keys, and d = 3 repeats them.
+ZERO_GRID = dict(d_values=(3, 3), sigma_values=(0.0, -0.0), reps=4, base_seed=0)
 #: A batch budget of three D = 100 coupling matrices, which splits the
 #: d = 20 cells into several batches.
 SPLIT_BUDGET = 3 * 8 * 100 * 100
@@ -234,7 +242,8 @@ def _corpus(digests=None):
 
 def _grid_cells():
     """Yield (label, fields) for every CellResult of the acceptance grid, run
-    with the default batch budget and with SPLIT_BUDGET."""
+    with the default batch budget and with SPLIT_BUDGET, and of ZERO_GRID,
+    whose cells are labelled by their position."""
     import dataclasses
 
     from otsm import solver
@@ -249,6 +258,8 @@ def _grid_cells():
             solver._BATCH_STILDE_BYTES = default
         for cell in cells:
             yield f"{name}/{cell.d}/{cell.sigma}/{cell.init}", dataclasses.asdict(cell)
+    for k, cell in enumerate(run_grid(ExperimentGrid(**ZERO_GRID))):
+        yield f"run_grid_zero/{k}/{cell.d}/{cell.sigma}/{cell.init}", dataclasses.asdict(cell)
 
 
 def dump(path):

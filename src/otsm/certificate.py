@@ -403,7 +403,14 @@ def certify(problem, point) -> CertificateReport:
     ``gap_bound`` costs nothing more.
     ``lmin_full`` (one ``eigvalsh`` of L*) is computed when first read.
     """
-    lams, stat = _first_order(problem, point)
+    return _certify(problem, point, *_first_order(problem, point))
+
+
+def _certify(problem, point, lams, stat) -> CertificateReport:
+    """:func:`certify` from the raw multipliers ``lams`` and the ``stat`` of
+    :func:`otsm.core._first_order` at ``point``, as a solve report keeps them
+    for its solution, so that certifying a solve makes no second product pass.
+    """
     frames = _frames(point, lams)
     taus = [tau for tau, _ in frames]
     lo, hi = _scale(problem, lams)

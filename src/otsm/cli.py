@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .certificate import Verdict, certify
+from .certificate import Verdict, _certify, certify
 from .core import InternalError, ValidationError
 from .experiment import ExperimentGrid, ExportError, export_results, run_grid
 from .formats import (
@@ -69,7 +69,9 @@ def _cmd_solve(args) -> int:
         alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, init=init
     )
     report = solve(problem, config)
-    cert = certify(problem, report.solution) if args.certify else None
+    cert = None
+    if args.certify:  # from the multipliers of the report's stationarity pass
+        cert = _certify(problem, report.solution, report._lambdas, report.stationarity)
     solution_path = _save_solve_report(args.out, report, cert, args.trace)
     print(f"objective: {report.objective:.10g}")
     print(f"iterations: {report.iterations}")

@@ -64,13 +64,17 @@ def _is_real(value) -> bool:
 
 
 def _as_matrix(value, what) -> np.ndarray:
-    """A read-only float copy of ``value``, which must be a finite matrix.
+    """A read-only float64 array that owns its data, from ``value``, which must
+    be a finite matrix: a copy, unless ``value`` already is such an array
+    (as this returns), which is checked and returned as is.
 
     Raises ValidationError, naming ``what``, for anything else: ragged or
     non-numeric data, a wrong number of dimensions, NaN or infinity.
     """
+    owned = (isinstance(value, np.ndarray) and value.dtype == np.float64
+             and value.flags.owndata and not value.flags.writeable)
     try:
-        a = np.array(value, dtype=float)
+        a = value if owned else np.array(value, dtype=float)
     except OverflowError as exc:  # an integer beyond float range
         raise ValidationError(f"{what} contains non-finite entries") from exc
     except (TypeError, ValueError) as exc:
@@ -156,7 +160,9 @@ class OtsmProblem:
         Block dimensions.
     sblocks : mapping (i, j) -> ndarray
         Zero-based integer pairs with ``i < j``, each at most once; entry
-        shape must be ``d_i x d_j``.
+        shape must be ``d_i x d_j``.  Each entry is copied, unless it
+        already is a read-only float64 array that owns its data, which is
+        kept as it is (see :func:`_as_matrix`).
     """
 
     __slots__ = ("dims", "_sblocks", "_spectrum", "_factor")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import _check_synth, synth_procrustes
-from .certificate import Verdict, certify
+from .certificate import Verdict, _certify
 from .core import ValidationError, _is_int
 from .formats import atomic_write_text
 from .solver import SolverConfig, StopReason, _runs_per_batch, _solve_batch
@@ -194,11 +194,12 @@ class _RepOutcome:
 
 
 def _outcome(problem, config, report) -> _RepOutcome:
-    """Certify a solve's report; with no report, solve the problem alone first."""
+    """Certify a solve's report from its own multipliers; with no report, solve
+    the problem alone first."""
     try:
         if report is None:
             report = _solve_batch([problem], [config])[0]
-        cert = certify(problem, report.solution)
+        cert = _certify(problem, report.solution, report._lambdas, report.stationarity)
     except (ValidationError, np.linalg.LinAlgError) as exc:
         return _RepOutcome(ok=False, reason=f"{type(exc).__name__}: {exc}")
     return _RepOutcome(
@@ -210,16 +211,21 @@ def _outcome(problem, config, report) -> _RepOutcome:
     )
 
 
-def _cell_runs(grid, d, sigma):
-    """Yield ``(rep, init, problem, config)`` for every run of a cell, rep by rep.
+def _size_runs(grid, d):
+    """Yield ``(cell, rep, init, problem, config)`` for every run of one ``d``:
+    cell by cell, ``cell`` being the position of its ``sigma`` in
+    ``grid.sigma_values``, then rep by rep.
 
-    Each rep's problem is built once and shared by its starts.
+    Each rep's problem is built once and shared by its starts.  Cells are
+    told apart by position, not by ``sigma``: ``0.0`` and ``-0.0`` are two
+    cells with their own seeds, yet equal as keys.
     """
-    for rep in range(grid.reps):
-        seed = _derived_seed(grid.base_seed, d, sigma, rep)
-        problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
-        for init in grid.init_strategies:
-            yield rep, init, problem, SolverConfig(init=init)
+    for cell, sigma in enumerate(grid.sigma_values):
+        for rep in range(grid.reps):
+            seed = _derived_seed(grid.base_seed, d, sigma, rep)
+            problem, _ = synth_procrustes(grid.m, grid.n, d, grid.r, sigma, seed)
+            for init in grid.init_strategies:
+                yield cell, rep, init, problem, SolverConfig(init=init)
 
 
 def _aggregate(d, sigma, init, outcomes, other_outcomes) -> CellResult:
@@ -266,9 +272,10 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     For every cell and rep, one instance is generated with a seed derived
     from (base_seed, d, sigma, rep) — identical across initializations,
     so the objective-gap records compare the two strategies on the same
-    instance.  A cell's runs (reps x starts, rep by rep) are swept in
-    batches within a fixed memory budget, sized from what the problem of a
-    batch's first run stores (see :func:`otsm.solver._runs_per_batch`);
+    instance.  The runs of one ``d`` (cells x reps x starts, cell by cell,
+    rep by rep), which share the problems' shape, are swept as one stream
+    in batches within a fixed memory budget, sized from what the problem
+    of a batch's first run stores (see :func:`otsm.solver._runs_per_batch`);
     each solve report and certificate is identical to solving and
     certifying that rep from that start alone.  A start, solve or
     certificate that rejects its data (``ValidationError``) or whose
@@ -280,19 +287,20 @@ def run_grid(grid: ExperimentGrid) -> list[CellResult]:
     """
     results = []
     for d in grid.d_values:
-        for sigma in grid.sigma_values:
-            per_init: dict[str, list[_RepOutcome]] = {
-                init: [None] * grid.reps for init in grid.init_strategies
-            }
-            runs = _cell_runs(grid, d, sigma)
-            for first in runs:
-                batch = [first, *itertools.islice(runs, _runs_per_batch(first[2]) - 1)]
-                try:
-                    reports = _solve_batch([b[2] for b in batch], [b[3] for b in batch])
-                except (ValidationError, np.linalg.LinAlgError):
-                    reports = [None] * len(batch)  # _outcome solves them one by one
-                for (rep, init, problem, config), report in zip(batch, reports):
-                    per_init[init][rep] = _outcome(problem, config, report)
+        per_cell: list[dict[str, list[_RepOutcome]]] = [
+            {init: [None] * grid.reps for init in grid.init_strategies}
+            for _ in grid.sigma_values
+        ]
+        runs = _size_runs(grid, d)
+        for first in runs:
+            batch = [first, *itertools.islice(runs, _runs_per_batch(first[3]) - 1)]
+            try:
+                reports = _solve_batch([b[3] for b in batch], [b[4] for b in batch])
+            except (ValidationError, np.linalg.LinAlgError):
+                reports = [None] * len(batch)  # _outcome solves them one by one
+            for (cell, rep, init, problem, config), report in zip(batch, reports):
+                per_cell[cell][init][rep] = _outcome(problem, config, report)
+        for sigma, per_init in zip(grid.sigma_values, per_cell):
             for init in grid.init_strategies:
                 others = [s for s in grid.init_strategies if s != init]
                 other_outcomes = per_init[others[0]] if others else None

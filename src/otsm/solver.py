@@ -14,7 +14,7 @@ classical ascent, which may oscillate (see :func:`oscillation_demo`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,13 +29,13 @@ from .core import (
     ValidationError,
     _check_match,
     _Coupling,
+    _first_order,
     _is_int,
     _is_real,
     _product,
     _spectrum,
     objective,
     polar_project,
-    stationarity,
 )
 
 __all__ = [
@@ -117,6 +117,10 @@ class SolveReport:
     in each block).  ``mean_change_trace`` and ``change_sq_trace`` (the
     per-cycle sum of squared block changes, kept for descent audits) have
     one entry per completed cycle.  ``iterations`` counts completed cycles.
+    ``stationarity`` comes from one product pass at the solution, whose raw
+    multipliers the report keeps for the certificate (see
+    :func:`otsm.certificate._certify`), so that certifying the solution
+    makes no second pass.
     """
 
     solution: BlockOrthogonal
@@ -126,6 +130,7 @@ class SolveReport:
     iterations: int
     stop_reason: StopReason
     stationarity: StationarityReport
+    _lambdas: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def objective(self) -> float:
@@ -217,8 +222,11 @@ def solve(problem: OtsmProblem, config: SolverConfig | None = None) -> SolveRepo
     once per cycle.  The two backends agree to rounding, not bit for bit.
 
     A solve is the batch of one of the sweep that
-    :func:`otsm.experiment.run_grid` runs over many same-shape problems at
-    once; a problem's result does not depend on the batch it is swept in.
+    :func:`otsm.experiment.run_grid` runs over the same-shape problems of
+    one ``d`` at once; a problem's result does not depend on the batch it
+    is swept in.  The report's ``stationarity`` is one product pass at the
+    solution, and ``otsm solve --certify`` and the grid certify from that
+    pass's multipliers instead of making another.
     """
     return _solve_batch([problem], [config])[0]
 
@@ -313,6 +321,7 @@ class _Item:
         return None
 
     def report(self, point, iterations, stop) -> SolveReport:
+        lams, stat = _first_order(self.problem, point)
         return SolveReport(
             solution=point,
             objective_trace=tuple(self.obj_trace),
@@ -320,7 +329,8 @@ class _Item:
             change_sq_trace=tuple(self.change_sq_trace),
             iterations=iterations,
             stop_reason=stop,
-            stationarity=stationarity(self.problem, point),
+            stationarity=stat,
+            _lambdas=tuple(lams),
         )
 
 
@@ -333,7 +343,10 @@ def _solve_batch(problems, configs) -> list[SolveReport]:
     stacked SVD for the polar factors, and the gains and change norms of the
     batch, with arithmetic per item that does not depend on the batch size.
     Audits, traces and stopping rules are per item; an item that stops
-    leaves the batch, whose arrays are compacted in place.  Any error
+    leaves the batch, whose arrays are compacted in place, and its report
+    takes one product pass at its point for ``stationarity`` and the
+    multipliers it keeps.  Items may come from different problems of one
+    shape, such as every run of one ``d`` of a grid.  Any error
     raised for one item ends the whole call, as does a ``configs`` of
     another length than ``problems`` (``ValueError``) or a batch that mixes
     shapes or coupling backends (``ValidationError``).

@@ -541,8 +541,9 @@ def test_certify_makes_one_pass_over_the_couplings(monkeypatch):
 
 
 def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, capsys):
-    """otsm certify makes one pass; otsm solve --certify three: the start's
-    objective, the solve's final stationarity and certify."""
+    """otsm certify makes one pass; otsm solve --certify two: the start's
+    objective and the solve's final first-order pass, whose multipliers the
+    certificate reuses."""
     prob, _ = synth_procrustes(4, 30, 12, 3, 1.0, 0)
     problem_path = str(tmp_path / "problem.json")
     report_path = str(tmp_path / "run.json")
@@ -550,13 +551,32 @@ def test_cli_makes_minimal_passes_over_the_couplings(monkeypatch, tmp_path, caps
     passes = count_coupling_passes(monkeypatch)
     code = otsm.cli.main(["solve", "--input", problem_path, "--init", "spectral",
                           "--certify", "--out", report_path])
-    assert (code, passes["_product"]) == (0, 3)
+    assert (code, passes["_product"]) == (0, 2)
     passes.clear()
     code = otsm.cli.main(["certify", "--input", problem_path,
                           "--solution", str(tmp_path / "run.solution.json"),
                           "--out", str(tmp_path / "check.json")])
     assert (code, passes["_product"]) == (0, 1)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 10.0])
+@pytest.mark.parametrize("n", [30, 10])  # D = 48: dense below 3 n, views from it on
+def test_solve_report_hands_its_multipliers_to_the_certificate(n, sigma):
+    """The certificate from a solve report's own first-order pass is the one
+    certify computes afresh at the report's solution, field for field."""
+    prob, _ = synth_procrustes(4, n, 12, 3, sigma, 0)
+    assert (prob._factor is None) == (n == 30)
+    for init in ("identity", "spectral"):
+        report = solve(prob, SolverConfig(init=init))
+        got = otsm.certificate._certify(prob, report.solution, report._lambdas,
+                                        report.stationarity)
+        want = certify(prob, report.solution)
+        assert len(got.lambdas) == len(want.lambdas)
+        for a, b in zip(got.lambdas, want.lambdas):
+            assert np.array_equal(a, b)
+        for field in ("taus", "verdict", "tol_psd", "tol_tau", "gap_bound", "stationarity"):
+            assert getattr(got, field) == getattr(want, field), field
 
 
 def test_cli_reports_decompose_nothing_beyond_the_verdict(monkeypatch, tmp_path, capsys):

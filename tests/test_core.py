@@ -153,6 +153,21 @@ class TestOtsmProblem:
         with pytest.raises(ValidationError):
             OtsmProblem(BlockDims((3, 3), 2), {(0, 1): s})
 
+    def test_later_writes_to_the_input_change_nothing(self):
+        s = np.eye(3)
+        prob = OtsmProblem(BlockDims((3, 3), 2), {(0, 1): s})
+        s[0, 0] = 5.0
+        assert prob.sblocks[(0, 1)][0, 0] == 1.0
+
+    def test_read_only_owned_matrix_is_kept_not_copied(self):
+        s = np.eye(3)
+        s.flags.writeable = False
+        view = np.eye(3)[:, :]  # read-only below, but not the owner of its data
+        view.flags.writeable = False
+        prob = OtsmProblem(BlockDims((3, 3, 3), 2), {(0, 1): s, (0, 2): view})
+        assert prob.sblocks[(0, 1)] is s
+        assert prob.sblocks[(0, 2)] is not view
+
     def test_stored_blocks_are_readonly(self):
         prob = make_hard_problem()
         with pytest.raises(ValueError):

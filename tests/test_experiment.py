@@ -226,12 +226,46 @@ class TestRunGrid:
 
         monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
         whole = run_grid(grid)
-        assert sizes == [6, 6]
+        assert sizes == [12]
         for runs, expected in ((3, [3, 3] * 2), (1, [1] * 12)):
             sizes.clear()
             monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", runs * 8 * 10 * 40)
             assert run_grid(grid) == whole
             assert sizes == expected
+
+    def test_one_batch_per_size(self, monkeypatch):
+        # The two sigma cells of a d share D = 3 d: all 8 runs of a d (2 cells
+        # x 2 reps x 2 starts) fit the default budget and take one batch.
+        import otsm.experiment
+
+        grid = ExperimentGrid(d_values=(3, 4), sigma_values=(0.1, 10.0), m=3, n=20, r=2,
+                              reps=2, base_seed=5)
+        batches = []
+        real = otsm.experiment._solve_batch
+
+        def counted(problems, configs):
+            batches.append((problems[0].dims.total_dim, len(problems)))
+            return real(problems, configs)
+
+        monkeypatch.setattr(otsm.experiment, "_solve_batch", counted)
+        run_grid(grid)
+        assert batches == [(9, 8), (12, 8)]
+
+    def test_signed_zero_cells_stay_apart(self, monkeypatch):
+        # 0.0 and -0.0 are two cells with their own seeds, yet equal as keys;
+        # d = 3 twice repeats both.  Merged into one batch per d, every cell
+        # must equal its runs solved one per batch.
+        grid = ExperimentGrid(d_values=(3, 3), sigma_values=(0.0, -0.0), m=3, n=20, r=2,
+                              reps=2, base_seed=5)
+        merged = run_grid(grid)
+        assert [(c.d, math.copysign(1.0, c.sigma), c.init) for c in merged] == [
+            (3, sign, init) for sign in (1.0, -1.0) for init in ("identity", "spectral")
+        ] * 2
+        for plus, minus in zip(merged[:2], merged[2:4]):
+            assert plus.mean_final_objective != minus.mean_final_objective
+        assert merged[4:] == merged[:4]
+        monkeypatch.setattr(otsm.solver, "_BATCH_STILDE_BYTES", 1)  # one run per batch
+        assert run_grid(grid) == merged
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_one_decomposition_per_rep(self, monkeypatch, runs):

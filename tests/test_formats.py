@@ -130,3 +130,22 @@ def test_save_problem_peak_below_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+def test_loaded_couplings_are_the_readers_arrays(tmp_path, monkeypatch):
+    """load_problem converts each coupling once; the problem keeps that array."""
+    import otsm.formats
+
+    path = tmp_path / "p.json"
+    save_problem(_ragged_problem(), path)
+    made = []
+    real = otsm.formats._as_matrix
+
+    def recorded(value, what):
+        made.append(real(value, what))
+        return made[-1]
+
+    monkeypatch.setattr(otsm.formats, "_as_matrix", recorded)
+    loaded = load_problem(path)
+    assert len(made) == 2
+    assert all(any(s is a for a in made) for s in loaded.sblocks.values())
