@@ -14,7 +14,9 @@ benchmark's solve inputs plus the solves of the acceptance tests:
   ``init_spectral``;
 * cli_roundtrip inputs 0-3: ``synth_procrustes(10, 100, 50, 3, 1.0, seed)``
   written with ``save_problem``, read back with ``load_problem`` and solved
-  from the spectral start, as ``otsm solve --init spectral`` does; the
+  from the spectral start, as ``otsm solve --init spectral`` does, which at
+  D = 500 comes from the Krylov solve (against a tree that takes it from
+  ``eigh`` there, these four runs move by rounding); the
   sha256 of each file is saved too (field ``file_sha256``), so the bytes
   ``save_problem`` writes must match as well, and so is the sha256 of its
   decoded payload re-dumped with sorted keys (``file_payload_sha256``),
@@ -102,6 +104,13 @@ measures it at its own solution); on ``far_views/0`` it is 0 when the
 views' product sums the other blocks without subtracting.  Its PSD test is
 printed but not counted: the Schur route leaves it open at every
 tolerance, and ``certify`` then decides on the assembled ``L*``.
+
+The same pass solves and certifies ``panels/0``, the dense twin of
+``synth_procrustes(10, 100, 100, 3, 1.0, 0)`` (D = 1000, so its ``L*``
+spans eight of ``_psd_within``'s panels), and prints the PSD test's
+answers at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi`` by the panel route
+and by one ``np.linalg.cholesky`` of ``L*``; answers that differ are a
+mismatch (field ``panels``).
 
 Which runs move against another tree depends on how it forms
 ``S-tilde X``.  Against a tree whose Krylov start on views multiplies by
@@ -347,7 +356,41 @@ def backends() -> list[tuple[str, str]]:
         if obj_rel > TRACE_REL:
             found.append(("objective",
                           f"backends/{label}: objective differs by {obj_rel:.3e} (rel)"))
-    return found
+    return found + _panel_check()
+
+
+def _cholesky_succeeds(matrix, tol) -> bool:
+    """Whether one ``np.linalg.cholesky`` of ``matrix + tol I`` succeeds."""
+    try:
+        np.linalg.cholesky(matrix + tol * np.eye(len(matrix)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _panel_check() -> list[tuple[str, str]]:
+    """Compare ``_psd_within``'s panel route with one ``np.linalg.cholesky`` on
+    the ``L*`` of ``panels/0`` at ``tol_psd`` and at ``-lmin_full -+ 1e-6 hi``."""
+    from otsm.builders import synth_procrustes
+    from otsm.certificate import _PANEL, _certificate_from, _frames, _psd_within, _scale, certify
+    from otsm.core import OtsmProblem
+    from otsm.solver import SolverConfig, solve
+
+    twin = synth_procrustes(10, 100, 100, 3, 1.0, 0)[0]
+    problem = OtsmProblem(twin.dims, twin.sblocks)
+    point = solve(problem, SolverConfig(init="spectral")).solution
+    cert = certify(problem, point)
+    frames = _frames(point, cert.lambdas)
+    hi = _scale(problem, list(cert.lambdas))[1]
+    full = _certificate_from(problem, frames)
+    tols = (cert.tol_psd, -cert.lmin_full - 1e-6 * hi, -cert.lmin_full + 1e-6 * hi)
+    got = [_psd_within(full.copy(), t) for t in tols]
+    want = [_cholesky_succeeds(full, t) for t in tols]
+    print(f"panels/0: {cert.verdict.value}, L* of {-(-len(full) // _PANEL)} panels; PSD test at "
+          f"tol_psd and -lmin_full -+ 1e-6 hi: panel route {got}, np.linalg.cholesky {want}")
+    if got != want:
+        return [("panels", f"panels/0: panel route {got} != np.linalg.cholesky {want}")]
+    return []
 
 
 def _backend_problems():

@@ -10,11 +10,12 @@ the point is NOT globally optimal (necessary condition).  Between the two
 lies an inconclusive region: the certificate is sufficient, not necessary.
 Each diagonal block is read as ``tau_i I + G_i G_i^T`` (see :func:`_frames`).
 `certify` decides semidefiniteness of ``L* + tol_psd I`` by one Cholesky
-factorization of the assembled matrix, or, where the problem keeps views
-with couplings ``+A_i^T A_j``, through an ``n x n`` Schur complement (see
-:func:`_psd_by_schur`), and gives ``CERTIFIED_GLOBAL`` only at points that
-are stationary relative to the scale of ``stilde``, by tolerances that
-scale with ``stilde``.  The report lets a caller re-judge by another rule.
+factorization of the assembled matrix, in place (see :func:`_psd_within`),
+or, where the problem keeps views with couplings ``+A_i^T A_j``, through an
+``n x n`` Schur complement (see :func:`_psd_by_schur`), and gives
+``CERTIFIED_GLOBAL`` only at points that are stationary relative to the
+scale of ``stilde``, by tolerances that scale with ``stilde``.  The report
+lets a caller re-judge by another rule.
 
 At any feasible point, stationary or not, ``L* + t I`` PSD proves the gap
 bound ``f* - f <= (m r / 2) t`` by weak duality: ``stilde`` is then below
@@ -189,15 +190,37 @@ def reduced_certificate(problem, point) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
+#: Columns per panel of :func:`_psd_within`'s factorization in place.
+_PANEL = 128
+
+
 def _psd_within(matrix, tol) -> bool:
     """True when ``matrix + tol I`` has a Cholesky factorization.
 
     That is when ``lambda_min(matrix) >= -tol`` up to the factorization's
-    backward error.  The diagonal of ``matrix`` is shifted in place.
+    backward error.  ``matrix`` is consumed: its diagonal is shifted in
+    place, and one wider than ``_PANEL`` is factorized in place, by a
+    left-looking Cholesky in column panels of ``_PANEL``.  Each panel is
+    first updated by the factor's columns left of it; then its diagonal
+    block goes through ``np.linalg.cholesky`` and the rows below through
+    ``np.linalg.solve`` against that factor.  So the test holds ``matrix``
+    plus ``O(D _PANEL)`` floats, where one ``np.linalg.cholesky`` call
+    would add two more ``D x D`` arrays; a narrower matrix takes that call.
     """
-    matrix.flat[:: matrix.shape[0] + 1] += tol
+    side = matrix.shape[0]
+    matrix.flat[:: side + 1] += tol
     try:
-        np.linalg.cholesky(matrix)
+        if side <= _PANEL:
+            np.linalg.cholesky(matrix)
+            return True
+        for lo in range(0, side, _PANEL):
+            hi = min(lo + _PANEL, side)
+            panel = matrix[lo:, lo:hi]
+            if lo:
+                panel -= matrix[lo:, :lo] @ matrix[lo:hi, :lo].T
+            low = np.linalg.cholesky(panel[: hi - lo])
+            panel[: hi - lo] = low
+            panel[hi - lo :] = np.linalg.solve(low, panel[hi - lo :].T).T
     except np.linalg.LinAlgError:
         return False
     return True
@@ -229,8 +252,9 @@ def _psd_by_schur(views, frames, tol) -> bool | None:
     eigenvalue unless ``c_i`` is small against ``||A_i||^2``: the ``K_i``
     form then loses most where ``A_i`` is rank deficient, and either form
     where ``c_i`` nears ``eps ||A_i||^2``.  The answer is the complement's
-    factorization shifted by ``-err`` and by ``+err`` where the two agree,
-    and None where they do not or a ``B_i`` or ``K_i`` has no Cholesky factor.
+    factorization shifted by ``-err`` (of a copy, since :func:`_psd_within`
+    consumes what it tests) and by ``+err`` where the two agree, and None
+    where they do not or a ``B_i`` or ``K_i`` has no Cholesky factor.
     """
     n, eps = views[0].shape[0], np.finfo(float).eps
     schur, err = np.eye(n), 2 * n * n * len(views) * eps
@@ -254,9 +278,9 @@ def _psd_by_schur(views, frames, tol) -> bool | None:
             inv = np.linalg.inv(low[r:, r:])
             schur += c * (inv.T @ inv)
             schur.flat[:: n + 1] -= 1.0
-    if _psd_within(schur, -err):
+    if _psd_within(schur.copy(), -err):
         return True
-    if not _psd_within(schur, 2.0 * err):  # shifted by +err in all
+    if not _psd_within(schur, err):
         return False
     return None
 
@@ -394,8 +418,10 @@ def certify(problem, point) -> CertificateReport:
     + m^2 n^2`` work; a pair is formed only where its Gram entry could
     not be trusted, see :func:`_view_pair_norms`).
     Only when the PSD test runs is ``stilde`` assembled and turned into
-    ``L* + tol_psd I`` in place for one dense Cholesky factorization; on
-    the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
+    ``L* + tol_psd I`` in place for one dense Cholesky factorization,
+    which overwrites it with its factor a panel of ``_PANEL`` columns at a
+    time, so the test holds ``L*`` plus ``O(D _PANEL)`` (see
+    :func:`_psd_within`); on the factored backend with couplings ``+A_i^T A_j`` it is one Cholesky
     factorization of side ``min(d_i, n + r)`` per block and one or two of
     an ``n x n`` Schur complement, with no D x D array, unless rounding
     leaves that test open (see :func:`_psd_by_schur`).  Each ``r x r``

@@ -64,17 +64,15 @@ def _is_real(value) -> bool:
 
 
 def _as_matrix(value, what) -> np.ndarray:
-    """A read-only float64 array that owns its data, from ``value``, which must
-    be a finite matrix: a copy, unless ``value`` already is such an array
-    (as this returns), which is checked and returned as is.
+    """A read-only float64 copy of ``value``, which must be a finite matrix.
 
-    Raises ValidationError, naming ``what``, for anything else: ragged or
-    non-numeric data, a wrong number of dimensions, NaN or infinity.
+    Always a copy, so that no later write to ``value``, or to an array that
+    shares its data, reaches the result.  Raises ValidationError, naming
+    ``what``, for anything else: ragged or non-numeric data, a wrong number
+    of dimensions, NaN or infinity.
     """
-    owned = (isinstance(value, np.ndarray) and value.dtype == np.float64
-             and value.flags.owndata and not value.flags.writeable)
     try:
-        a = value if owned else np.array(value, dtype=float)
+        a = np.array(value, dtype=float)
     except OverflowError as exc:  # an integer beyond float range
         raise ValidationError(f"{what} contains non-finite entries") from exc
     except (TypeError, ValueError) as exc:
@@ -160,9 +158,8 @@ class OtsmProblem:
         Block dimensions.
     sblocks : mapping (i, j) -> ndarray
         Zero-based integer pairs with ``i < j``, each at most once; entry
-        shape must be ``d_i x d_j``.  Each entry is copied, unless it
-        already is a read-only float64 array that owns its data, which is
-        kept as it is (see :func:`_as_matrix`).
+        shape must be ``d_i x d_j``.  Each entry is copied (see
+        :func:`_as_matrix`).
     """
 
     __slots__ = ("dims", "_sblocks", "_spectrum", "_factor")
@@ -398,12 +395,20 @@ def _from_views(dims, views, sign=1.0):
     :func:`_view_pairs`, not copied, and keeps no views.
     """
     _check_view_pairs(views)
-    problem = OtsmProblem(dims, {})
     if _FACTOR_RATIO * views[0].shape[0] > dims.total_dim:
-        problem._sblocks = MappingProxyType(dict(_view_pairs(views, sign)))
-    else:
-        problem._sblocks = None
-        problem._factor = (tuple(views), float(sign))
+        return _with_pairs(dims, dict(_view_pairs(views, sign)))
+    problem = OtsmProblem(dims, {})
+    problem._sblocks = None
+    problem._factor = (tuple(views), float(sign))
+    return problem
+
+
+def _with_pairs(dims, pairs):
+    """The problem that stores the dict ``pairs``, ``(i, j) -> S_ij``, as it is:
+    checked, read-only float64 pairs that no caller holds, so that none is
+    copied (the view builders' pairs, and the pairs a problem file decodes)."""
+    problem = OtsmProblem(dims, {})
+    problem._sblocks = MappingProxyType(pairs)
     return problem
 
 
@@ -545,11 +550,21 @@ class _Coupling:
 #: Guards the first store of a problem's pairs and of its start vectors.
 _MEMO_LOCK = threading.Lock()
 
-#: From this D on a spectral start comes from :func:`_krylov`.  Measured on
-#: ``synth_procrustes(10, 100, D/10, 3, 1.0, 0)``, one BLAS thread of a
-#: 2-CPU host, at D = 500/1000/2000: ``eigh`` 39/252/1660 ms, ``eigvalsh``
-#: 17/130/905 ms, the Krylov solve 19/69/384 ms.
-_KRYLOV_MIN_DIM = 1000
+#: From this D on a spectral start comes from :func:`_krylov`, which forms
+#: no ``D x D`` eigenvector matrix and needs no LAPACK workspace.  Measured
+#: on ``synth_procrustes(10, 100, D/10, 3, 1.0, 0)``, one BLAS thread of a
+#: 2-CPU host (best of 15, in ms):
+#:
+#: ====  ======  ==========  ============
+#: D     eigh    eigvalsh    Krylov solve
+#: ====  ======  ==========  ============
+#: 100   0.74    0.37        1.06
+#: 200   3.09    1.42        2.39
+#: 300   7.43    3.77        3.97
+#: 500   25.1    11.8        11.5
+#: 1000  168     83.4        37.2
+#: ====  ======  ==========  ============
+_KRYLOV_MIN_DIM = 200
 #: Seed of the Krylov solve's private start block (not the global RNG).
 _KRYLOV_SEED = 1811_03521
 #: The Krylov basis takes at most this share of D and this many blocks.
@@ -612,12 +627,13 @@ def _spectrum(problem, op=None, k=0):
     """The memoized ``D x r`` top eigenvectors of the assembled coupling matrix.
 
     Returns them read-only, largest first, by one path that ``D`` and ``r``
-    choose: :func:`_krylov` from ``D = _KRYLOV_MIN_DIM`` on where its cap
-    holds three blocks of ``r + 2``, else ``eigh``.  Krylov multiplies by a
-    dense problem's ``stilde`` (item ``k`` of the caller's
+    choose: :func:`_krylov` from ``D = _KRYLOV_MIN_DIM`` (200) on where its
+    cap holds three blocks of ``r + 2``, else ``eigh``.  Krylov multiplies by
+    a dense problem's ``stilde`` (item ``k`` of the caller's
     :class:`_Coupling` ``op``, or a fresh assembly) and by a view problem's
-    :func:`_product`, which forms no ``D x D`` array.  The first stored
-    vectors are never replaced.  A failed decomposition raises
+    :func:`_product`, which forms no ``D x D`` array; unlike ``eigh`` it
+    forms no ``D x D`` eigenvector matrix on either backend.  The first
+    stored vectors are never replaced.  A failed decomposition raises
     ``numpy.linalg.LinAlgError`` and stores nothing.  No ``D x D`` array is kept.
     """
     if problem._spectrum is not None:

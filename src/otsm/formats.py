@@ -50,6 +50,7 @@ from .core import (
     _as_matrix,
     _is_int,
     _pairs,
+    _with_pairs,
 )
 
 __all__ = [
@@ -144,10 +145,10 @@ def _write_json(path, payload) -> None:
     atomic_write_text(path, _json_chunks(path, payload))
 
 
-def _read_json(path, kind):
+def _read_json(path, kind, object_hook=None):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{kind} file {path}: not UTF-8 text: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -173,11 +174,32 @@ def _dims_field(raw, path):
     return tuple(dims)
 
 
+def _decode_coupling(entry):
+    """``json.load``'s object hook for problem files: an object with exactly the
+    fields ``i``, ``j`` and ``data`` of a coupling entry gets its ``data`` as
+    the read-only float64 matrix :func:`otsm.core._as_matrix` makes of it, as
+    soon as the object is decoded, so that no coupling's nested lists outlive
+    their own entry.  Data that does not convert is left as it is, for
+    :func:`load_problem` to name the defect."""
+    if entry.keys() == {"i", "j", "data"}:
+        try:
+            entry["data"] = _as_matrix(entry["data"], "data")
+        except ValidationError:
+            pass
+    return entry
+
+
 def load_problem(path) -> OtsmProblem:
     """Load and validate a problem file; raises ValidationError on defects.
+
     An explicit-couplings file is checked in one pass: ``dims`` and ``r``
-    first, then each coupling in file order, named by its ``S[k].data``."""
-    raw = _read_json(path, "problem")
+    first, then each coupling in file order, named by its ``S[k].data``.
+    Each coupling's ``data`` is converted to a read-only float64 matrix as
+    it is decoded (see :func:`_decode_coupling`), and the problem keeps
+    those matrices, with no further copy: the load holds the file's text
+    and the couplings' arrays, and one coupling's nested lists at a time.
+    """
+    raw = _read_json(path, "problem", _decode_coupling)
     if not isinstance(raw, dict):
         raise ValidationError(f"problem file {path}: top level must be an object")
     unknown = set(raw) - {"dims", "r", "S", "views"}
@@ -249,13 +271,15 @@ def load_problem(path) -> OtsmProblem:
             raise _bad_field(path, "problem", f"S[{k}]", msg)
         if (i - 1, j - 1) in sblocks:
             raise _bad_field(path, "problem", f"S[{k}]", f"duplicate pair (i={i}, j={j})")
-        data = _as_matrix(entry["data"], f"problem file {path}: field 'S[{k}].data'")
+        data = entry["data"]
+        if not isinstance(data, np.ndarray):  # left by _decode_coupling: raises
+            data = _as_matrix(data, f"problem file {path}: field 'S[{k}].data'")
         expected = (dims.dims[i - 1], dims.dims[j - 1])
         if data.shape != expected:
             msg = f"shape {data.shape} does not match (d_{i}, d_{j}) = {expected}"
             raise _bad_field(path, "problem", f"S[{k}].data", msg)
         sblocks[(i - 1, j - 1)] = data
-    return OtsmProblem(dims, sblocks)
+    return _with_pairs(dims, sblocks)
 
 
 def save_problem(problem: OtsmProblem, path) -> None:

@@ -151,9 +151,10 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
 
     The eigenvectors are memoized on the problem by its first spectral
     start, from one path per size (see :func:`otsm.core._spectrum`): one
-    ``eigh`` of ``stilde`` below D = 1000, else a block Krylov solve, which
-    never falls back to ``eigh`` and forms no D x D array on the factored
-    backend; later starts on the same problem decompose nothing.
+    ``eigh`` of ``stilde`` below D = 200, else a block Krylov solve, which
+    never falls back to ``eigh``, forms no D x D eigenvector matrix and,
+    on the factored backend, no D x D array at all; later starts on the
+    same problem decompose nothing.
     """
     top = _spectrum(problem)
     return BlockOrthogonal([polar_project(top[rows]) for rows in problem.dims.rows])

@@ -46,6 +46,7 @@ from otsm.core import (
 from otsm.certificate import (
     Verdict,
     _frames,
+    _psd_by_schur,
     _psd_within,
     _scale,
     certificate_matrix,
@@ -394,13 +395,85 @@ class TestCholeskyVerdict:
         assert not _psd_within(certificate_matrix(hard_problem, point), -lmin * (1.0 - 1e-3))
 
 
+def cholesky_succeeds(matrix, tol) -> bool:
+    """Whether one np.linalg.cholesky of ``matrix + tol I`` succeeds."""
+    shifted = matrix + tol * np.eye(len(matrix))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestPanelFactorization:
+    """_psd_within factorizes a matrix wider than one panel in place, panel
+    by panel, and decides as one np.linalg.cholesky does."""
+
+    @pytest.mark.parametrize("side", [300, 600])
+    def test_decides_as_one_cholesky(self, side):
+        # L* at a random point: lambda_min stands well below 0.
+        rng = np.random.default_rng(side)
+        prob = random_problem(rng, [side // 4] * 4, 3)
+        point = random_point(rng, prob)
+        full = certificate_matrix(prob, point)
+        lmin = np.linalg.eigvalsh(full)[0]
+        assert lmin < 0.0 and side > 2 * otsm.certificate._PANEL
+        for factor, want in ((1.0 + 1e-3, True), (1.0 - 1e-3, False)):
+            assert cholesky_succeeds(full, -lmin * factor) is want
+            assert _psd_within(full.copy(), -lmin * factor) is want
+
+    def test_leaves_the_cholesky_factor(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((300, 300))
+        a = a @ a.T
+        work = a.copy()
+        assert _psd_within(work, 1.0)
+        want = np.linalg.cholesky(a + np.eye(300))
+        assert_allclose(np.tril(work), want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+    def test_holds_a_fraction_of_the_matrix(self):
+        side = 600
+        a = np.random.default_rng(5).standard_normal((side, side))
+        a = a @ a.T
+        tracemalloc.start()
+        try:
+            assert _psd_within(a, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * side * side
+
+    def test_schur_route_tests_each_shift_on_its_own_complement(self, monkeypatch):
+        # n = 300 views: the n x n Schur complement spans three panels.  At
+        # the shift where L* + t I is not PSD both of the route's tests run,
+        # so the second must not read what the first consumed.
+        rng = np.random.default_rng(3)
+        views = [rng.standard_normal((300, 60)) for _ in range(4)]
+        prob = build_maxdiff(ViewData(views), 3)
+        point = random_point(rng, prob)
+        frames = _frames(point, lagrange_multipliers(prob, point))
+        full = certificate_matrix(prob, point)
+        lmin = np.linalg.eigvalsh(full)[0]
+        tested, real = [], otsm.certificate._psd_within
+        monkeypatch.setattr(otsm.certificate, "_psd_within",
+                            lambda a, tol: tested.append(a.copy()) or real(a, tol))
+        for factor, want in ((1.0 + 1e-3, True), (1.0 - 1e-3, False)):
+            tested.clear()
+            assert cholesky_succeeds(full, -lmin * factor) is want
+            assert _psd_by_schur(views, frames, -lmin * factor) is want
+            assert [a.shape for a in tested] == [(300, 300)] * (1 if want else 2)
+        assert np.array_equal(tested[0], tested[1])
+
+
 def count_dense_work(monkeypatch, prob, dense_only=True):
     """Count dense numpy.linalg calls on prob's D x D matrices and S-tilde assemblies.
 
     An assembly is a call of the one builder of S-tilde stacks, whether
     through assemble_stilde or the solver's batch; it counts as
-    ``assemble_stilde``.  With ``dense_only=False`` every numpy.linalg call
-    counts, whatever its size.
+    ``assemble_stilde``.  A PSD test of a D x D matrix wider than one panel
+    counts as ``_psd_within``: it factorizes in panels, so none of its
+    numpy.linalg calls is D x D.  With ``dense_only=False`` every
+    numpy.linalg call counts, whatever its size.
     """
     side = prob.dims.total_dim - prob.dims.r
     work = Counter()
@@ -420,6 +493,9 @@ def count_dense_work(monkeypatch, prob, dense_only=True):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), dense_only))
     build = counted("assemble_stilde", otsm.core._stack_stilde, dense_only=False)
     monkeypatch.setattr(otsm.core, "_stack_stilde", build)
+    if prob.dims.total_dim > otsm.certificate._PANEL:
+        panels = counted("_psd_within", otsm.certificate._psd_within)
+        monkeypatch.setattr(otsm.certificate, "_psd_within", panels)
     return work
 
 
@@ -630,22 +706,22 @@ def test_spectral_pipeline_dense_work(monkeypatch):
 
 
 class TestKrylovPipeline:
-    """From D = 1000 on a spectral start comes from the block Krylov solve."""
+    """From D = 200 on a spectral start comes from the block Krylov solve."""
 
     @pytest.fixture(params=range(4))
     def problem(self, request):
         # Without its views: these tests pin the dense backend's work.
         prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, request.param)[0])
-        assert prob.dims.total_dim == otsm.core._KRYLOV_MIN_DIM
+        assert prob.dims.total_dim >= otsm.core._KRYLOV_MIN_DIM
         return prob
 
     def test_no_dense_decomposition(self, monkeypatch, problem):
         work = count_dense_work(monkeypatch, problem)
         certify(problem, solve(problem, SolverConfig(init="spectral")).solution)
-        assert work == Counter(cholesky=1, assemble_stilde=2)
+        assert work == Counter(_psd_within=1, assemble_stilde=2)
         assert problem._spectrum.shape == (1000, 3)  # no D x D array is kept
         dual_upper_bound(problem)
-        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=3)
+        assert work == Counter(eigvalsh=1, _psd_within=1, assemble_stilde=3)
 
     def test_fresh_certify_runs_one_eigvalsh(self, monkeypatch):
         prob = fresh_copy(synth_procrustes(5, 30, 200, 3, 1.0, 0)[0])
@@ -653,13 +729,23 @@ class TestKrylovPipeline:
         monkeypatch.setattr(otsm.core, "_krylov", None)  # never called
         work = count_dense_work(monkeypatch, prob)
         certify(prob, point)
-        assert work == Counter(cholesky=1, assemble_stilde=1)
+        assert work == Counter(_psd_within=1, assemble_stilde=1)
         dual_upper_bound(prob)
-        assert work == Counter(eigvalsh=1, cholesky=1, assemble_stilde=2)
+        assert work == Counter(eigvalsh=1, _psd_within=1, assemble_stilde=2)
+
+    def test_dense_start_at_d_500_runs_krylov(self, monkeypatch):
+        # The cli_roundtrip size: explicit couplings at D = 500.
+        prob = fresh_copy(synth_procrustes(10, 100, 50, 3, 1.0, 0)[0])
+        runs, krylov = [], otsm.core._krylov
+        monkeypatch.setattr(otsm.core, "_krylov", lambda *a: runs.append(a[1:]) or krylov(*a))
+        work = count_dense_work(monkeypatch, prob)
+        init_spectral(prob)
+        assert runs == [(500, 3)]
+        assert work == Counter(assemble_stilde=1)
 
     def test_block_wider_than_the_basis_cap(self, monkeypatch):
         # r + 2 = 501 columns against a cap of D/2 = 500: the start uses
-        # eigh as below D = 1000.
+        # eigh as below D = 200.
         rng = np.random.default_rng(2)
         prob = OtsmProblem(BlockDims([500, 500], 499), {(0, 1): rng.standard_normal((500, 500))})
         work = count_dense_work(monkeypatch, prob)

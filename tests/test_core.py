@@ -159,14 +159,18 @@ class TestOtsmProblem:
         s[0, 0] = 5.0
         assert prob.sblocks[(0, 1)][0, 0] == 1.0
 
-    def test_read_only_owned_matrix_is_kept_not_copied(self):
+    def test_frozen_then_unfrozen_input_changes_nothing(self):
+        # numpy lets the owner of its data be made writeable again, so a
+        # read-only input is copied like any other.
         s = np.eye(3)
         s.flags.writeable = False
         view = np.eye(3)[:, :]  # read-only below, but not the owner of its data
         view.flags.writeable = False
         prob = OtsmProblem(BlockDims((3, 3, 3), 2), {(0, 1): s, (0, 2): view})
-        assert prob.sblocks[(0, 1)] is s
-        assert prob.sblocks[(0, 2)] is not view
+        s.flags.writeable = True
+        s[0, 0] = 5.0
+        assert prob.sblocks[(0, 1)][0, 0] == 1.0
+        assert prob.sblocks[(0, 1)] is not s and prob.sblocks[(0, 2)] is not view
 
     def test_stored_blocks_are_readonly(self):
         prob = make_hard_problem()
@@ -180,6 +184,14 @@ class TestBlockOrthogonal:
         assert point.dims == BlockDims((3, 3, 3), 2)
         assert point.orthonormality_error() <= 1e-15
         assert point.stack().shape == (9, 2)
+
+    def test_frozen_then_unfrozen_input_changes_nothing(self):
+        block = I32.copy()
+        block.flags.writeable = False
+        point = BlockOrthogonal([block, I32])
+        block.flags.writeable = True
+        block[0, 0] = 5.0
+        assert point.blocks[0][0, 0] == 1.0
 
     def test_non_orthonormal_rejected(self):
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
@@ -446,7 +458,7 @@ def sin_theta(a, top):
 
 class TestKrylov:
     """core._krylov, the block Krylov solve behind the spectral start from
-    D = 1000 on.  It always answers: with converged Ritz pairs, or with
+    D = 200 on.  It always answers: with converged Ritz pairs, or with
     the top Ritz pairs of its basis at the cap."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

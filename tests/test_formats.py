@@ -149,3 +149,39 @@ def test_loaded_couplings_are_the_readers_arrays(tmp_path, monkeypatch):
     loaded = load_problem(path)
     assert len(made) == 2
     assert all(any(s is a for a in made) for s in loaded.sblocks.values())
+
+
+def test_load_problem_peak_below_2_4_times_the_file(tmp_path):
+    # Each coupling becomes an array as it is decoded: the load holds the
+    # file's text and the arrays, not every coupling's nested lists at once.
+    problem, _ = synth_procrustes(10, 100, 50, 3, 1.0, 0)
+    path = tmp_path / "p.json"
+    save_problem(problem, path)
+    load_problem(path)
+    tracemalloc.start()
+    try:
+        load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * path.stat().st_size
+
+
+@pytest.mark.parametrize(("data", "message"), [
+    pytest.param("[[1.0, 2.0], [3.0]]", "is not a numeric matrix: ", id="ragged"),
+    pytest.param("[1.0, 2.0]", "must be a matrix, got ndim=1", id="one-dimensional"),
+    pytest.param('"abc"', "is not a numeric matrix: ", id="string"),
+    pytest.param("[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]", "contains non-finite entries",
+                 id="integer-beyond-float-range"),
+    pytest.param("[[1e400, 0.0], [0.0, 0.0]]", "contains non-finite entries", id="1e400"),
+])
+def test_malformed_coupling_data_is_named(tmp_path, data, message):
+    # S[0] decodes to an array; S[1] is left as it is and named on its own.
+    path = tmp_path / "p.json"
+    path.write_text('{"dims": [2, 2, 2], "r": 1, "S": [{"i": 1, "j": 2, "data": '
+                    '[[1.0, 0.0], [0.0, 1.0]]}, {"i": 1, "j": 3, "data": %s}]}' % data)
+    with pytest.raises(ValidationError) as info:
+        load_problem(path)
+    text = str(info.value)
+    assert text.startswith(f"problem file {path}: field 'S[1].data' {message}")
+    assert message.endswith(": ") or text.endswith(message)
