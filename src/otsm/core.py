@@ -550,7 +550,7 @@ class _Coupling:
 #: Guards the first store of a problem's pairs and of its start vectors.
 _MEMO_LOCK = threading.Lock()
 
-#: From this D on a spectral start comes from :func:`_krylov`, which forms
+#: From this D on a spectral start may come from :func:`_krylov`, which forms
 #: no ``D x D`` eigenvector matrix and needs no LAPACK workspace.  Measured
 #: on ``synth_procrustes(10, 100, D/10, 3, 1.0, 0)``, one BLAS thread of a
 #: 2-CPU host (best of 15, in ms):
@@ -565,6 +565,13 @@ _MEMO_LOCK = threading.Lock()
 #: 1000  168     83.4        37.2
 #: ====  ======  ==========  ============
 _KRYLOV_MIN_DIM = 200
+#: From this D on the Krylov cap need hold only 3 blocks of ``r + 2``; below
+#: it, ``_KRYLOV_SMALL_BLOCKS``.  On ``synth_procrustes(10, 100, D/10, r, 1.0,
+#: s)`` at D = 200-800 the solve met its residual test before the cap from
+#: about 15 blocks on; at 10 blocks its start lay some 1e-6 (sin theta) from
+#: ``eigh``'s top-``r`` subspace, and at under 5 blocks up to 0.97.
+_KRYLOV_FULL_DIM = 1000
+_KRYLOV_SMALL_BLOCKS = 15
 #: Seed of the Krylov solve's private start block (not the global RNG).
 _KRYLOV_SEED = 1811_03521
 #: The Krylov basis takes at most this share of D and this many blocks.
@@ -575,6 +582,14 @@ _KRYLOV_MAX_BLOCKS = 60
 def _krylov_cap(d, r) -> int:
     """The Krylov basis's cap of ``min(D/2, 60 (r + 2))`` columns."""
     return min(int(_KRYLOV_MAX_SHARE * d), _KRYLOV_MAX_BLOCKS * (r + 2))
+
+
+def _krylov_fits(d, r) -> bool:
+    """Whether a spectral start of size ``d`` and rank ``r`` comes from
+    :func:`_krylov`: from ``D = _KRYLOV_MIN_DIM`` on, where its cap holds
+    ``_KRYLOV_SMALL_BLOCKS`` blocks of ``r + 2``, or 3 from ``_KRYLOV_FULL_DIM``."""
+    blocks = 3 if d >= _KRYLOV_FULL_DIM else _KRYLOV_SMALL_BLOCKS
+    return d >= _KRYLOV_MIN_DIM and blocks * (r + 2) <= _krylov_cap(d, r)
 
 
 def _krylov(product, d, r):
@@ -627,14 +642,15 @@ def _spectrum(problem, op=None, k=0):
     """The memoized ``D x r`` top eigenvectors of the assembled coupling matrix.
 
     Returns them read-only, largest first, by one path that ``D`` and ``r``
-    choose: :func:`_krylov` from ``D = _KRYLOV_MIN_DIM`` (200) on where its
-    cap holds three blocks of ``r + 2``, else ``eigh``.  Krylov multiplies by
-    a dense problem's ``stilde`` (item ``k`` of the caller's
-    :class:`_Coupling` ``op``, or a fresh assembly) and by a view problem's
-    :func:`_product`, which forms no ``D x D`` array; unlike ``eigh`` it
-    forms no ``D x D`` eigenvector matrix on either backend.  The first
-    stored vectors are never replaced.  A failed decomposition raises
-    ``numpy.linalg.LinAlgError`` and stores nothing.  No ``D x D`` array is kept.
+    choose: :func:`_krylov` where :func:`_krylov_fits` (from D = 200 on
+    where its cap holds 15 blocks of ``r + 2``, from D = 1000 on 3), else
+    ``eigh``.  Krylov multiplies by a dense problem's ``stilde`` (item ``k``
+    of the caller's :class:`_Coupling` ``op``, or a fresh assembly) and by a
+    view problem's :func:`_product`, which forms no ``D x D`` array; unlike
+    ``eigh`` it forms no ``D x D`` eigenvector matrix on either backend.  The
+    first stored vectors are never replaced.  A failed decomposition raises
+    ``numpy.linalg.LinAlgError`` and stores nothing.  No ``D x D`` array is
+    kept.
     """
     if problem._spectrum is not None:
         return problem._spectrum
@@ -642,7 +658,7 @@ def _spectrum(problem, op=None, k=0):
     stilde = None
     if problem._factor is None:
         stilde = assemble_stilde(problem) if op is None else op.stilde[k]
-    if d < _KRYLOV_MIN_DIM or 3 * (r + 2) > _krylov_cap(d, r):
+    if not _krylov_fits(d, r):
         vecs = np.linalg.eigh(assemble_stilde(problem) if stilde is None else stilde)[1]
         top = vecs[:, ::-1][:, :r].copy()
     else:

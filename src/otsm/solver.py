@@ -150,8 +150,10 @@ def init_spectral(problem: OtsmProblem) -> BlockOrthogonal:
     failures propagate as ``numpy.linalg.LinAlgError``.
 
     The eigenvectors are memoized on the problem by its first spectral
-    start, from one path per size (see :func:`otsm.core._spectrum`): one
-    ``eigh`` of ``stilde`` below D = 200, else a block Krylov solve, which
+    start, from one path per size and rank (see
+    :func:`otsm.core._spectrum`): one ``eigh`` of ``stilde`` below D = 200
+    or where the Krylov basis cap holds too few blocks of ``r + 2`` (15
+    below D = 1000, 3 from there on), else a block Krylov solve, which
     never falls back to ``eigh``, forms no D x D eigenvector matrix and,
     on the factored backend, no D x D array at all; later starts on the
     same problem decompose nothing.

@@ -12,13 +12,14 @@ from conftest import (
     HARD_OPT,
     I32,
     J32,
+    fresh_copy,
     make_hard_problem,
     random_point,
     random_problem,
     random_stiefel,
 )
 import otsm.core
-from otsm.builders import OlsData, ViewData, ols_residual
+from otsm.builders import OlsData, ViewData, ols_residual, synth_procrustes
 from otsm.core import (
     BlockDims,
     BlockOrthogonal,
@@ -520,12 +521,14 @@ class TestKrylov:
         if rank == 3:  # lambda_2 = 1 stands clear of lambda_3 = 0
             assert sin_theta(a, top) <= 1e-8
 
-    @pytest.mark.parametrize(("dims", "r", "path"), [
-        pytest.param((19, 20), 1, "eigh", id="below-the-krylov-size"),
-        pytest.param((20, 20), 4, "krylov", id="three-blocks-fit"),  # 18 of D/2 = 20 columns
-        pytest.param((20, 20), 5, "eigh", id="a-block-exceeds-the-cap"),  # 21 columns
+    @pytest.mark.parametrize(("dims", "r", "full_dim", "path"), [
+        pytest.param((19, 20), 1, 40, "eigh", id="below-the-krylov-size"),
+        pytest.param((20, 20), 4, 40, "krylov", id="three-blocks-fit"),  # 18 of D/2 = 20 columns
+        pytest.param((20, 20), 5, 40, "eigh", id="a-block-exceeds-the-cap"),  # 21 columns
+        pytest.param((100, 100), 4, 1000, "krylov", id="fifteen-blocks-fit"),  # 90 of 100
+        pytest.param((100, 100), 5, 1000, "eigh", id="fifteen-blocks-exceed-the-cap"),  # 105
     ])
-    def test_size_alone_picks_the_path(self, monkeypatch, dims, r, path):
+    def test_size_alone_picks_the_path(self, monkeypatch, dims, r, full_dim, path):
         prob = random_problem(np.random.default_rng(1), dims, r)
         runs, eigh, solve = [], np.linalg.eigh, otsm.core._krylov
 
@@ -536,5 +539,18 @@ class TestKrylov:
         monkeypatch.setattr(np.linalg, "eigh", dense_eigh)
         monkeypatch.setattr(otsm.core, "_krylov", lambda *a: runs.append("krylov") or solve(*a))
         monkeypatch.setattr(otsm.core, "_KRYLOV_MIN_DIM", 40)
+        monkeypatch.setattr(otsm.core, "_KRYLOV_FULL_DIM", full_dim)
         assert otsm.core._spectrum(prob).shape == (sum(dims), r)
         assert runs == [path]
+
+    @pytest.mark.parametrize(("r", "path"), [(14, "krylov"), (50, "eigh")])
+    def test_dense_start_at_d_500_spans_eighs_subspace(self, monkeypatch, r, path):
+        # A cap of D/2 = 250 columns holds 15 blocks of r + 2 = 16 but under
+        # 5 of 52: there an unconverged Krylov start lay 0.1 to 0.97 (sin
+        # theta) away from eigh's.
+        prob = fresh_copy(synth_procrustes(10, 100, 50, r, 1.0, 1)[0])
+        runs, solve = [], otsm.core._krylov
+        monkeypatch.setattr(otsm.core, "_krylov", lambda *a: runs.append("krylov") or solve(*a))
+        top = otsm.core._spectrum(prob)
+        assert runs == ["krylov"] * (path == "krylov")
+        assert sin_theta(assemble_stilde(prob), top) <= 1e-9
